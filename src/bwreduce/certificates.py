@@ -28,8 +28,9 @@ class Budget:
 
     horizon: how many sequence terms / set elements are inspected;
     depth: target bit/interval depth; stage: enumeration stage for trees;
-    code_budget: largest sequence code ever decoded; threshold: how many
-    witnesses a cell needs before a heuristic search trusts it.
+    code_budget: largest cutoff k that f_code (and so g_len, h_bit and the
+    h-stream) accepts; threshold: how many witnesses a cell needs before a
+    heuristic search trusts it.
     """
 
     horizon: int = 4096
@@ -41,7 +42,7 @@ class Budget:
     def __post_init__(self) -> None:
         for name in ("horizon", "depth", "stage", "code_budget", "threshold"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"budget field {name} must be a natural")
 
     def to_repr(self) -> dict[str, int]:

@@ -34,6 +34,7 @@ from .certificates import (
     CohesiveWitness,
     Selector,
     SeparatorSet,
+    _expect_nat,
 )
 from .core import (
     Bits,
@@ -46,7 +47,6 @@ from .core import (
     is_prefix,
     parse_bits,
     parse_rational,
-    seq_decode,
     string_decode,
     unpair,
 )
@@ -627,16 +627,15 @@ def tree_member_at_stage(tree: SigmaTree, bits: Bits, stage: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def make_unique_minimal(b: Callable[[int, int, int], bool]) -> Callable[[int, int, int], bool]:
-    """Minimize witnesses: B'(x, y; n) holds iff y is the least witness of x.
+def _optional_nat(obj: Mapping[str, Any], key: str, path: str) -> int | None:
+    return _expect_nat(obj[key], f"{path}.{key}") if key in obj else None
 
-    After the wrapper, at most one y satisfies B' for each (x, n).
-    """
 
-    def b_min(x: int, y: int, n: int) -> bool:
-        return b(x, y, n) and not any(b(x, yy, n) for yy in range(y))
-
-    return b_min
+def _nat_list(obj: Mapping[str, Any], key: str, path: str) -> tuple[int, ...]:
+    raw = obj.get(key, [])
+    if not isinstance(raw, list):
+        raise SchemaViolationError("expected an array of naturals", f"{path}.{key}")
+    return tuple(_expect_nat(v, f"{path}.{key}[{j}]") for j, v in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -695,10 +694,10 @@ class Cond:
         try:
             return Cond(
                 test,
-                modulus=obj.get("modulus"),
-                residues=tuple(obj.get("residues", ())),
-                bound=obj.get("bound"),
-                values=tuple(obj.get("values", ())),
+                modulus=_optional_nat(obj, "modulus", path),
+                residues=_nat_list(obj, "residues", path),
+                bound=_optional_nat(obj, "bound", path),
+                values=_nat_list(obj, "values", path),
             )
         except ValueError as e:
             raise SchemaViolationError(str(e), path) from e
@@ -841,19 +840,19 @@ class RulePredicate:
         if not isinstance(raw, list):
             raise SchemaViolationError("overrides must be an array", f"{path}.overrides")
         for i, entry in enumerate(raw):
+            at = f"{path}.overrides[{i}]"
             if not isinstance(entry, Mapping):
-                raise SchemaViolationError(
-                    "override must be an object", f"{path}.overrides[{i}]"
-                )
-            overrides.append(
-                (entry.get("x"), entry.get("y"), entry.get("n"), entry.get("value"))
-            )
+                raise SchemaViolationError("override must be an object", at)
+            if not isinstance(entry.get("value"), bool):
+                raise SchemaViolationError("override value must be a boolean", f"{at}.value")
+            xyn = (_expect_nat(entry.get(c), f"{at}.{c}") for c in "xyn")
+            overrides.append((*xyn, entry["value"]))
         try:
             return RulePredicate(
                 obj["rule"],
                 cond=cond,
-                value=obj.get("value"),
-                bound=obj.get("bound"),
+                value=_optional_nat(obj, "value", path),
+                bound=_optional_nat(obj, "bound", path),
                 overrides=tuple(overrides),
             )
         except (ValueError, TypeError) as e:
@@ -916,44 +915,9 @@ class SeparationInstance:
         self.disjointness_promise = bool(disjointness_promise)
         self.provenance = provenance
         self.meta: dict[str, Any] = dict(meta or {})
-        self._unique: dict[int, Callable[[int, int, int], bool]] = {}
-        self._codes: dict[tuple[int, int], tuple[list[int], int]] = {}
 
     def evaluate(self, i: int, x: int, y: int, n: int) -> bool:
         return self.predicates[i].evaluate(x, y, n)
-
-    def unique(self, i: int) -> Callable[[int, int, int], bool]:
-        """B'_i with witnesses minimized (at most one y per (x, n))."""
-        fn = self._unique.get(i)
-        if fn is None:
-            pred = self.predicates[i]
-            if isinstance(pred, RulePredicate):
-
-                def fn(x: int, y: int, n: int, _p=pred) -> bool:
-                    return _p.minimal_witness(x, n) == y
-
-            else:
-                fn = make_unique_minimal(pred.evaluate)
-            self._unique[i] = fn
-        return fn
-
-    # -- valid-code bookkeeping (shared by the f/g/h machinery) ---------------
-
-    def valid_codes_below(self, i: int, n: int, k: int) -> list[int]:
-        """Sorted codes s < k whose decoded sequence satisfies B'_i at every
-        position.  Incrementally extended and memoized per (i, n)."""
-        codes, high = self._codes.get((i, n), ([1], 2))  # 1 = empty sequence, always valid
-        if k > high:
-            bprime = self.unique(i)
-            for s in range(high, k):
-                vals = seq_decode(s)
-                if vals is None:
-                    continue
-                if all(bprime(x, v, n) for x, v in enumerate(vals)):
-                    codes.append(s)
-            high = k
-            self._codes[(i, n)] = (codes, high)
-        return codes if k >= high else [s for s in codes if s < k]
 
     # -- ground truth (closed rule forms only) --------------------------------
 

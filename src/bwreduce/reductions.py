@@ -20,6 +20,7 @@ from .core import (
     Bits,
     CantorPoint,
     DyadicInterval,
+    _prime,
     format_bits,
     seq_len,
     string_code,
@@ -166,21 +167,35 @@ def separator_to_branch(
 def f_code(p: SeparationInstance, i: int, n: int, k: int, code_budget: int) -> int:
     """Largest valid code below k for side i at parameter n.
 
-    A code is valid when it decodes and every decoded position x satisfies
-    the minimized predicate B'_i(x, ·; n).  Returns 1 (the empty sequence,
-    vacuously valid) when no valid code < k exists, so the result is total
-    and monotone nondecreasing in k.
+    A code is valid when it decodes and every decoded position x holds the
+    least witness of x under B_i(x, ·; n).  The valid codes are therefore
+    exactly the course-of-values codes of the prefixes of the least-witness
+    stream x ↦ min{y : B_i(x, y; n)}, and they grow with the prefix length;
+    the answer is the code of the longest prefix whose code is below k,
+    built one position at a time.  Candidates y for position x are tried in
+    ascending order only while code · p_x^(y+1) < k, so each position costs
+    at most log2(k) predicate calls.  Returns 1 (the empty sequence,
+    vacuously valid) when no longer prefix fits, so the result is total and
+    monotone nondecreasing in k.
     """
     if k > code_budget:
         raise BudgetExceededError(f"k = {k} exceeds code budget {code_budget}")
-    valid = p.valid_codes_below(i, n, k)
-    return valid[-1] if valid else 1
+    pred = p.predicates[i]
+    code, x = 1, 0
+    while True:
+        q = _prime(x)
+        step, y = code * q, 0  # step = code · q^(y+1)
+        while step < k and not pred.evaluate(x, y, n):
+            step, y = step * q, y + 1
+        if step >= k:
+            return code
+        code, x = step, x + 1
 
 
 def g_len(p: SeparationInstance, i: int, n: int, k: int, code_budget: int) -> int:
-    """Length of the largest valid code below k (0 when only the empty
-    sequence is valid); its range over all k is all of ℕ exactly when
-    ∀x∃y B_i(x, y; n)."""
+    """Length of the longest least-witness prefix of side i whose code is
+    below k (0 when only the empty prefix fits); its range over all k is all
+    of ℕ exactly when ∀x∃y B_i(x, y; n)."""
     return seq_len(f_code(p, i, n, k, code_budget))
 
 

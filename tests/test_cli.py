@@ -321,6 +321,47 @@ def test_nonmonotone_stage_list_file_is_exit_3(tmp_path, capsys):
     assert "absent at stage 4" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "b0",
+    [
+        {"rule": "y_eq_x_if", "cond": {"modulus": 3, "residues": 5, "test": "mod"}},
+        {"rule": "y_eq_x_if", "cond": {"modulus": 3, "residues": [0, "2"], "test": "mod"}},
+        {"rule": "y_eq_x_if", "cond": {"modulus": True, "residues": [0], "test": "mod"}},
+        {"rule": "y_eq_x_if", "cond": {"modulus": "3", "residues": [0], "test": "mod"}},
+        {"rule": "y_eq_x_if", "cond": {"bound": "4", "test": "lt"}},
+        {"rule": "y_eq_x_if", "cond": {"bound": 2.5, "test": "ge"}},
+        {"rule": "y_eq_x_if", "cond": {"test": "in", "values": 7}},
+        {"rule": "y_eq_x_if", "cond": {"test": "not_in", "values": [True]}},
+        {"rule": "y_eq_const", "value": True},
+        {"rule": "y_eq_const", "value": "3"},
+        {"rule": "y_eq_x_below", "bound": -1},
+        {"rule": "y_eq_x_below", "bound": False},
+        {"rule": "y_eq_x", "overrides": [{"x": "3", "y": 2, "n": 0, "value": True}]},
+        {"rule": "y_eq_x", "overrides": [{"x": 3, "y": 2.7, "n": 0, "value": True}]},
+        {"rule": "y_eq_x", "overrides": [{"x": 3, "y": 2, "n": True, "value": True}]},
+        {"rule": "y_eq_x", "overrides": [{"x": 3, "y": 2, "n": 0, "value": "no"}]},
+        {"rule": "y_eq_x", "overrides": [{"x": 3, "y": 2, "value": False}]},
+    ],
+)
+def test_malformed_condition_fields_are_exit_3(tmp_path, capsys, b0):
+    doc = {
+        "kind": "separation",
+        "meta": {},
+        "repr": {
+            "b0": b0,
+            "b1": {"cond": {"modulus": 3, "residues": [1], "test": "mod"}, "rule": "y_eq_x_if"},
+            "disjointness_promise": True,
+            "form": "rules",
+        },
+    }
+    src = tmp_path / "sep.json"
+    src.write_text(json.dumps(doc))
+    assert main(["roundtrip", "--pair", "separation-bw", "-i", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.repr.b0")
+    assert "Traceback" not in err
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "bwreduce", "embed", "--direction", "to-real", "1,(0)"],

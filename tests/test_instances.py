@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scan_oracle import unique_minimal
 from bwreduce import catalog
 from bwreduce.core import CantorPoint, DyadicInterval, format_rational
 from bwreduce.errors import (
@@ -44,7 +45,6 @@ from bwreduce.instances import (
     embed_sequence,
     eval_sequence,
     family_member,
-    make_unique_minimal,
     parse_instance,
     serialize_instance,
     tree_member_at_stage,
@@ -348,11 +348,11 @@ def test_lcm_window_decides_infinitude():
 
 
 def test_make_unique_minimal_examples():
-    b_true = make_unique_minimal(lambda x, y, n: True)
+    b_true = unique_minimal(lambda x, y, n: True)
     assert [y for y in range(5) if b_true(0, y, 0)] == [0]
-    b_geq = make_unique_minimal(lambda x, y, n: y >= x)
+    b_geq = unique_minimal(lambda x, y, n: y >= x)
     assert [y for y in range(8) if b_geq(3, y, 1)] == [3]
-    b_gap = make_unique_minimal(lambda x, y, n: x != 2 and y == 0)
+    b_gap = unique_minimal(lambda x, y, n: x != 2 and y == 0)
     assert [y for y in range(8) if b_gap(2, y, 0)] == []
 
 
@@ -436,12 +436,16 @@ def test_first_failure_scans_to_the_rule_tail(p, n):
 
 
 def test_separation_unique_has_at_most_one_witness():
-    inst = catalog.SEPARATIONS["odds-vs-evens"]
-    for i in (0, 1):
-        bprime = inst.unique(i)
-        for n in range(4):
-            for x in range(6):
-                assert sum(1 for y in range(40) if bprime(x, y, n)) <= 1
+    for name, inst in catalog.SEPARATIONS.items():
+        for i, pred in enumerate(inst.predicates):
+            bprime = unique_minimal(pred.evaluate)
+            for n in range(4):
+                for x in range(6):
+                    witnesses = [y for y in range(40) if bprime(x, y, n)]
+                    assert len(witnesses) <= 1
+                    w = pred.minimal_witness(x, n)
+                    expected = [] if w is None or w >= 40 else [w]
+                    assert witnesses == expected, (name, i, n, x)
 
 
 def test_separation_ground_truth_api():

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_oracle
 from bwreduce import catalog
 from bwreduce.certificates import Budget, Selector, SeparatorSet
-from bwreduce.core import DyadicInterval, seq_code, string_code
+from bwreduce.core import DyadicInterval, seq_code, seq_len, string_code
 from bwreduce.errors import (
     BudgetExceededError,
     ExactValueUnavailableError,
@@ -18,6 +20,8 @@ from bwreduce.errors import (
 )
 from bwreduce.instances import (
     AlternatingSequence,
+    CallbackPredicate,
+    Cond,
     ConstantSequence,
     PeriodicSequence,
     RulePredicate,
@@ -41,7 +45,7 @@ from bwreduce.reductions import (
     subsequence_from_cohesive,
     swkl_to_separation,
 )
-from bwreduce.solvers import find_branch
+from bwreduce.solvers import find_branch, stabilization_bound
 
 # --- sequence -> tree -> point ------------------------------------------------------
 
@@ -227,7 +231,123 @@ def test_valid_codes_are_exactly_course_of_values_prefixes():
             for c in (seq_code(stream[:length]) for length in range(len(stream) + 1))
             if c < bound
         )
-        assert inst.valid_codes_below(i, n, bound) == expected
+        assert scan_oracle.valid_codes_below(inst, i, n, bound) == expected
+
+
+_CONDS = (
+    Cond("always"),
+    Cond("even"),
+    Cond("odd"),
+    Cond("mod", modulus=3, residues=(1,)),
+    Cond("lt", bound=3),
+    Cond("in", values=(0, 4)),
+)
+
+random_rule_predicates = st.builds(
+    RulePredicate,
+    rule=st.sampled_from(
+        ("never", "always", "y_eq_x", "y_eq_x_if", "y_eq_const", "y_eq_x_below")
+    ),
+    cond=st.sampled_from(_CONDS),
+    value=st.one_of(st.integers(0, 12), st.just(10**30)),
+    bound=st.integers(0, 6),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 12), st.integers(0, 5), st.booleans()),
+        max_size=6,
+        unique_by=lambda t: t[:3],
+    ).map(tuple),
+)
+
+
+def _callback(x: int, y: int, n: int) -> bool:
+    # least witness (x * n) % 4 with a gap at x = n + 3
+    return x != n + 3 and y >= (x * n) % 4
+
+
+separations_under_test = st.one_of(
+    st.builds(SeparationInstance, random_rule_predicates, random_rule_predicates),
+    st.sampled_from(sorted(catalog.TREES)).map(
+        lambda name: swkl_to_separation(catalog.TREES[name])
+    ),
+    st.just(
+        SeparationInstance(
+            CallbackPredicate(_callback), CallbackPredicate(lambda x, y, n: y == x % 2)
+        )
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    separations_under_test,
+    st.integers(0, 5),
+    st.lists(st.integers(0, 2999), min_size=1, max_size=6),
+)
+def test_f_g_h_match_the_linear_scan(p, n, ks):
+    budget = 10**6
+    top = 3000
+    valid = [scan_oracle.valid_codes_below(p, i, n, top) for i in (0, 1)]
+    # the answer changes only at a valid code c, between k = c and k = c + 1
+    edges = {c + d for codes in valid for c in codes for d in (0, 1) if c + d < top}
+    for k in sorted(set(ks) | edges):
+        want = [max((c for c in codes if c < k), default=1) for codes in valid]
+        for i in (0, 1):
+            assert f_code(p, i, n, k, budget) == want[i]
+            assert g_len(p, i, n, k, budget) == seq_len(want[i])
+        want_h = 0 if seq_len(want[0]) >= seq_len(want[1]) else 1
+        assert h_bit(p, k, n, budget) == want_h
+
+
+def test_f_code_work_is_logarithmic_in_the_cutoff():
+    """Each position tries only witnesses whose code still fits below k, so
+    a cutoff of 10^6 costs at most (L + 1) · ceil(log2 k) predicate calls."""
+    k = 10**6
+    cases = (
+        (lambda x, y, n: y >= x, seq_code((0, 1, 2))),  # next factor 7^4 is too big
+        (lambda x, y, n: False, 1),
+        (lambda x, y, n: True, seq_code((0,) * 7)),  # 2·3·5·7·11·13·17
+    )
+    for fn, want in cases:
+        calls = 0
+
+        def counted(x: int, y: int, n: int, _fn=fn) -> bool:
+            nonlocal calls
+            calls += 1
+            return _fn(x, y, n)
+
+        p = SeparationInstance(CallbackPredicate(counted), RulePredicate("never"))
+        code = f_code(p, 0, 0, k, k)
+        assert code == want
+        assert calls <= (seq_len(code) + 1) * (k - 1).bit_length()
+
+
+@pytest.fixture
+def late_million() -> SeparationInstance:
+    """At n = 5 side 0's least witnesses are (3, 3, 3, ...) and side 1 runs
+    out after (0, 1, 2), so h flips to 0 once k passes seq_code((3, 3, 3)) =
+    810000; every other n settles at k = 3.  Kept out of catalog.SEPARATIONS,
+    whose entries feed the acceptance sweep and the benchmark."""
+    return SeparationInstance(
+        RulePredicate("y_eq_const", cond=Cond("in", values=(5,)), value=3),
+        RulePredicate(
+            "y_eq_x_if",
+            cond=Cond("not_in", values=(5,)),
+            overrides=((0, 0, 5, True), (1, 1, 5, True), (2, 2, 5, True)),
+        ),
+    )
+
+
+def test_late_stabilizing_separation_at_a_million(late_million):
+    p = late_million
+    assert stabilization_bound(p, 5) == 810001
+    assert [stabilization_bound(p, n) for n in range(8) if n != 5] == [3] * 7
+    assert h_bit(p, 810000, 5, 10**6) == 1
+    assert h_bit(p, 810001, 5, 10**6) == 0
+    t0 = time.perf_counter()
+    bits = [h_bit(p, 10**6, n, 10**6) for n in range(8)]
+    elapsed = time.perf_counter() - t0
+    assert bits == [1, 1, 1, 1, 1, 0, 1, 1]
+    assert elapsed < 1.0
 
 
 def test_course_of_values_identity():

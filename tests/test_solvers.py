@@ -119,6 +119,12 @@ def test_accumulation_heuristic_on_harmonic():
     _assert_nested(out.chain)
 
 
+def test_budget_fields_must_be_naturals():
+    for field in ("horizon", "depth", "stage", "code_budget", "threshold"):
+        for bad in (True, False, -1, 2.0, "8"):
+            with pytest.raises(ValueError):
+                Budget(**{field: bad})
+
 def test_accumulation_budget_failures():
     with pytest.raises(ValueError):
         find_accumulation_real(HarmonicSequence(), Budget(depth=0))
