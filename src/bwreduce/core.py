@@ -311,23 +311,23 @@ def embed_point(x: CantorPoint, precision: int) -> tuple[Fraction, Fraction]:
 
 
 def embed_point_exact(x: CantorPoint) -> Fraction:
-    """Exact h(x) for an eventually periodic point (geometric series)."""
+    """Exact h(x) for an eventually periodic point (geometric series).
+
+    With the prefix (length p) and the period (length q) read as base-3
+    integers H and C of digits 2·b, h(x) = (H·(3^q − 1) + C) / (3^p·(3^q − 1)).
+    """
     from .errors import ExactValueUnavailableError
 
     if not x.is_periodic:
         raise ExactValueUnavailableError("exact embedding needs a periodic point")
     assert x.prefix is not None and x.period is not None
-    p, q = len(x.prefix), len(x.period)
-    head = Fraction(0)
-    for i, b in enumerate(x.prefix):
-        if b:
-            head += Fraction(2, 3 ** (i + 1))
-    cycle = Fraction(0)
-    for j, b in enumerate(x.period):
-        if b:
-            cycle += Fraction(2, 3 ** (j + 1))
-    # tail from index p onward: 3^-p * cycle * 3^q/(3^q - 1)
-    return head + Fraction(1, 3**p) * cycle * Fraction(3**q, 3**q - 1)
+    head = cycle = 0
+    for b in x.prefix:
+        head = 3 * head + 2 * b
+    for b in x.period:
+        cycle = 3 * cycle + 2 * b
+    repeat = 3 ** len(x.period) - 1
+    return Fraction(head * repeat + cycle, 3 ** len(x.prefix) * repeat)
 
 
 # --- sequence coding ------------------------------------------------------------

@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .certificates import (
     AccumulationResult,
@@ -1006,6 +1006,12 @@ class RowPattern:
             raise InvariantViolationError(str(e), path) from e
 
 
+def _joint_structure(rows: Sequence[RowPattern]) -> tuple[int, int]:
+    """(longest row prefix, lcm of the row periods): past that prefix, the
+    joint membership of j in all the rows is periodic with that period."""
+    return max((len(r.prefix) for r in rows), default=0), lcm(*(len(r.period) for r in rows))
+
+
 class SetFamily:
     """A countable family (R_n) of decidable sets of naturals."""
 
@@ -1028,9 +1034,7 @@ class SetFamily:
         rows = [self.row_pattern(n) for n in range(levels)]
         if any(r is None for r in rows):
             return None
-        j0 = max((len(r.prefix) for r in rows), default=0)
-        q = lcm(*(len(r.period) for r in rows)) if rows else 1
-        return j0, q
+        return _joint_structure(rows)
 
     def column_point(self, i: int) -> CantorPoint:
         """The Cantor point n -> [i ∈ R_n]."""
@@ -1079,9 +1083,7 @@ class PeriodicRowsFamily(SetFamily):
         return CantorPoint.periodic(prefix, period)
 
     def column_structure(self) -> tuple[int, int]:
-        rows = self.row_prefix + self.row_period
-        j0 = max((len(r.prefix) for r in rows), default=0)
-        return j0, lcm(*(len(r.period) for r in rows))
+        return _joint_structure(self.row_prefix + self.row_period)
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -1124,9 +1126,7 @@ class TableRowsFamily(SetFamily):
         return CantorPoint.periodic(prefix, period)
 
     def column_structure(self) -> tuple[int, int]:
-        rows = list(self.entries.values()) + [self.default]
-        j0 = max((len(r.prefix) for r in rows), default=0)
-        return j0, lcm(*(len(r.period) for r in rows))
+        return _joint_structure([*self.entries.values(), self.default])
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -1149,19 +1149,13 @@ def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
     if r == 1:  # only reachable in the paper-literal mode
         return CantorPoint.constant(1)
     bits = [1]  # n = 0: floor(r) = 0 is even
-    seen: dict[Fraction, int] = {}
-    f = r
-    while f not in seen:
-        seen[f] = len(bits)
-        f *= 2
-        digit = 1 if f >= 1 else 0
-        if digit:
-            f -= 1
-        if paper_literal:
-            bits.append(1 if f == 0 or digit == 0 else 0)
-        else:
-            bits.append(1 - digit)
-    start = seen[f]
+    seen: dict[int, int] = {}
+    num, den = r.numerator, r.denominator  # frac(r·2^n) = num/den
+    while num not in seen:
+        seen[num] = len(bits)
+        digit, num = divmod(num << 1, den)
+        bits.append(1 if digit == 0 or (paper_literal and num == 0) else 0)
+    start = seen[num]
     return CantorPoint.periodic(tuple(bits[:start]), tuple(bits[start:]))
 
 
@@ -1174,6 +1168,10 @@ class DerivedFamily(SetFamily):
     paper-literal: j ∈ R_n iff term(j) lies in some closed cell
     [k/2^n, (k+1)/2^n] with k even — every boundary point qualifies, which is
     the known defect (e.g. both 0 and 1 land in every R_n).
+
+    ``member`` reads both in integers, from term(j) = num/den: corrected holds
+    iff (num << n) // (den << 1) is even; paper-literal takes whole, rem =
+    divmod(num << n, den) and holds iff rem == 0 or whole is even.
     """
 
     form = "derived"
@@ -1197,21 +1195,19 @@ class DerivedFamily(SetFamily):
 
     def member(self, n: int, j: int) -> bool:
         q = self.source.term(j)
+        num, den = q.numerator, q.denominator
         if self.convention == "corrected":
-            t = q * 2**n / 2
-            return (t.numerator // t.denominator) % 2 == 0
-        t = q * 2**n
-        whole, frac_num = divmod(t.numerator, t.denominator)
-        return frac_num == 0 or whole % 2 == 0
+            return ((num << n) // (den << 1)) & 1 == 0
+        whole, rem = divmod(num << n, den)
+        return rem == 0 or whole & 1 == 0
 
     def row_pattern(self, n: int) -> RowPattern | None:
         struct = self.source.periodic_structure()
         if struct is None:
             return None
         j0, q = struct
-        prefix = tuple(1 if self.member(n, j) else 0 for j in range(j0))
-        period = tuple(1 if self.member(n, j) else 0 for j in range(j0, j0 + q))
-        return RowPattern(prefix, period)
+        bits = tuple(1 if self.member(n, j) else 0 for j in range(j0 + q))
+        return RowPattern(bits[:j0], bits[j0:])
 
     def periodic_structure(self, levels: int) -> tuple[int, int] | None:
         return self.source.periodic_structure()
@@ -1276,6 +1272,26 @@ def _rationals(raw: Any, path: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(v, location=f"{path}[{i}]") for i, v in enumerate(raw))
 
 
+def _table_entries(
+    repr_obj: Mapping[str, Any], path: str, what: str
+) -> Iterator[tuple[int, Mapping[str, Any], str]]:
+    """(index, entry, location) for each entry of a table's ``entries`` array;
+    every index is a natural, listed once."""
+    raw = repr_obj.get("entries")
+    if not isinstance(raw, list):
+        raise SchemaViolationError("entries must be an array", f"{path}.entries")
+    seen: set[int] = set()
+    for i, entry in enumerate(raw):
+        at = f"{path}.entries[{i}]"
+        if not isinstance(entry, Mapping):
+            raise SchemaViolationError(f"{what} entry must be an object", at)
+        idx = _expect_nat(entry.get("index"), f"{at}.index")
+        if idx in seen:
+            raise InvariantViolationError(f"duplicate {what} index {idx}", at)
+        seen.add(idx)
+        yield idx, entry, at
+
+
 def _parse_sequence(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) -> RationalSequence:
     form = repr_obj.get("form")
     try:
@@ -1302,25 +1318,11 @@ def _parse_sequence(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str
                 parse_rational(repr_obj.get("value"), location=f"{path}.value"), meta
             )
         if form == "table":
-            raw = repr_obj.get("entries")
-            if not isinstance(raw, list):
-                raise SchemaViolationError("entries must be an array", f"{path}.entries")
-            entries: dict[int, Fraction] = {}
-            for i, entry in enumerate(raw):
-                if not isinstance(entry, Mapping) or not isinstance(entry.get("index"), int):
-                    raise SchemaViolationError(
-                        "table entry needs an integer index", f"{path}.entries[{i}]"
-                    )
-                idx = entry["index"]
-                if idx in entries:
-                    raise InvariantViolationError(
-                        f"duplicate table index {idx}", f"{path}.entries[{i}]"
-                    )
-                entries[idx] = parse_rational(
-                    entry.get("value"), location=f"{path}.entries[{i}].value"
-                )
             return TableSequence(
-                entries,
+                {
+                    idx: parse_rational(entry.get("value"), location=f"{at}.value")
+                    for idx, entry, at in _table_entries(repr_obj, path, "table")
+                },
                 parse_rational(repr_obj.get("default"), location=f"{path}.default"),
                 meta,
             )
@@ -1406,21 +1408,10 @@ def _parse_family(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) 
                 meta,
             )
         if form == "table_rows":
-            raw = repr_obj.get("entries")
-            if not isinstance(raw, list):
-                raise SchemaViolationError("entries must be an array", f"{path}.entries")
-            entries: dict[int, RowPattern] = {}
-            for i, entry in enumerate(raw):
-                if not isinstance(entry, Mapping) or not isinstance(entry.get("index"), int):
-                    raise SchemaViolationError(
-                        "row entry needs an integer index", f"{path}.entries[{i}]"
-                    )
-                idx = entry["index"]
-                if idx in entries:
-                    raise InvariantViolationError(
-                        f"duplicate row index {idx}", f"{path}.entries[{i}]"
-                    )
-                entries[idx] = RowPattern.from_repr(entry.get("row"), f"{path}.entries[{i}].row")
+            entries = {
+                idx: RowPattern.from_repr(entry.get("row"), f"{at}.row")
+                for idx, entry, at in _table_entries(repr_obj, path, "row")
+            }
             return TableRowsFamily(
                 entries, RowPattern.from_repr(repr_obj.get("default"), f"{path}.default"), meta
             )
@@ -1468,8 +1459,8 @@ def _parse_derived(
     elif derived_by == "swkl_to_separation":
         out = reductions.swkl_to_separation(source)
     elif derived_by == "separation_to_bw":
-        budget = repr_obj.get("code_budget", 10**6)
-        if not isinstance(budget, int) or budget < 1:
+        budget = _expect_nat(repr_obj.get("code_budget", 10**6), f"{path}.code_budget")
+        if budget < 1:
             raise SchemaViolationError(
                 "code_budget must be a positive integer", f"{path}.code_budget"
             )

@@ -238,17 +238,24 @@ def build_strongly_cohesive(
     family: SetFamily, levels: int, budget: Budget
 ) -> CohesiveWitness:
     """Witness for strong cohesion: pick the cell pattern over rows < levels
-    whose member set is infinite (exactly, via one lcm window, when the rows
-    are eventually periodic; otherwise the most populated pattern below the
-    horizon) and enumerate its members below the horizon.  The settle points
-    are all 0 — members of one cell never leave it."""
+    whose member set is infinite and enumerate its members below the horizon.
+    The settle points are all 0 — members of one cell never leave it.
+
+    Jointly eventually periodic rows (prefix j0, period q) are decided by the
+    patterns of one lcm window j < j0 + q: y is the least of window[j0:], and
+    j is a member iff window[j if j < j0 else j0 + (j - j0) % q] == y, so the
+    search makes levels·(j0 + q) membership queries whatever the horizon.
+    Otherwise y is the most populated pattern below the horizon."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
     struct = family.periodic_structure(levels)
     if struct is not None:
         j0, q = struct
-        realized = {_membership_pattern(family, j, levels) for j in range(j0, j0 + q)}
-        y = min(realized)
+        window = [_membership_pattern(family, j, levels) for j in range(j0 + q)]
+        y = min(window[j0:])
+        members = tuple(
+            j for j in range(budget.horizon) if window[j if j < j0 else j0 + (j - j0) % q] == y
+        )
     else:
         counts: dict[Bits, int] = {}
         for j in range(budget.horizon):
@@ -260,11 +267,11 @@ def build_strongly_cohesive(
             )
         best = max(counts.values())
         y = min(pat for pat, c in counts.items() if c == best)
-    members = tuple(
-        j
-        for j in range(budget.horizon)
-        if _membership_pattern(family, j, levels) == y
-    )
+        members = tuple(
+            j
+            for j in range(budget.horizon)
+            if _membership_pattern(family, j, levels) == y
+        )
     settle = tuple(
         (i, 0, "in" if y[i] == 0 else "out") for i in range(levels)
     )

@@ -18,6 +18,7 @@ from bwreduce import catalog
 from bwreduce.certificates import CauchyCertificate, Selector, SeparatorSet
 from bwreduce.cli import main
 from bwreduce.instances import parse_instance, serialize_instance
+from bwreduce.reductions import separation_to_bw
 
 
 def _write(tmp_path: Path, name: str, obj) -> str:
@@ -361,6 +362,37 @@ def test_malformed_condition_fields_are_exit_3(tmp_path, capsys, b0):
     err = capsys.readouterr().err
     assert err.startswith("error: $.repr.b0")
     assert "Traceback" not in err
+
+@pytest.mark.parametrize("index", [True, -1, "0"])
+@pytest.mark.parametrize(
+    "pair, source",
+    [
+        ("bwweak-stcoh", catalog.SEQUENCES["table-spike"]),
+        ("stcoh-bwweak", catalog.FAMILIES["table-two"]),
+    ],
+)
+def test_table_index_must_be_a_natural(tmp_path, capsys, pair, source, index):
+    doc = json.loads(serialize_instance(source))
+    doc["repr"]["entries"][0]["index"] = index
+    src = tmp_path / "table.json"
+    src.write_text(json.dumps(doc))
+    assert main(["roundtrip", "--pair", pair, "-i", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.repr.entries[0].index")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", [True, 0, "5"])
+def test_derived_code_budget_must_be_a_positive_natural(tmp_path, capsys, budget):
+    doc = json.loads(serialize_instance(separation_to_bw(catalog.SEPARATIONS["odds-vs-evens"])))
+    doc["repr"]["code_budget"] = budget
+    src = tmp_path / "hstream.json"
+    src.write_text(json.dumps(doc))
+    assert main(["roundtrip", "--pair", "bwweak-stcoh", "-i", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.repr.code_budget")
+    assert "Traceback" not in err
+
 
 def test_module_entry_point():
     out = subprocess.run(

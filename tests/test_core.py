@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
 from bwreduce.core import (
     AGREE_UP_TO_BUDGET,
     CantorPoint,
@@ -243,6 +244,21 @@ def test_embedding_endpoint_values():
     # alternating 0101... sums the odd-position geometric series to 1/4
     assert embed_point_exact(CantorPoint.periodic((), (0, 1))) == Fraction(1, 4)
     assert embed_point_exact(CantorPoint.periodic((), (1, 0))) == Fraction(3, 4)
+
+
+def _bit_strings(min_len: int, max_len: int) -> st.SearchStrategy[list[int]]:
+    """0/1 lists whose length is drawn uniformly from [min_len, max_len]."""
+    return st.integers(min_len, max_len).flatmap(
+        lambda k: st.lists(st.integers(0, 1), min_size=k, max_size=k)
+    )
+
+
+@settings(max_examples=300)
+@given(_bit_strings(0, 40), _bit_strings(1, 40))
+def test_embedding_matches_the_fraction_series(prefix, period):
+    """The base-3 integer form equals the geometric series summed in Fractions."""
+    x = CantorPoint.periodic(prefix, period)
+    assert embed_point_exact(x) == kernel_oracle.embed_point_exact(x)
 
 
 @given(periodic_points(), st.integers(0, 20))

@@ -10,9 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
 from scan_oracle import unique_minimal
 from bwreduce import catalog
 from bwreduce.core import CantorPoint, DyadicInterval, format_rational
@@ -277,6 +278,38 @@ def test_family_membership_matches_interval_evaluation(q, n):
     literal = DerivedFamily(x, "paper-literal")
     assert corrected.member(n, 0) == _in_even_halfopen_cell(q / 2, n)
     assert literal.member(n, 0) == _in_even_closed_cell(q, n)
+
+
+dyadic_fractions = st.integers(0, 90).flatmap(
+    lambda m: st.builds(Fraction, st.integers(0, 2**m), st.just(2**m))
+)
+wide_fractions = st.integers(1, 10**30).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), dyadic_fractions, wide_fractions),
+    st.integers(0, 79),
+)
+def test_family_membership_matches_the_fraction_formula(q, n):
+    """The integer-shift kernel agrees with the Fraction cell parity."""
+    x = ConstantSequence(q)
+    for convention in DerivedFamily.conventions:
+        got = DerivedFamily(x, convention).member(n, 0)
+        assert got == kernel_oracle.member(q, n, convention), convention
+
+
+@given(st.one_of(dyadic_fractions, st.fractions(0, 1, max_denominator=1000)), st.integers(0, 79))
+def test_family_column_digits_match_the_fraction_formula(q, n):
+    """The column point's integer digit walk agrees with the Fraction cell
+    parity.  (Its period can be as long as the denominator, so denominators
+    stay small or dyadic.)"""
+    x = ConstantSequence(q)
+    for convention in DerivedFamily.conventions:
+        bit = DerivedFamily(x, convention).column_point(0).bit(n)
+        assert bit == kernel_oracle.member(q, n, convention), convention
 
 
 @given(unit_fractions, st.integers(0, 20))

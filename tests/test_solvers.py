@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
 from bwreduce import catalog
 from bwreduce.certificates import (
     Budget,
@@ -35,6 +36,7 @@ from bwreduce.errors import (
 from bwreduce.instances import (
     AlternatingSequence,
     ConstantSequence,
+    DerivedFamily,
     HarmonicSequence,
     PeriodicRowsFamily,
     PeriodicSequence,
@@ -42,11 +44,17 @@ from bwreduce.instances import (
     RowPattern,
     RulePredicate,
     SeparationInstance,
+    SetFamily,
     SingleBranchTree,
     StageListTree,
     serialize_instance,
 )
-from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh, branch_to_point
+from bwreduce.reductions import (
+    bw_to_swkl,
+    bwweak_to_stcoh,
+    branch_to_point,
+    stcoh_to_bwweak,
+)
 from bwreduce.solvers import (
     BranchViolation,
     CauchyViolation,
@@ -295,6 +303,72 @@ def test_build_strongly_cohesive_verifies_on_catalog():
             w = build_strongly_cohesive(fam, levels, budget)
             assert len(w.selector.values) > 0, name
             assert verify_cohesive(w, fam, strong_levels=levels) is None, name
+
+
+def _periodic_catalog_families() -> list[tuple[str, SetFamily]]:
+    """Derived families of the periodic catalog sequences (both conventions),
+    the catalog families, and the derived families of their columns."""
+    out: list[tuple[str, SetFamily]] = []
+    sequences = {**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}
+    columns = {k: stcoh_to_bwweak(f) for k, f in catalog.FAMILIES.items()}
+    for name, x in sorted(sequences.items()) + sorted(columns.items()):
+        if x.periodic_structure() is not None:
+            for convention in DerivedFamily.conventions:
+                out.append((f"{name}/{convention}", DerivedFamily(x, convention)))
+    return out + sorted(catalog.FAMILIES.items())
+
+
+def test_periodic_enumeration_matches_the_horizon_scan():
+    """The one-window listing equals the scan of every j below the horizon.
+
+    The scan costs levels·horizon membership queries, so the two large
+    horizons are checked at the shallowest and deepest level only; every
+    level meets every horizon around the window's edges.
+    """
+    families = _periodic_catalog_families()
+    assert len(families) == 92
+    for name, fam in families:
+        for levels in range(1, 16):
+            j0, q = fam.periodic_structure(levels)
+            horizons = {0, 1, j0 - 1, j0, j0 + q - 1, j0 + q} - {-1}
+            if levels in (1, 15):
+                horizons.add(512)
+            if levels == 1:
+                horizons.add(4096)
+            for horizon in sorted(horizons):
+                budget = Budget(horizon=horizon)
+                got = build_strongly_cohesive(fam, levels, budget)
+                want = kernel_oracle.build_strongly_cohesive(fam, levels, budget)
+                assert got == want, (name, levels, horizon)
+
+
+class _CountingFamily(SetFamily):
+    def __init__(self, inner: SetFamily):
+        super().__init__()
+        self.inner, self.calls = inner, 0
+
+    def member(self, n: int, j: int) -> bool:
+        self.calls += 1
+        return self.inner.member(n, j)
+
+    def periodic_structure(self, levels: int) -> tuple[int, int] | None:
+        return self.inner.periodic_structure(levels)
+
+
+def test_periodic_enumeration_work_is_one_window():
+    """levels·(j0 + q) membership queries at most, whatever the horizon."""
+    x = catalog.PERIODIC_SEQUENCES["mixed-prefix"]
+    families = [DerivedFamily(x, c) for c in DerivedFamily.conventions]
+    for fam in families + [catalog.FAMILIES["prefix-noise"]]:
+        for levels in (1, 6, 15):
+            j0, q = fam.periodic_structure(levels)
+            counts = set()
+            for horizon in (0, 512, 4096):
+                counting = _CountingFamily(fam)
+                build_strongly_cohesive(counting, levels, Budget(horizon=horizon))
+                counts.add(counting.calls)
+            assert len(counts) == 1
+            assert counts.pop() <= levels * (j0 + q)
 
 
 # --- Cauchy extraction and thinning --------------------------------------------------
