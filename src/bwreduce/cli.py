@@ -235,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _roundtrip_bw_swkl(x: RationalSequence, budget: Budget, notes: list[str]):
     tree = reductions.bw_to_swkl(x)
     br = solvers.find_branch(tree, budget)
-    bp = reductions.branch_to_point(x, br.bits, budget.stage)
+    bp = reductions.branch_to_point(tree, br.bits, budget.stage)
     cert = CauchyCertificate(
         bp.selector, tuple((n, n) for n in range(len(bp.selector))), "fast"
     )

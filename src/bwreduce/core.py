@@ -146,10 +146,6 @@ class DyadicInterval:
         return DyadicInterval(len(bits), idx)
 
 
-def dyadic_interval(level: int, index: int) -> DyadicInterval:
-    return DyadicInterval(level, index)
-
-
 # --- points of Cantor space ---------------------------------------------------
 
 

@@ -21,7 +21,6 @@ their source and are re-derived on parse, so round trips are replayable.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -39,7 +38,6 @@ from .certificates import (
 from .core import (
     Bits,
     CantorPoint,
-    DyadicInterval,
     embed_point,
     embed_point_exact,
     format_bits,
@@ -222,8 +220,8 @@ class BinaryWalkSequence(RationalSequence):
         self.value = _check_unit(Fraction(value), "walk target")
 
     def term(self, i: int) -> Fraction:
-        scale = 2**i
-        return Fraction(int(self.value * scale), scale)
+        v = self.value
+        return Fraction((v.numerator << i) // v.denominator, 1 << i)
 
     def periodic_structure(self) -> tuple[int, int] | None:
         d = self.value.denominator
@@ -333,17 +331,6 @@ class EmbeddedSequence(RationalSequence):
         if self.provenance is None:
             raise UnserializableError("embedded sequence without provenance has no file form")
         return self.provenance.to_repr()
-
-
-def embed_sequence(
-    points: Callable[[int], CantorPoint] | Sequence[CantorPoint],
-    *,
-    provenance: Provenance | None = None,
-    structure: tuple[int, int] | None = None,
-    label: str = "embedded",
-) -> EmbeddedSequence:
-    """Lift a sequence of Cantor points to its middle-third rational sequence."""
-    return EmbeddedSequence(points, provenance, structure, label)
 
 
 def eval_sequence(x: RationalSequence, i: int) -> Fraction:
@@ -575,7 +562,15 @@ class DerivedTree(SigmaTree):
     """Tree derived from a rational sequence: the node of bits b (depth d) is
     enumerated at stage s iff d distinct indices j <= s have term(j) inside
     the closed dyadic cell of b.  The enumerated set is downward closed and
-    stage-monotone by construction."""
+    stage-monotone by construction.
+
+    Cells are counted on integers: at level L the term num/den has the key
+    2·whole + (rem != 0), where whole, rem = divmod(num << L, den), and the
+    closed cell with index a holds exactly the keys 2a, 2a + 1 and 2a + 2.
+    The terms j <= s form a weighted multiset.  For a source with periodic
+    structure (j0, q) and j0 + q <= s + 1 only the j0 + q window terms are
+    evaluated, period term j weighing len(range(j, s + 1, q)); otherwise each
+    j <= s is evaluated once."""
 
     form = "derived"
 
@@ -583,19 +578,40 @@ class DerivedTree(SigmaTree):
         super().__init__(meta)
         self.source = source
         self.provenance = Provenance("bw_to_swkl", source)
-        self._sorted: dict[int, list[Fraction]] = {}
+        self._terms: dict[int, list[tuple[int, int, int]]] = {}
+        self._keys: dict[tuple[int, int], dict[int, int]] = {}
 
-    def _terms_sorted(self, stage: int) -> list[Fraction]:
-        cached = self._sorted.get(stage)
-        if cached is None:
-            cached = sorted(self.source.term(j) for j in range(stage + 1))
-            self._sorted[stage] = cached
-        return cached
+    def _weighted_terms(self, stage: int) -> list[tuple[int, int, int]]:
+        """(numerator, denominator, weight) of the multiset of terms j <= stage."""
+        terms = self._terms.get(stage)
+        if terms is None:
+            struct = self.source.periodic_structure()
+            if struct is not None and sum(struct) <= stage + 1:
+                j0, q = struct
+                weights = [1] * j0 + [len(range(j, stage + 1, q)) for j in range(j0, j0 + q)]
+            else:
+                weights = [1] * (stage + 1)
+            terms = []
+            for j, w in enumerate(weights):
+                t = self.source.term(j)
+                terms.append((t.numerator, t.denominator, w))
+            self._terms[stage] = terms
+        return terms
 
     def witness_count(self, bits: Bits, stage: int) -> int:
-        cell = DyadicInterval.from_bits(bits)
-        terms = self._terms_sorted(stage)
-        return bisect_right(terms, cell.upper) - bisect_left(terms, cell.lower)
+        level = len(bits)
+        keys = self._keys.get((stage, level))
+        if keys is None:
+            keys = {}
+            for num, den, w in self._weighted_terms(stage):
+                whole, rem = divmod(num << level, den)
+                key = 2 * whole + (rem != 0)
+                keys[key] = keys.get(key, 0) + w
+            self._keys[stage, level] = keys
+        a = 0
+        for b in bits:
+            a = (a << 1) | b
+        return keys.get(2 * a, 0) + keys.get(2 * a + 1, 0) + keys.get(2 * a + 2, 0)
 
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
         if stage < 0:
@@ -613,13 +629,6 @@ class DerivedTree(SigmaTree):
 
     def to_repr(self) -> dict[str, Any]:
         return self.provenance.to_repr()
-
-
-def tree_member_at_stage(tree: SigmaTree, bits: Bits, stage: int) -> bool:
-    """Is ``bits`` in the downward closure of the nodes enumerated by ``stage``?"""
-    if stage < 0:
-        raise ValueError("stages are naturals")
-    return tree.member_at_stage(tuple(bits), stage)
 
 
 # ---------------------------------------------------------------------------
@@ -1354,14 +1363,13 @@ def _parse_tree(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) ->
             raise SchemaViolationError("entries must be an array", f"{path}.entries")
         entries = []
         for i, entry in enumerate(raw):
-            if not isinstance(entry, Mapping) or not isinstance(entry.get("stage"), int):
-                raise SchemaViolationError(
-                    "stage entry needs an integer stage", f"{path}.entries[{i}]"
-                )
+            at = f"{path}.entries[{i}]"
+            if not isinstance(entry, Mapping):
+                raise SchemaViolationError("stage entry must be an object", at)
             entries.append(
                 (
-                    entry["stage"],
-                    parse_bits(entry.get("node", None), location=f"{path}.entries[{i}].node"),
+                    _expect_nat(entry.get("stage"), f"{at}.stage"),
+                    parse_bits(entry.get("node", None), location=f"{at}.node"),
                 )
             )
         try:

@@ -70,15 +70,17 @@ class BranchPoint(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def bw_to_swkl(x: RationalSequence) -> SigmaTree:
+def bw_to_swkl(x: RationalSequence) -> DerivedTree:
     """Derived tree whose depth-d nodes need d distinct term indices inside
     their closed dyadic cell; infinite for every total sequence, and each
     infinite branch pins an accumulation point (see DerivedTree)."""
     return DerivedTree(x)
 
 
-def branch_to_point(x: RationalSequence, bits: Bits, stage: int) -> BranchPoint:
-    """Back-translate a verified branch prefix into an accumulation point.
+def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
+    """Back-translate a verified branch prefix of the tree ``bw_to_swkl(x)``
+    (the one the branch was found in; x is its source) into an accumulation
+    point of x.
 
     Returns the left endpoint of the final cell with error 2^-|bits|, plus a
     strictly increasing selector j_0 < ... < j_{|bits|-2} with
@@ -86,11 +88,11 @@ def branch_to_point(x: RationalSequence, bits: Bits, stage: int) -> BranchPoint:
     |term(selector(v)) - term(selector(w))| <= 2^-(min(v,w)+1).
     """
     bits = tuple(bits)
-    tree = DerivedTree(x)
     if not tree.member_at_stage(bits, stage):
         raise NotANodeError(
             f"{format_bits(bits)!r} is not a tree node at stage {stage}"
         )
+    x = tree.source
     picks: list[int] = []
     j = -1
     for t in range(len(bits) - 1):

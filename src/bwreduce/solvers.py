@@ -13,7 +13,7 @@ give byte-identical results.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -38,6 +38,7 @@ from .errors import (
     NotGroundTruthError,
 )
 from .instances import (
+    DerivedTree,
     EmbeddedSequence,
     RationalSequence,
     SeparationInstance,
@@ -98,6 +99,21 @@ def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
     return DyadicInterval(level, t.numerator // t.denominator)
 
 
+def _leftmost_descent(depth: int, ok: Callable[[Bits], bool], bits: Bits = ()) -> Bits | None:
+    """Leftmost ``depth``-bit extension of ``bits`` whose longer prefixes all
+    pass ``ok``, or None.  Not a self-calling closure: that is a reference
+    cycle, which keeps ``ok``'s data alive until the next collection."""
+    if len(bits) == depth:
+        return bits
+    for c in (0, 1):
+        child = bits + (c,)
+        if ok(child):
+            got = _leftmost_descent(depth, ok, child)
+            if got is not None:
+                return got
+    return None
+
+
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
     """Nested dyadic chain plus approximant for an accumulation point of x.
 
@@ -105,10 +121,12 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     occurring infinitely often, with the (leftmost) chain of cells around it.
     Other sequences get a horizon-relative heuristic: the lexicographically
     least depth-level cell holding at least ``threshold`` of the first
-    ``horizon`` terms, approximated by its left endpoint.
+    ``horizon`` terms, approximated by its left endpoint.  The terms j < horizon
+    in a cell are counted as its witnesses in ``DerivedTree(x)`` at stage horizon - 1.
     """
     if budget.depth < 1:
         raise ValueError("accumulation search needs depth >= 1")
+    cells, stage = DerivedTree(x), budget.horizon - 1
     struct = x.periodic_structure()
     if struct is not None:
         j0, q = struct
@@ -116,8 +134,8 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
         chain = tuple(
             _leftmost_cell_at(approx, d) for d in range(1, budget.depth + 1)
         )
-        deepest = chain[-1]
-        count = sum(1 for j in range(budget.horizon) if deepest.contains(x.term(j)))
+        bits = tuple(cell.index & 1 for cell in chain)  # the chain is nested
+        count = cells.witness_count(bits, stage)
         if count < budget.threshold:
             raise BudgetExhaustedError(
                 f"exact accumulation cell at depth {budget.depth} holds only "
@@ -126,23 +144,9 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
             )
         return AccumulationResult(chain, approx, True)
 
-    terms = sorted(x.term(j) for j in range(budget.horizon))
-
-    def count(cell: DyadicInterval) -> int:
-        return bisect_right(terms, cell.upper) - bisect_left(terms, cell.lower)
-
-    def descend(bits: Bits) -> Bits | None:
-        if len(bits) == budget.depth:
-            return bits
-        for c in (0, 1):
-            child = bits + (c,)
-            if count(DyadicInterval.from_bits(child)) >= budget.threshold:
-                got = descend(child)
-                if got is not None:
-                    return got
-        return None
-
-    best = descend(())
+    best = _leftmost_descent(
+        budget.depth, lambda bits: cells.witness_count(bits, stage) >= budget.threshold
+    )
     if best is None:
         raise BudgetExhaustedError(
             f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
@@ -178,18 +182,7 @@ def find_accumulation_cantor(
     def count(prefix: Bits) -> int:
         return bisect_left(pts, prefix + (2,)) - bisect_left(pts, prefix)
 
-    def descend(bits: Bits) -> Bits | None:
-        if len(bits) == budget.depth:
-            return bits
-        for c in (0, 1):
-            child = bits + (c,)
-            if count(child) >= budget.threshold:
-                got = descend(child)
-                if got is not None:
-                    return got
-        return None
-
-    best = descend(())
+    best = _leftmost_descent(budget.depth, lambda bits: count(bits) >= budget.threshold)
     if best is None:
         raise BudgetExhaustedError(
             f"no depth-{budget.depth} bit prefix reaches threshold "

@@ -1,20 +1,26 @@
-"""Reference bodies of the cohesion kernels, in plain ``Fraction`` arithmetic.
+"""Reference bodies of the cohesion and tree kernels, in plain ``Fraction``
+arithmetic.
 
 ``DerivedFamily.member`` and ``core.embed_point_exact`` compute in integer
 shifts and base-3 integers, and ``solvers.build_strongly_cohesive`` lists the
-members of a periodic family from one lcm window.  This module keeps the
-direct forms they must agree with: the dyadic-cell parity of term(j)·2^n as a
-``Fraction``, the geometric series summed term by term, and the enumeration
-that evaluates the membership pattern of every j below the horizon.
+members of a periodic family from one lcm window.  ``DerivedTree.witness_count``
+counts integer cell keys over a weighted window of terms, and
+``BinaryWalkSequence.term`` shifts the target's numerator.  This module keeps
+the direct forms they must agree with: the dyadic-cell parity of term(j)·2^n
+as a ``Fraction``, the geometric series summed term by term, the enumeration
+that evaluates the membership pattern of every j below the horizon, the
+sorted list of every term j <= stage bisected at the cell's ``Fraction``
+endpoints, and the walk term as a ``Fraction`` product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
-from bwreduce.core import CantorPoint
-from bwreduce.instances import SetFamily
+from bwreduce.core import Bits, CantorPoint, DyadicInterval
+from bwreduce.instances import RationalSequence, SetFamily
 
 
 def member(q: Fraction, n: int, convention: str) -> bool:
@@ -62,3 +68,17 @@ def build_strongly_cohesive(
     )
     settle = tuple((i, 0, "in" if y[i] == 0 else "out") for i in range(levels))
     return CohesiveWitness(Selector(members), settle)
+
+
+def witness_count(x: RationalSequence, bits: Bits, stage: int) -> int:
+    """How many j <= stage have x.term(j) in the closed cell of ``bits``:
+    every term evaluated, sorted, and bisected at the cell's endpoints."""
+    cell = DyadicInterval.from_bits(bits)
+    terms = sorted(x.term(j) for j in range(stage + 1))
+    return bisect_right(terms, cell.upper) - bisect_left(terms, cell.lower)
+
+
+def binary_walk_term(value: Fraction, i: int) -> Fraction:
+    """floor(value · 2^i) / 2^i."""
+    scale = 2**i
+    return Fraction(int(value * scale), scale)

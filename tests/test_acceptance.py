@@ -233,7 +233,7 @@ def _tree_roundtrips() -> dict[str, bytes]:
     for name, x in catalog.SEQUENCES.items():
         tree = reductions.bw_to_swkl(x)
         br = solvers.find_branch(tree, budget)
-        bp = reductions.branch_to_point(x, br.bits, budget.stage)
+        bp = reductions.branch_to_point(tree, br.bits, budget.stage)
         cert = CauchyCertificate(
             bp.selector, tuple((n, n) for n in range(7)), "fast"
         )

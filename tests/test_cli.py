@@ -382,6 +382,18 @@ def test_table_index_must_be_a_natural(tmp_path, capsys, pair, source, index):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", [True, -1, "0"])
+def test_stage_list_stage_must_be_a_natural(tmp_path, capsys, stage):
+    doc = json.loads(serialize_instance(catalog.TREES["stage-ladder"]))
+    doc["repr"]["entries"][0]["stage"] = stage
+    src = tmp_path / "tree.json"
+    src.write_text(json.dumps(doc))
+    assert main(["solve", "--problem", "branch", "-i", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.repr.entries[0].stage")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("budget", [True, 0, "5"])
 def test_derived_code_budget_must_be_a_positive_natural(tmp_path, capsys, budget):
     doc = json.loads(serialize_instance(separation_to_bw(catalog.SEPARATIONS["odds-vs-evens"])))

@@ -22,7 +22,6 @@ from bwreduce.core import (
     DyadicInterval,
     cantor_dist,
     cantor_dist_exact,
-    dyadic_interval,
     embed_point,
     embed_point_exact,
     format_bits,
@@ -139,16 +138,16 @@ def test_unpair_round_trip(z):
 
 
 def test_dyadic_interval_examples():
-    assert dyadic_interval(1, 0).lower == 0
-    assert dyadic_interval(1, 0).upper == Fraction(1, 2)
-    assert dyadic_interval(0, 0).lower == 0
-    assert dyadic_interval(0, 0).upper == 1
-    assert dyadic_interval(2, 2).lower == Fraction(1, 2)
-    assert dyadic_interval(2, 2).upper == Fraction(3, 4)
+    assert DyadicInterval(1, 0).lower == 0
+    assert DyadicInterval(1, 0).upper == Fraction(1, 2)
+    assert DyadicInterval(0, 0).lower == 0
+    assert DyadicInterval(0, 0).upper == 1
+    assert DyadicInterval(2, 2).lower == Fraction(1, 2)
+    assert DyadicInterval(2, 2).upper == Fraction(3, 4)
 
 
 def test_dyadic_interval_membership_is_closed():
-    cell = dyadic_interval(2, 2)
+    cell = DyadicInterval(2, 2)
     assert cell.contains(Fraction(1, 2))
     assert cell.contains(Fraction(3, 4))
     assert not cell.contains_halfopen(Fraction(3, 4))
@@ -156,7 +155,7 @@ def test_dyadic_interval_membership_is_closed():
 
 
 def test_dyadic_interval_children_partition():
-    cell = dyadic_interval(3, 5)
+    cell = DyadicInterval(3, 5)
     left, right = cell.child(0), cell.child(1)
     assert left.lower == cell.lower
     assert right.upper == cell.upper
@@ -164,16 +163,16 @@ def test_dyadic_interval_children_partition():
 
 
 def test_dyadic_interval_from_bits():
-    assert DyadicInterval.from_bits(()) == dyadic_interval(0, 0)
-    assert DyadicInterval.from_bits((1,)) == dyadic_interval(1, 1)
-    assert DyadicInterval.from_bits((0, 1, 1)) == dyadic_interval(3, 3)
+    assert DyadicInterval.from_bits(()) == DyadicInterval(0, 0)
+    assert DyadicInterval.from_bits((1,)) == DyadicInterval(1, 1)
+    assert DyadicInterval.from_bits((0, 1, 1)) == DyadicInterval(3, 3)
 
 
 def test_dyadic_interval_rejects_negative():
     with pytest.raises(ValueError):
-        dyadic_interval(-1, 0)
+        DyadicInterval(-1, 0)
     with pytest.raises(ValueError):
-        dyadic_interval(2, -1)
+        DyadicInterval(2, -1)
 
 
 # --- Cantor points and distance -----------------------------------------------------

@@ -32,6 +32,7 @@ from bwreduce.instances import (
     Cond,
     DerivedFamily,
     DerivedTree,
+    EmbeddedSequence,
     FullBinaryTree,
     HarmonicSequence,
     PeriodicRowsFamily,
@@ -43,12 +44,10 @@ from bwreduce.instances import (
     StageListTree,
     TableRowsFamily,
     TableSequence,
-    embed_sequence,
     eval_sequence,
     family_member,
     parse_instance,
     serialize_instance,
-    tree_member_at_stage,
 )
 from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh
 
@@ -119,13 +118,13 @@ def test_eval_sequence_rejects_negative_index():
 
 def test_embedded_sequence_exact_and_approximate():
     pts = [CantorPoint.constant(0), CantorPoint.periodic((1,), (0,))]
-    x = embed_sequence(pts, label="two-points")
+    x = EmbeddedSequence(pts, label="two-points")
     assert x.term(0) == 0
     assert x.term(1) == Fraction(2, 3)
     approx, err = x.term_approx(1, 4)
     assert approx <= Fraction(2, 3) <= approx + err
 
-    rule_backed = embed_sequence(
+    rule_backed = EmbeddedSequence(
         lambda i: CantorPoint.from_rule(lambda n: 0, label="zeros")
     )
     with pytest.raises(ExactValueUnavailableError):
@@ -141,16 +140,16 @@ def test_embedded_sequence_exact_and_approximate():
 
 def test_full_binary_tree_membership():
     t = FullBinaryTree()
-    assert tree_member_at_stage(t, (), 0)
-    assert tree_member_at_stage(t, (0, 1, 1, 0), 0)
+    assert t.member_at_stage((), 0)
+    assert t.member_at_stage((0, 1, 1, 0), 0)
     assert t.has_extension((1, 0), 7, 0)
     assert not t.has_extension((1, 0), 1, 0)
 
 
 def test_single_branch_tree_membership():
     t = SingleBranchTree(CantorPoint.constant(0))
-    assert tree_member_at_stage(t, (1,), 10**6) is False
-    assert tree_member_at_stage(t, (0, 0, 0), 0)
+    assert t.member_at_stage((1,), 10**6) is False
+    assert t.member_at_stage((0, 0, 0), 0)
     assert t.limit_heights(()) == (None, 0)
 
 
@@ -159,9 +158,9 @@ def test_derived_tree_collects_witnesses():
     # the left child accumulates witnesses and is enumerated once one index
     # has been seen; depth-k nodes on the branch of 1/3 appear by stage k.
     t = bw_to_swkl(ConstantSequence(Fraction(1, 3)))
-    assert tree_member_at_stage(t, (0,), 64)
-    assert tree_member_at_stage(t, (0, 1), 64)
-    assert not tree_member_at_stage(t, (1,), 64)
+    assert t.member_at_stage((0,), 64)
+    assert t.member_at_stage((0, 1), 64)
+    assert not t.member_at_stage((1,), 64)
 
 
 def test_derived_tree_needs_enough_witnesses():
@@ -226,9 +225,81 @@ def test_derived_tree_membership_is_monotone(bits, stage):
         assert t.member_at_stage(bits, stage + 1)
 
 
-def test_tree_member_rejects_negative_stage():
-    with pytest.raises(ValueError):
-        tree_member_at_stage(FullBinaryTree(), (), -1)
+boundary_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(0, 45).flatmap(
+        lambda m: st.builds(Fraction, st.integers(0, 2**m), st.just(2**m))
+    ),
+    st.fractions(0, 1, max_denominator=10**6),
+)
+tree_sources = st.one_of(
+    st.builds(
+        PeriodicSequence,
+        st.lists(boundary_fractions, max_size=4),
+        st.lists(boundary_fractions, min_size=1, max_size=5),
+    ),
+    st.builds(
+        TableSequence,
+        st.dictionaries(st.integers(0, 24), boundary_fractions, max_size=5),
+        boundary_fractions,
+    ),
+    st.builds(BinaryWalkSequence, boundary_fractions),
+    st.just(HarmonicSequence()),
+    st.builds(ConstantSequence, boundary_fractions),
+)
+
+
+@settings(max_examples=300)
+@given(tree_sources, st.data())
+def test_tree_witness_count_matches_the_sorted_terms(x, data):
+    """Integer cell keys over the weighted window count exactly what the
+    sorted Fraction list counts, on cells with a term on or near an endpoint,
+    at levels up to 40 and at stages on both sides of j0 + q."""
+    struct = x.periodic_structure()
+    edge = sum(struct) if struct is not None else 8
+    stage = data.draw(
+        st.one_of(st.integers(max(edge - 3, 0), edge + 2), st.integers(0, 160)), "stage"
+    )
+    tree = DerivedTree(x)
+    for _ in range(6):
+        level = data.draw(st.integers(0, 40), "level")
+        t = x.term(data.draw(st.integers(0, stage), "j"))
+        near = int(t * 2**level) + data.draw(st.integers(-1, 1), "shift")
+        index = min(max(near, 0), 2**level - 1)
+        bits = tuple((index >> (level - 1 - i)) & 1 for i in range(level))
+        assert tree.witness_count(bits, stage) == kernel_oracle.witness_count(x, bits, stage)
+
+
+@given(boundary_fractions, st.integers(0, 200))
+def test_binary_walk_term_matches_the_fraction_formula(value, i):
+    assert BinaryWalkSequence(value).term(i) == kernel_oracle.binary_walk_term(value, i)
+
+
+def test_tree_work_on_a_periodic_source_is_one_window():
+    """At stage 10^5 the derived tree of a periodic source evaluates only the
+    j0 + q window terms, however many levels it counts."""
+    x = PeriodicSequence(
+        [Fraction(1, 3), Fraction(1, 2)], [Fraction(0), Fraction(1, 5), Fraction(3, 4)]
+    )
+    j0, q = x.periodic_structure()
+    calls = 0
+
+    def term(j: int) -> Fraction:
+        nonlocal calls
+        calls += 1
+        if calls > j0 + q:
+            raise AssertionError(f"term call {calls} passes the window of {j0 + q}")
+        return PeriodicSequence.term(x, j)
+
+    x.term = term
+    tree = DerivedTree(x)
+    stage = 10**5
+    assert tree.witness_count((), stage) == stage + 1
+    zeros = len(range(j0, stage + 1, q))
+    for level in range(3, 41):  # below 1/8 only the zeros are left
+        assert tree.witness_count((0,) * level, stage) == zeros
+    assert tree.has_extension((), 12, stage)
+    assert calls <= j0 + q
 
 
 # --- set families -----------------------------------------------------------------
@@ -517,7 +588,7 @@ def test_parse_alternating_example():
 
 def test_parse_full_binary_example():
     t = parse_instance(b'{"kind":"sigma_tree","repr":{"form":"full_binary"}}')
-    assert tree_member_at_stage(t, (1, 0, 1), 0)
+    assert t.member_at_stage((1, 0, 1), 0)
 
 
 def test_parse_rejects_non_monotone_stage_list():

@@ -52,7 +52,7 @@ from bwreduce.solvers import find_branch, stabilization_bound
 
 def test_branch_to_point_on_constant_zero():
     x = ConstantSequence(Fraction(0))
-    bp = branch_to_point(x, (0,) * 5, stage=16)
+    bp = branch_to_point(bw_to_swkl(x), (0,) * 5, stage=16)
     assert bp.approx == 0
     assert bp.err == Fraction(1, 32)
     assert bp.selector.values == (0, 1, 2, 3)
@@ -60,7 +60,7 @@ def test_branch_to_point_on_constant_zero():
 
 def test_branch_to_point_on_constant_third():
     x = ConstantSequence(Fraction(1, 3))
-    bp = branch_to_point(x, (0, 1, 0, 1), stage=16)
+    bp = branch_to_point(bw_to_swkl(x), (0, 1, 0, 1), stage=16)
     assert bp.approx == Fraction(5, 16)
     assert bp.err == Fraction(1, 16)
     assert bp.selector.values == (0, 1, 2)
@@ -68,7 +68,7 @@ def test_branch_to_point_on_constant_third():
 
 def test_branch_to_point_skips_terms_outside_cells():
     x = AlternatingSequence(Fraction(0), Fraction(1))
-    bp = branch_to_point(x, (1, 1, 1, 1), stage=7)
+    bp = branch_to_point(bw_to_swkl(x), (1, 1, 1, 1), stage=7)
     assert bp.selector.values == (1, 3, 5)
     assert bp.approx == Fraction(15, 16)
 
@@ -76,7 +76,7 @@ def test_branch_to_point_skips_terms_outside_cells():
 def test_branch_to_point_rejects_non_nodes():
     x = ConstantSequence(Fraction(0))
     with pytest.raises(NotANodeError):
-        branch_to_point(x, (1,), stage=100)
+        branch_to_point(bw_to_swkl(x), (1,), stage=100)
 
 
 @given(
@@ -102,7 +102,7 @@ def test_branch_to_point_postconditions(period, depth):
         counts = [tree.witness_count(bits + (c,), stage) for c in (0, 1)]
         bits = bits + (0 if counts[0] >= counts[1] else 1,)
     assert tree.member_at_stage(bits, stage)
-    bp = branch_to_point(x, bits, stage)
+    bp = branch_to_point(tree, bits, stage)
     values = bp.selector.values
     assert all(a < b for a, b in zip(values, values[1:]))
     for t, j in enumerate(values):

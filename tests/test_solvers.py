@@ -250,7 +250,7 @@ def test_derived_tree_branches_never_exhaust(period, depth):
     tree = bw_to_swkl(x)
     got = find_branch(tree, Budget(depth=depth, stage=stage))
     assert verify_branch(got, tree) is None
-    bp = branch_to_point(x, got.bits, stage)  # must not exhaust witnesses
+    bp = branch_to_point(tree, got.bits, stage)  # must not exhaust witnesses
     assert len(bp.selector.values) == depth - 1
 
 
