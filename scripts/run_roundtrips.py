@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the built-in catalog through every reduction round trip.
 
-For each supported pair this serializes every matching catalog instance to a
-scratch file, drives the ``bwreduce roundtrip`` command against it, and
-tabulates the verdicts.  Useful for eyeballing how a convention change
-propagates: try ``--convention paper-literal`` and watch which eventually
-periodic sequences stop round-tripping.
+For each edge of ``bwreduce.edges.EDGES`` this serializes every matching
+catalog instance to a scratch file, drives the ``bwreduce roundtrip`` command
+against it, and tabulates the verdicts.  An edge without a catalog in
+``PAIR_CATALOGS`` is an error, so no edge goes unswept.  Useful for
+eyeballing how a convention change propagates: try ``--convention
+paper-literal`` and watch which eventually periodic sequences stop
+round-tripping.
 
     python3 scripts/run_roundtrips.py
     python3 scripts/run_roundtrips.py --pairs bwweak-stcoh --convention paper-literal
@@ -24,7 +26,8 @@ from pathlib import Path
 
 from bwreduce import catalog
 from bwreduce.cli import main as cli_main
-from bwreduce.instances import serialize_instance
+from bwreduce.edges import EDGES
+from bwreduce.instances import DerivedFamily, serialize_instance
 
 PAIR_CATALOGS = {
     "bw-swkl": catalog.SEQUENCES,
@@ -65,17 +68,21 @@ def run_one(pair: str, name: str, obj, convention: str, scratch: Path) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    unswept = [pair for pair in EDGES if pair not in PAIR_CATALOGS]
+    if unswept:
+        print(f"no catalog for edge {', '.join(unswept)} in PAIR_CATALOGS", file=sys.stderr)
+        return 2
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--pairs",
         nargs="*",
-        choices=sorted(PAIR_CATALOGS),
-        default=sorted(PAIR_CATALOGS),
+        choices=sorted(EDGES),
+        default=sorted(EDGES),
         help="restrict to these round-trip pairs",
     )
     ap.add_argument(
         "--convention",
-        choices=("corrected", "paper-literal"),
+        choices=DerivedFamily.conventions,
         default="corrected",
     )
     ap.add_argument("--json", help="also dump all rows to this file")

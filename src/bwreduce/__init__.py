@@ -18,10 +18,8 @@ from .certificates import (
     SeparatorSet,
 )
 from .core import (
-    AGREE_UP_TO_BUDGET,
     CantorPoint,
     DyadicInterval,
-    cantor_dist,
     cantor_dist_exact,
     embed_point,
     embed_point_exact,
@@ -84,14 +82,11 @@ from .instances import (
     TableRowsFamily,
     TableSequence,
     TreeSidePredicate,
-    eval_sequence,
-    family_member,
     parse_instance,
     serialize_instance,
 )
 from .reductions import (
     BranchPoint,
-    CellPattern,
     branch_to_point,
     bw_to_swkl,
     bwweak_to_stcoh,
@@ -99,11 +94,9 @@ from .reductions import (
     f_code,
     g_len,
     h_bit,
-    point_to_separator,
     separation_to_bw,
     separator_to_branch,
     stcoh_to_bwweak,
-    subsequence_from_cohesive,
     swkl_to_separation,
 )
 from .solvers import (

@@ -14,13 +14,12 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import replace
-from typing import Any, Callable
+from dataclasses import asdict
+from typing import Any
 
-from . import reductions, solvers
+from . import solvers
 from .certificates import (
     BranchPrefix,
     Budget,
@@ -36,6 +35,7 @@ from .core import (
     format_rational,
     parse_bits,
 )
+from .edges import EDGES
 from .errors import (
     BudgetError,
     ExactValueUnavailableError,
@@ -51,6 +51,7 @@ from .errors import (
     WitnessExhaustedError,
 )
 from .instances import (
+    DerivedFamily,
     RationalSequence,
     SeparationInstance,
     SetFamily,
@@ -58,22 +59,6 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-
-EDGES = {
-    ("bw", "swkl"),
-    ("swkl", "separation"),
-    ("separation", "bw"),
-    ("bwweak", "stcoh"),
-    ("stcoh", "bwweak"),
-}
-
-_KIND_TYPES = {
-    "bw": RationalSequence,
-    "bwweak": RationalSequence,
-    "swkl": SigmaTree,
-    "separation": SeparationInstance,
-    "stcoh": SetFamily,
-}
 
 
 class _UsageError(Exception):
@@ -121,10 +106,6 @@ def _require(obj: Any, cls: type, what: str) -> Any:
     return obj
 
 
-def _digest(obj: Any) -> str:
-    return hashlib.sha256(serialize_instance(obj)).hexdigest()[:16]
-
-
 def _selector_line(values: tuple[int, ...]) -> str:
     return "selector " + " ".join(str(v) for v in values)
 
@@ -135,23 +116,16 @@ def _selector_line(values: tuple[int, ...]) -> str:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    edge = (args.src, args.dst)
-    if edge not in EDGES:
+    edge = EDGES.get(f"{args.src}-{args.dst}")
+    if edge is None:
         raise UnsupportedEdgeError(
             f"no reduction from {args.src} to {args.dst}; supported: "
-            + ", ".join(sorted(f"{a}-{b}" for a, b in EDGES))
+            + ", ".join(sorted(EDGES))
         )
-    obj = _require(_load(args.input), _KIND_TYPES[args.src], f"--from {args.src}")
-    if edge == ("bw", "swkl"):
-        out: Any = reductions.bw_to_swkl(obj)
-    elif edge == ("swkl", "separation"):
-        out = reductions.swkl_to_separation(obj)
-    elif edge == ("separation", "bw"):
-        out = reductions.separation_to_bw(obj, args.code_budget)
-    elif edge == ("bwweak", "stcoh"):
-        out = reductions.bwweak_to_stcoh(obj, args.convention)
-    else:
-        out = reductions.stcoh_to_bwweak(obj)
+    obj = _require(_load(args.input), edge.source, f"--from {args.src}")
+    # the --code-budget and --convention flags share their names with the
+    # forward parameters
+    out = edge.forward(obj, **{name: getattr(args, name) for name in edge.params})
     _emit(args.output, serialize_instance(out))
     return 0
 
@@ -200,21 +174,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _where(bad: Any) -> str:
+    """A verifier violation as ``(field=value,...)``, in field order."""
+    return "(" + ",".join(f"{k}={v}" for k, v in asdict(bad).items()) + ")"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args.input)
     cert = _load(args.certificate)
     if isinstance(cert, CauchyCertificate) and isinstance(inst, RationalSequence):
         bad: Any = solvers.verify_cauchy(cert, inst)
-        where = None if bad is None else f"(n={bad.n},v={bad.v},w={bad.w})"
     elif isinstance(cert, CohesiveWitness) and isinstance(inst, SetFamily):
         bad = solvers.verify_cohesive(cert, inst)
-        where = None if bad is None else f"(i={bad.i},j={bad.j})"
     elif isinstance(cert, SeparatorSet) and isinstance(inst, SeparationInstance):
         bad = solvers.verify_separator(cert, inst, args.depth, _budget(args))
-        where = None if bad is None else f"(n={bad.n})"
     elif isinstance(cert, BranchPrefix) and isinstance(inst, SigmaTree):
         bad = solvers.verify_branch(cert, inst)
-        where = None if bad is None else f"(prefix_length={bad.prefix_length})"
     else:
         raise SchemaViolationError(
             f"certificate kind {type(cert).__name__} does not verify against "
@@ -223,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if bad is None:
         print("pass")
         return 0
-    print(f"counterexample {where}", file=sys.stderr)
+    print(f"counterexample {_where(bad)}", file=sys.stderr)
     return 1
 
 
@@ -232,124 +207,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _roundtrip_bw_swkl(x: RationalSequence, budget: Budget, notes: list[str]):
-    tree = reductions.bw_to_swkl(x)
-    br = solvers.find_branch(tree, budget)
-    bp = reductions.branch_to_point(tree, br.bits, budget.stage)
-    cert = CauchyCertificate(
-        bp.selector, tuple((n, n) for n in range(len(bp.selector))), "fast"
-    )
-    stages = [("reduce", _digest(tree)), ("solve", _digest(br)), ("back", _digest(cert))]
-    bad = solvers.verify_branch(br, tree) or solvers.verify_cauchy(cert, x)
-    return stages, bad
-
-
-def _roundtrip_swkl_separation(y: SigmaTree, budget: Budget, notes: list[str]):
-    p = reductions.swkl_to_separation(y)
-    s = reductions.exact_separator(y, budget.depth)
-    bits = reductions.separator_to_branch(s, y, budget.depth, budget.stage)
-    br = BranchPrefix(bits, budget.stage)
-    stages = [("reduce", _digest(p)), ("solve", _digest(s)), ("back", _digest(br))]
-    return stages, solvers.verify_branch(br, y)
-
-
-def _roundtrip_separation_bw(p: SeparationInstance, budget: Budget, notes: list[str]):
-    rng = budget.depth
-    x = reductions.separation_to_bw(p, budget.code_budget)
-    kstar = max(
-        solvers.stabilization_bound(p, n, budget.code_budget) for n in range(rng)
-    )
-    notes.append(f"stabilization bound {kstar}")
-    window = max(budget.threshold, 1)
-    finder_budget = replace(budget, horizon=window, threshold=window)
-    bits = solvers.find_accumulation_cantor(
-        lambda k: x.point(kstar + k), finder_budget
-    )
-    if tuple(x.point(kstar).bits(rng)) != tuple(x.point(kstar + window).bits(rng)):
-        notes.append("stabilization check failed")  # unreachable for ground truth
-    s = reductions.point_to_separator(bits)
-    stages = [("reduce", _digest(x)), ("solve", _digest(s))]
-    return stages, solvers.verify_separator(s, p, rng, budget)
-
-
-def _roundtrip_bwweak_stcoh(
-    x: RationalSequence, budget: Budget, notes: list[str], convention: str
-):
-    family = reductions.bwweak_to_stcoh(x, convention)
-    levels = budget.depth
-    full = [
-        i
-        for i in range(levels)
-        if (pat := family.row_pattern(i)) is not None and pat.is_full()
-    ]
-    if len(full) == levels:
-        notes.append(f"R_i = N for all i < {levels}")
-    elif full:
-        notes.append("R_i = N for i in {" + ", ".join(map(str, full)) + "}")
-    witness = solvers.build_strongly_cohesive(family, levels, budget)
-    selector = reductions.subsequence_from_cohesive(witness.selector, x)
-    cert = CauchyCertificate(
-        selector, tuple((n, 0) for n in range(budget.depth + 1)), "slow"
-    )
-    stages = [
-        ("reduce", _digest(family)),
-        ("solve", _digest(witness)),
-        ("back", _digest(cert)),
-    ]
-    bad = solvers.verify_cohesive(witness, family, strong_levels=levels)
-    return stages, bad or solvers.verify_cauchy(cert, x)
-
-
-def _roundtrip_stcoh_bwweak(family: SetFamily, budget: Budget, notes: list[str]):
-    x = reductions.stcoh_to_bwweak(family)
-    levels = budget.depth
-    cauchy_depth = 0
-    while 2**cauchy_depth <= 3**levels:
-        cauchy_depth += 1
-    notes.append(f"slow-cauchy depth {cauchy_depth} for {levels} levels")
-    cert = solvers.extract_slow_cauchy(x, replace(budget, depth=cauchy_depth))
-    witness = solvers.witness_from_selector(cert.selector, family, levels)
-    stages = [
-        ("reduce", _digest(x)),
-        ("solve", _digest(cert)),
-        ("back", _digest(witness)),
-    ]
-    bad = solvers.verify_cauchy(cert, x)
-    return stages, bad or solvers.verify_cohesive(witness, family, strong_levels=levels)
-
-
-def _violation_text(bad: Any) -> str:
-    if isinstance(bad, solvers.CauchyViolation):
-        return f"fail (n={bad.n},v={bad.v},w={bad.w})"
-    if isinstance(bad, solvers.CohesiveViolation):
-        return f"fail (i={bad.i},j={bad.j})"
-    if isinstance(bad, solvers.SeparatorViolation):
-        return f"fail (n={bad.n})"
-    return f"fail (prefix_length={bad.prefix_length})"
-
-
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     budget = _budget(args)
-    obj = _load(args.input)
-    notes: list[str] = []
     pair = args.pair
-    if pair == "bw-swkl":
-        x = _require(obj, RationalSequence, pair)
-        stages, bad = _roundtrip_bw_swkl(x, budget, notes)
-    elif pair == "swkl-separation":
-        y = _require(obj, SigmaTree, pair)
-        stages, bad = _roundtrip_swkl_separation(y, budget, notes)
-    elif pair == "separation-bw":
-        p = _require(obj, SeparationInstance, pair)
-        stages, bad = _roundtrip_separation_bw(p, budget, notes)
-    elif pair == "bwweak-stcoh":
-        x = _require(obj, RationalSequence, pair)
-        stages, bad = _roundtrip_bwweak_stcoh(x, budget, notes, args.convention)
-    else:  # stcoh-bwweak
-        family = _require(obj, SetFamily, pair)
-        stages, bad = _roundtrip_stcoh_bwweak(family, budget, notes)
+    edge = EDGES[pair]
+    obj = _require(_load(args.input), edge.source, pair)
+    notes: list[str] = []
+    stages, bad = edge.roundtrip(obj, budget, notes, args.convention)
 
-    verifier = "pass" if bad is None else _violation_text(bad)
+    verifier = "pass" if bad is None else f"fail {_where(bad)}"
     verdict = "pass" if bad is None else "fail"
     rows = [(step, digest, "-") for step, digest in stages] + [("verify", "-", verifier)]
     report = {
@@ -439,7 +305,7 @@ def _build_parser() -> _Parser:
     reduce_p.add_argument("-i", "--input", required=True)
     reduce_p.add_argument("-o", "--output")
     reduce_p.add_argument(
-        "--convention", choices=("corrected", "paper-literal"), default="corrected"
+        "--convention", choices=DerivedFamily.conventions, default="corrected"
     )
     _add_budget_flags(reduce_p)
     reduce_p.set_defaults(fn=cmd_reduce)
@@ -462,21 +328,11 @@ def _build_parser() -> _Parser:
     verify_p.set_defaults(fn=cmd_verify)
 
     rt_p = subs.add_parser("roundtrip", help="reduce, solve, translate back, verify")
-    rt_p.add_argument(
-        "--pair",
-        required=True,
-        choices=(
-            "bw-swkl",
-            "swkl-separation",
-            "separation-bw",
-            "bwweak-stcoh",
-            "stcoh-bwweak",
-        ),
-    )
+    rt_p.add_argument("--pair", required=True, choices=tuple(EDGES))
     rt_p.add_argument("-i", "--input", required=True)
     rt_p.add_argument("--report")
     rt_p.add_argument(
-        "--convention", choices=("corrected", "paper-literal"), default="corrected"
+        "--convention", choices=DerivedFamily.conventions, default="corrected"
     )
     _add_budget_flags(rt_p)
     rt_p.set_defaults(fn=cmd_roundtrip)
@@ -489,10 +345,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once: building a parser leaves reference cycles for the collector
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

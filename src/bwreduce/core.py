@@ -228,43 +228,6 @@ def periodic_equal(x: CantorPoint, y: CantorPoint) -> bool:
     return all(x.bit(n) == y.bit(n) for n in range(bound))
 
 
-class _AgreeUpToBudget:
-    """Marker: the two points agree on every index below the inspected budget."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "agree-up-to-budget"
-
-
-AGREE_UP_TO_BUDGET = _AgreeUpToBudget()
-
-
-def cantor_dist(
-    x: CantorPoint, y: CantorPoint, budget: int
-) -> Fraction | _AgreeUpToBudget:
-    """Distance 2^-m at the first disagreement index m, if m < budget.
-
-    Returns exact 0 when both points are eventually periodic and provably
-    equal, and the AGREE_UP_TO_BUDGET marker otherwise (including periodic
-    pairs whose first disagreement lies at or beyond the budget — the caller
-    can retry with a larger budget, or use :func:`cantor_dist_exact`).
-    """
-    if budget < 0:
-        raise ValueError("budget must be a natural")
-    for m in range(budget):
-        if x.bit(m) != y.bit(m):
-            return Fraction(1, 2**m)
-    if x.is_periodic and y.is_periodic and periodic_equal(x, y):
-        return Fraction(0)
-    return AGREE_UP_TO_BUDGET
-
-
 def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
     """Exact distance of two eventually periodic points (no budget needed)."""
     from .errors import ExactValueUnavailableError
@@ -284,9 +247,9 @@ def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
 # h(x) = Σ_i 2·x(i)/3^(i+1) sends Cantor space onto the middle-third set in
 # [0, 1].  Key exact facts used throughout (and pinned in tests): if x and y
 # first disagree at index m then 3^-(m+1) <= |h(x)-h(y)| <= 3^-m, whence the
-# corrected correspondence pair
-#   (a) cantor_dist(x,y) < 2^-n  =>  |h(x)-h(y)| <= 3^-(n+1)
-#   (b) |h(x)-h(y)| < 3^-(n+1)   =>  cantor_dist(x,y) < 2^-n
+# corrected correspondence pair, for the Cantor distance d(x,y) = 2^-m
+#   (a) d(x,y) < 2^-n            =>  |h(x)-h(y)| <= 3^-(n+1)
+#   (b) |h(x)-h(y)| < 3^-(n+1)   =>  d(x,y) < 2^-n
 # (the two-sided strict version fails on tail boundaries: σ⌢0⌢0^ω vs σ⌢1⌢1^ω
 # attains 3^-(n+1) exactly).
 

@@ -333,13 +333,6 @@ class EmbeddedSequence(RationalSequence):
         return self.provenance.to_repr()
 
 
-def eval_sequence(x: RationalSequence, i: int) -> Fraction:
-    """Exact i-th term (see :meth:`RationalSequence.term`)."""
-    if i < 0:
-        raise ValueError("term indices are naturals")
-    return x.term(i)
-
-
 # ---------------------------------------------------------------------------
 # stagewise-enumerated binary trees
 # ---------------------------------------------------------------------------
@@ -1239,13 +1232,6 @@ class DerivedFamily(SetFamily):
         return self.provenance.to_repr()
 
 
-def family_member(family: SetFamily, n: int, j: int) -> bool:
-    """Is j in the n-th row of the family?"""
-    if n < 0 or j < 0:
-        raise ValueError("row and element indices are naturals")
-    return family.member(n, j)
-
-
 # ---------------------------------------------------------------------------
 # parsing / serialization
 # ---------------------------------------------------------------------------
@@ -1430,58 +1416,64 @@ def _parse_family(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) 
     raise SchemaViolationError(f"unknown family form {form!r}", f"{path}.form")
 
 
-_DERIVATIONS = {
-    # derived_by -> (expected source kind, result kind)
-    "bw_to_swkl": ("rational_sequence", "sigma_tree"),
-    "swkl_to_separation": ("sigma_tree", "separation"),
-    "separation_to_bw": ("separation", "rational_sequence"),
-    "bwweak_to_stcoh": ("rational_sequence", "set_family"),
-    "stcoh_to_bwweak": ("set_family", "rational_sequence"),
-}
+# Nested derived sources a file may hold: each level costs a few stack frames
+# to parse, replay and serialize, so a deeper chain would run out of stack.
+MAX_PROVENANCE_DEPTH = 64
+
+
+def _derived_code_budget(repr_obj: Mapping[str, Any], path: str) -> int:
+    budget = _expect_nat(repr_obj.get("code_budget", 10**6), f"{path}.code_budget")
+    if budget < 1:
+        raise SchemaViolationError(
+            "code_budget must be a positive integer", f"{path}.code_budget"
+        )
+    return budget
+
+
+def _derived_convention(repr_obj: Mapping[str, Any], path: str) -> str:
+    convention = repr_obj.get("convention", "corrected")
+    if convention not in DerivedFamily.conventions:
+        raise SchemaViolationError(
+            f"unknown convention {convention!r}", f"{path}.convention"
+        )
+    return convention
+
+
+# the parameters a derivation may record, by name (see edges.Edge.params)
+_DERIVED_PARAMS = {"code_budget": _derived_code_budget, "convention": _derived_convention}
 
 
 def _parse_derived(
     repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str, expected_kind: str
 ) -> Any:
-    from . import reductions  # deferred: reductions imports this module
+    from .edges import EDGES  # deferred: edges imports this module
 
     derived_by = repr_obj.get("derived_by")
-    if derived_by not in _DERIVATIONS:
+    edge = next((e for e in EDGES.values() if e.forward.__name__ == derived_by), None)
+    if edge is None:
         raise SchemaViolationError(
             f"unknown derivation {derived_by!r}", f"{path}.derived_by"
         )
-    source_kind, result_kind = _DERIVATIONS[derived_by]
-    if result_kind != expected_kind:
+    if edge.target.kind != expected_kind:
         raise SchemaViolationError(
-            f"{derived_by} derives a {result_kind}, not a {expected_kind}",
+            f"{derived_by} derives a {edge.target.kind}, not a {expected_kind}",
             f"{path}.derived_by",
         )
-    source = _parse_envelope(repr_obj.get("source"), f"{path}.source")
-    if source.kind != source_kind:
+    source_path = f"{path}.source"
+    if source_path.count(".source") > MAX_PROVENANCE_DEPTH:  # one per enclosing level
         raise SchemaViolationError(
-            f"{derived_by} needs a {source_kind} source, got {source.kind}",
+            f"provenance nested deeper than {MAX_PROVENANCE_DEPTH} derivations",
+            source_path,
+        )
+    source = _parse_envelope(repr_obj.get("source"), source_path)
+    if source.kind != edge.source.kind:
+        raise SchemaViolationError(
+            f"{derived_by} needs a {edge.source.kind} source, got {source.kind}",
             f"{path}.source.kind",
         )
-    if derived_by == "bw_to_swkl":
-        out = reductions.bw_to_swkl(source)
-    elif derived_by == "swkl_to_separation":
-        out = reductions.swkl_to_separation(source)
-    elif derived_by == "separation_to_bw":
-        budget = _expect_nat(repr_obj.get("code_budget", 10**6), f"{path}.code_budget")
-        if budget < 1:
-            raise SchemaViolationError(
-                "code_budget must be a positive integer", f"{path}.code_budget"
-            )
-        out = reductions.separation_to_bw(source, code_budget=budget)
-    elif derived_by == "bwweak_to_stcoh":
-        convention = repr_obj.get("convention", "corrected")
-        if convention not in DerivedFamily.conventions:
-            raise SchemaViolationError(
-                f"unknown convention {convention!r}", f"{path}.convention"
-            )
-        out = reductions.bwweak_to_stcoh(source, convention=convention)
-    else:
-        out = reductions.stcoh_to_bwweak(source)
+    out = edge.forward(
+        source, **{name: _DERIVED_PARAMS[name](repr_obj, path) for name in edge.params}
+    )
     out.meta = meta
     return out
 
@@ -1537,4 +1529,6 @@ def parse_instance(data: bytes | str) -> Any:
         raise MalformedSyntaxError(
             f"invalid JSON: {e.msg}", f"$ (line {e.lineno} col {e.colno})"
         ) from e
+    except RecursionError as e:  # nested deeper than the decoder's stack
+        raise MalformedSyntaxError("JSON nested too deeply", "$") from e
     return _parse_envelope(doc, "$")

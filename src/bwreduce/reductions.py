@@ -3,17 +3,18 @@
 Forward translations build derived instances (sequence -> tree -> separation,
 sequence -> set family, set family -> sequence, separation -> sequence);
 backward translations turn a witness for the derived instance into a witness
-for the original (branch -> accumulation point, separator -> branch,
-accumulation prefix -> separator, cohesive selector -> Cauchy subsequence).
+for the original (branch -> accumulation point, separator -> branch).  The
+other two are the identity on the data, done in the round trips of
+``edges``: an accumulation prefix is read as a separator, and a cohesive
+selector already is the Cauchy subsequence.
 All arithmetic is exact; search is bounded by explicit arguments and fails
 loudly (budget-exceeded, witness-exhausted) rather than degrading.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .certificates import Selector, SeparatorSet
 from .core import (
@@ -38,23 +39,6 @@ from .instances import (
     SigmaTree,
     TreeSidePredicate,
 )
-
-
-@dataclass(frozen=True)
-class CellPattern:
-    """Membership pattern over rows 0..|y|-1: the cell R^y is the set of j
-    with j ∈ R_i exactly when y_i = 0."""
-
-    y: Bits
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.y):
-            raise ValueError("cell pattern bits must be 0/1")
-
-    def matches(self, family: SetFamily, j: int) -> bool:
-        return all(
-            family.member(i, j) == (self.y[i] == 0) for i in range(len(self.y))
-        )
 
 
 class BranchPoint(NamedTuple):
@@ -212,9 +196,9 @@ def h_bit(p: SeparationInstance, k: int, n: int, code_budget: int) -> int:
 def separation_to_bw(
     p: SeparationInstance, code_budget: int = 10**6
 ) -> EmbeddedSequence:
-    """The sequence of embedded h_k points; accumulation points of it decode
-    (via point_to_separator) to separating sets.  Lazy: budget errors surface
-    when terms are evaluated."""
+    """The sequence of embedded h_k points; the bits of an accumulation point
+    of it, read as a SeparatorSet, separate the two limit sets.  Lazy: budget
+    errors surface when terms are evaluated."""
 
     def points(k: int) -> CantorPoint:
         return CantorPoint.from_rule(
@@ -229,11 +213,6 @@ def separation_to_bw(
     )
 
 
-def point_to_separator(hpt: Bits) -> SeparatorSet:
-    """Read a Cantor-space accumulation prefix as a separating set on [0, D)."""
-    return SeparatorSet(tuple(hpt))
-
-
 # ---------------------------------------------------------------------------
 # sequence <-> set family
 # ---------------------------------------------------------------------------
@@ -243,18 +222,6 @@ def bwweak_to_stcoh(x: RationalSequence, convention: str = "corrected") -> SetFa
     """Dyadic-cell membership family of the sequence (see DerivedFamily for
     the two cell conventions)."""
     return DerivedFamily(x, convention)
-
-
-def subsequence_from_cohesive(
-    f: Selector | Sequence[int], x: RationalSequence
-) -> Selector:
-    """A strictly increasing enumeration of a strongly cohesive set for the
-    derived family of ``x`` is already the desired Cauchy subsequence; this
-    validates monotonicity and passes the selector through unchanged (the
-    Cauchy claim itself is checked by verify_cauchy)."""
-    if isinstance(f, Selector):
-        return f
-    return Selector(tuple(f))
 
 
 def stcoh_to_bwweak(r: SetFamily) -> EmbeddedSequence:

@@ -45,7 +45,7 @@ from .instances import (
     SetFamily,
     SigmaTree,
 )
-from .reductions import bwweak_to_stcoh, subsequence_from_cohesive
+from .reductions import bwweak_to_stcoh
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,8 @@ def extract_slow_cauchy(x: RationalSequence, budget: Budget) -> CauchyCertificat
     """
     family = bwweak_to_stcoh(x, "corrected")
     witness = build_strongly_cohesive(family, budget.depth + 2, budget)
-    selector = subsequence_from_cohesive(witness.selector, x)
     moduli = tuple((n, 0) for n in range(budget.depth + 1))
-    return CauchyCertificate(selector, moduli, "slow")
+    return CauchyCertificate(witness.selector, moduli, "slow")
 
 
 def witness_from_selector(
@@ -313,6 +312,16 @@ def witness_from_selector(
 # ---------------------------------------------------------------------------
 
 
+def _suffix_extrema(vals: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(max(vals[t:]), min(vals[t:])) for every t, as two lists."""
+    sufmax = list(vals)
+    sufmin = list(vals)
+    for t in range(len(vals) - 2, -1, -1):
+        sufmax[t] = max(sufmax[t], sufmax[t + 1])
+        sufmin[t] = min(sufmin[t], sufmin[t + 1])
+    return sufmax, sufmin
+
+
 def thin_to_fast(
     certificate: CauchyCertificate, x: RationalSequence, budget: Budget
 ) -> CauchyCertificate:
@@ -332,12 +341,7 @@ def thin_to_fast(
     m = len(f)
     if m == 0:
         raise HorizonTooSmallError("cannot thin an empty selector")
-    vals = [x.term(f.value(t)) for t in range(m)]
-    sufmax = list(vals)
-    sufmin = list(vals)
-    for t in range(m - 2, -1, -1):
-        sufmax[t] = max(sufmax[t], sufmax[t + 1])
-        sufmin[t] = min(sufmin[t], sufmin[t + 1])
+    sufmax, sufmin = _suffix_extrema([x.term(f.value(t)) for t in range(m)])
     positions: list[int] = []
     s = 0
     for n in range(budget.depth + 1):
@@ -369,11 +373,7 @@ def verify_cauchy(
     f = certificate.selector
     m = len(f)
     vals = [x.term(f.value(t)) for t in range(m)]
-    sufmax = list(vals)
-    sufmin = list(vals)
-    for t in range(m - 2, -1, -1):
-        sufmax[t] = max(sufmax[t], sufmax[t + 1])
-        sufmin[t] = min(sufmin[t], sufmin[t + 1])
+    sufmax, sufmin = _suffix_extrema(vals)
     for n, s in certificate.moduli:
         if s >= m:
             continue  # no two positions to compare

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from bwreduce import catalog, reductions, solvers
-from bwreduce.certificates import BranchPrefix, Budget, CauchyCertificate
+from bwreduce.certificates import BranchPrefix, Budget, CauchyCertificate, SeparatorSet
 from bwreduce.cli import main
 from bwreduce.core import (
     CantorPoint,
@@ -207,7 +207,7 @@ def _separation_roundtrips() -> dict[str, bytes]:
         bits = solvers.find_accumulation_cantor(
             lambda k: x.point(kstar + k), budget
         )
-        sep = reductions.point_to_separator(bits)
+        sep = SeparatorSet(tuple(bits))
         bad = solvers.verify_separator(sep, p, LEVELS, budget)
         assert bad is None, f"{name}: {bad}"
         verdicts[name] = "pass"
@@ -277,9 +277,8 @@ def _slow_certificate(x) -> tuple[CauchyCertificate, bytes, bytes]:
     assert family.periodic_structure(LEVELS) is not None
     witness = solvers.build_strongly_cohesive(family, LEVELS, Budget())
     assert solvers.verify_cohesive(witness, family, strong_levels=LEVELS) is None
-    selector = reductions.subsequence_from_cohesive(witness.selector, x)
     cert = CauchyCertificate(
-        selector, tuple((n, 0) for n in range(LEVELS + 1)), "slow"
+        witness.selector, tuple((n, 0) for n in range(LEVELS + 1)), "slow"
     )
     assert solvers.verify_cauchy(cert, x) is None
     return cert, serialize_instance(witness), serialize_instance(cert)

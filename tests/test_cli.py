@@ -6,6 +6,8 @@ asserted directly; one subprocess test covers the ``-m`` entry point.
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,7 +19,8 @@ import pytest
 from bwreduce import catalog
 from bwreduce.certificates import CauchyCertificate, Selector, SeparatorSet
 from bwreduce.cli import main
-from bwreduce.instances import parse_instance, serialize_instance
+from bwreduce.edges import EDGES
+from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
 from bwreduce.reductions import separation_to_bw
 
 
@@ -404,6 +407,85 @@ def test_derived_code_budget_must_be_a_positive_natural(tmp_path, capsys, budget
     err = capsys.readouterr().err
     assert err.startswith("error: $.repr.code_budget")
     assert "Traceback" not in err
+
+
+def _derived_chain(depth: int) -> str:
+    """A derived file whose provenance alternates bwweak_to_stcoh and
+    stcoh_to_bwweak ``depth`` times over a constant sequence, written as text
+    because json.dumps itself overflows the stack on deep chains."""
+    text = serialize_instance(catalog.SEQUENCES["constant-third"]).decode()
+    for i in range(depth):
+        kind, derived_by = (
+            ("set_family", "bwweak_to_stcoh") if i % 2 == 0
+            else ("rational_sequence", "stcoh_to_bwweak")
+        )
+        text = (
+            f'{{"kind": "{kind}", "meta": {{}}, "repr": {{"form": "derived", '
+            f'"derived_by": "{derived_by}", "source": {text}}}}}'
+        )
+    return text
+
+
+_CAPPED_AT = "$.repr" + ".source.repr" * MAX_PROVENANCE_DEPTH + ".source"
+
+
+@pytest.mark.parametrize(
+    "depth, location",
+    [
+        (MAX_PROVENANCE_DEPTH, None),
+        (MAX_PROVENANCE_DEPTH + 1, _CAPPED_AT),
+        (340, _CAPPED_AT),
+        (600, "$"),  # deeper than the JSON decoder's stack
+    ],
+    ids=["at-cap", "past-cap", "340", "600"],
+)
+def test_provenance_depth_is_capped(tmp_path, capsys, depth, location):
+    src = tmp_path / "chain.json"
+    src.write_text(_derived_chain(depth))
+    src_kind, dst_kind = ("stcoh", "bwweak") if depth % 2 else ("bw", "swkl")
+    out = str(tmp_path / "out.json")
+    code = main(["reduce", "--from", src_kind, "--to", dst_kind, "-i", str(src), "-o", out])
+    err = capsys.readouterr().err
+    if location is None:
+        assert code == 0
+    else:
+        assert code == 3
+        assert err.startswith(f"error: {location}: ")
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    ops = (
+        ["embed", "--direction", "to-real", "01,(10)"],
+        ["embed", "--direction", "sideways", "(0)"],  # a usage error
+    )
+    for argv in ops:  # warm up: first calls fill caches and import lazily
+        main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in ops:
+            for _ in range(3):
+                main(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    assert "usage error" in capsys.readouterr().err
+
+
+def _load_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_roundtrips.py"
+    spec = importlib.util.spec_from_file_location("run_roundtrips", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_covers_every_edge(monkeypatch, capsys):
+    sweep = _load_sweep()
+    assert set(sweep.PAIR_CATALOGS) == set(EDGES)
+    monkeypatch.delitem(sweep.PAIR_CATALOGS, "separation-bw")
+    assert sweep.main([]) != 0
+    assert "no catalog for edge separation-bw" in capsys.readouterr().err
 
 
 def test_module_entry_point():

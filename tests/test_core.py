@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 import kernel_oracle
 from bwreduce.core import (
-    AGREE_UP_TO_BUDGET,
     CantorPoint,
     DyadicInterval,
-    cantor_dist,
     cantor_dist_exact,
     embed_point,
     embed_point_exact,
@@ -190,12 +188,16 @@ def test_cantor_point_bit_evaluation():
 def test_cantor_dist_examples():
     zero = CantorPoint.constant(0)
     one = CantorPoint.constant(1)
-    assert cantor_dist(zero, zero, 16) == 0
-    assert cantor_dist(zero, one, 16) == 1
+    assert cantor_dist_exact(zero, zero) == 0
+    assert cantor_dist_exact(zero, one) == 1
     x = CantorPoint.periodic((0, 0, 1, 0), (0,))
     y = CantorPoint.periodic((0, 0, 1, 1), (0,))
-    assert cantor_dist(x, y, 16) == Fraction(1, 8)
     assert cantor_dist_exact(x, y) == Fraction(1, 8)
+    late = CantorPoint.periodic((0,) * 10 + (1,), (0,))
+    assert cantor_dist_exact(late, zero) == Fraction(1, 2**10)
+    r = CantorPoint.from_rule(lambda n: 0, label="zeros")
+    with pytest.raises(ExactValueUnavailableError):
+        cantor_dist_exact(r, zero)
 
 
 def test_cantor_dist_detects_equality_across_representations():
@@ -203,34 +205,19 @@ def test_cantor_dist_detects_equality_across_representations():
     x = CantorPoint.periodic((1,), (0,))
     y = CantorPoint.periodic((1, 0, 0), (0, 0))
     assert periodic_equal(x, y)
-    assert cantor_dist(x, y, 4) == 0
     assert cantor_dist_exact(x, y) == 0
-
-
-def test_cantor_dist_budget_marker():
-    x = CantorPoint.periodic((0,) * 10 + (1,), (0,))
-    y = CantorPoint.constant(0)
-    assert cantor_dist(x, y, 5) is AGREE_UP_TO_BUDGET
-    assert cantor_dist(x, y, 11) == Fraction(1, 2**10)
-    r = CantorPoint.from_rule(lambda n: 0, label="zeros")
-    assert cantor_dist(r, y, 64) is AGREE_UP_TO_BUDGET
-    with pytest.raises(ExactValueUnavailableError):
-        cantor_dist_exact(r, y)
-
-
-def test_cantor_dist_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        cantor_dist(CantorPoint.constant(0), CantorPoint.constant(0), -1)
 
 
 @given(periodic_points(), periodic_points())
 def test_cantor_dist_agrees_with_exact(x, y):
+    # the exact distance against a scan for the first disagreement below 64;
+    # the strategy's points are equal once they agree that far
     d = cantor_dist_exact(x, y)
-    got = cantor_dist(x, y, 64)
-    if d == 0 or d >= Fraction(1, 2**63):
-        assert got == d
+    first = next((m for m in range(64) if x.bit(m) != y.bit(m)), None)
+    if first is None:
+        assert d == 0 and periodic_equal(x, y)
     else:
-        assert got is AGREE_UP_TO_BUDGET
+        assert d == Fraction(1, 2**first) and not periodic_equal(x, y)
 
 
 # --- middle-third embedding ----------------------------------------------------------

@@ -37,18 +37,20 @@ from bwreduce.instances import (
     HarmonicSequence,
     PeriodicRowsFamily,
     PeriodicSequence,
+    RationalSequence,
     RowPattern,
     RulePredicate,
     SeparationInstance,
+    SetFamily,
+    SigmaTree,
     SingleBranchTree,
     StageListTree,
     TableRowsFamily,
     TableSequence,
-    eval_sequence,
-    family_member,
     parse_instance,
     serialize_instance,
 )
+from bwreduce.edges import EDGES
 from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -57,12 +59,12 @@ unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 def test_builtin_sequence_terms():
-    assert eval_sequence(HarmonicSequence(), 0) == 1
-    assert eval_sequence(HarmonicSequence(), 3) == Fraction(1, 4)
+    assert HarmonicSequence().term(0) == 1
+    assert HarmonicSequence().term(3) == Fraction(1, 4)
     alt = AlternatingSequence(Fraction(0), Fraction(1))
-    assert [eval_sequence(alt, i) for i in range(4)] == [0, 1, 0, 1]
-    assert eval_sequence(alt, 7) == 1
-    assert eval_sequence(ConstantSequence(Fraction(1, 3)), 10**6) == Fraction(1, 3)
+    assert [alt.term(i) for i in range(4)] == [0, 1, 0, 1]
+    assert alt.term(7) == 1
+    assert ConstantSequence(Fraction(1, 3)).term(10**6) == Fraction(1, 3)
 
 
 def test_periodic_sequence_terms():
@@ -109,11 +111,6 @@ def test_terms_must_lie_in_unit_interval():
         PeriodicSequence([], [Fraction(-1, 2)])
     with pytest.raises(ValueError):
         PeriodicSequence([Fraction(1, 2)], [])
-
-
-def test_eval_sequence_rejects_negative_index():
-    with pytest.raises(ValueError):
-        eval_sequence(HarmonicSequence(), -1)
 
 
 def test_embedded_sequence_exact_and_approximate():
@@ -307,13 +304,11 @@ def test_tree_work_on_a_periodic_source_is_one_window():
 
 def test_family_member_examples():
     all_ones = PeriodicRowsFamily([], [RowPattern((), (1,))])
-    assert family_member(all_ones, 0, 0)
-    assert family_member(all_ones, 17, 23)
+    assert all_ones.member(0, 0)
+    assert all_ones.member(17, 23)
     evens_row = PeriodicRowsFamily([], [RowPattern((), (1, 0))])
-    assert family_member(evens_row, 3, 4)
-    assert not family_member(evens_row, 3, 5)
-    with pytest.raises(ValueError):
-        family_member(all_ones, -1, 0)
+    assert evens_row.member(3, 4)
+    assert not evens_row.member(3, 5)
 
 
 def test_derived_family_conventions_on_constant_third():
@@ -410,8 +405,8 @@ def test_table_rows_family():
     fam = TableRowsFamily(
         {2: RowPattern((), (0,))}, default=RowPattern((), (1,))
     )
-    assert family_member(fam, 0, 9)
-    assert not family_member(fam, 2, 9)
+    assert fam.member(0, 9)
+    assert not fam.member(2, 9)
     assert fam.column_point(5).bits(4) == (1, 1, 0, 1)
     with pytest.raises(ValueError):
         TableRowsFamily({-1: RowPattern((), (1,))}, default=RowPattern((), (1,)))
@@ -664,15 +659,23 @@ def test_catalog_corpus_round_trips_byte_exactly():
 
 def test_derived_instances_round_trip_through_replay():
     source = catalog.SEQUENCES["constant-third"]
-    for derived in (
-        bw_to_swkl(source),
-        bwweak_to_stcoh(source, convention="corrected"),
-        bwweak_to_stcoh(source, convention="paper-literal"),
-    ):
-        data = serialize_instance(derived)
-        replayed = parse_instance(data)
-        assert serialize_instance(replayed) == data
-        assert type(replayed) is type(derived)
+    sources = {
+        RationalSequence: source,
+        SigmaTree: catalog.TREES["full"],
+        SeparationInstance: catalog.SEPARATIONS["odds-vs-evens"],
+        SetFamily: catalog.FAMILIES["stripes"],
+    }
+    for edge in EDGES.values():
+        for convention in DerivedFamily.conventions:
+            params = {"code_budget": 5000, "convention": convention}
+            derived = edge.forward(
+                sources[edge.source], **{name: params[name] for name in edge.params}
+            )
+            data = serialize_instance(derived)
+            replayed = parse_instance(data)
+            assert serialize_instance(replayed) == data, edge.name
+            assert type(replayed) is type(derived)
+            assert isinstance(replayed, edge.target)
     fam = parse_instance(serialize_instance(bwweak_to_stcoh(source, convention="paper-literal")))
     assert fam.convention == "paper-literal"
 

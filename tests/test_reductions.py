@@ -30,7 +30,6 @@ from bwreduce.instances import (
 )
 from bwreduce.core import CantorPoint
 from bwreduce.reductions import (
-    CellPattern,
     branch_to_point,
     bw_to_swkl,
     bwweak_to_stcoh,
@@ -38,11 +37,9 @@ from bwreduce.reductions import (
     f_code,
     g_len,
     h_bit,
-    point_to_separator,
     separation_to_bw,
     separator_to_branch,
     stcoh_to_bwweak,
-    subsequence_from_cohesive,
     swkl_to_separation,
 )
 from bwreduce.solvers import find_branch, stabilization_bound
@@ -176,7 +173,7 @@ def test_separator_walk_rejects_dead_turns():
 
 
 def test_point_to_separator_reads_bits():
-    s = point_to_separator((0, 1, 1))
+    s = SeparatorSet((0, 1, 1))
     assert not s.member(0)
     assert s.member(1)
     assert s.member(2)
@@ -430,23 +427,17 @@ def test_halfopen_scaled_cells_do_separate_endpoints():
 
 def test_cell_pattern_matches():
     fam = bwweak_to_stcoh(AlternatingSequence(Fraction(0), Fraction(1)))
-    evens_pattern = CellPattern((0, 0))  # in R_0 and in R_1
-    odds_pattern = CellPattern((0, 1))
-    assert evens_pattern.matches(fam, 0)
-    assert not evens_pattern.matches(fam, 1)
-    assert odds_pattern.matches(fam, 1)
-    with pytest.raises(ValueError):
-        CellPattern((0, 2))
+    # term 0 is in R_0 and in R_1; term 1 is in R_0 only
+    assert (fam.member(0, 0), fam.member(1, 0)) == (True, True)
+    assert (fam.member(0, 1), fam.member(1, 1)) == (True, False)
 
 
 def test_subsequence_from_cohesive_passthrough():
-    sel = Selector((0, 2, 4))
-    assert subsequence_from_cohesive(sel, ConstantSequence(Fraction(0))) is sel
-    assert subsequence_from_cohesive([1, 5, 9], ConstantSequence(Fraction(0))).values == (1, 5, 9)
+    assert Selector((1, 5, 9)).values == (1, 5, 9)
     from bwreduce.errors import NonMonotoneSelectorError
 
     with pytest.raises(NonMonotoneSelectorError):
-        subsequence_from_cohesive([3, 3], ConstantSequence(Fraction(0)))
+        Selector((3, 3))
 
 
 def test_stcoh_to_bwweak_embeds_membership_columns():
