@@ -17,16 +17,10 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable
 
 from . import solvers
-from .certificates import (
-    BranchPrefix,
-    Budget,
-    CauchyCertificate,
-    CohesiveWitness,
-    SeparatorSet,
-)
+from .certificates import AccumulationResult, BranchPrefix, Budget
 from .core import (
     CantorPoint,
     cantor_dist_exact,
@@ -35,7 +29,7 @@ from .core import (
     format_rational,
     parse_bits,
 )
-from .edges import EDGES
+from .edges import EDGES, check, roundtrip
 from .errors import (
     BudgetError,
     ExactValueUnavailableError,
@@ -53,7 +47,6 @@ from .errors import (
 from .instances import (
     DerivedFamily,
     RationalSequence,
-    SeparationInstance,
     SetFamily,
     SigmaTree,
     parse_instance,
@@ -106,10 +99,6 @@ def _require(obj: Any, cls: type, what: str) -> Any:
     return obj
 
 
-def _selector_line(values: tuple[int, ...]) -> str:
-    return "selector " + " ".join(str(v) for v in values)
-
-
 # ---------------------------------------------------------------------------
 # reduce
 # ---------------------------------------------------------------------------
@@ -135,37 +124,33 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# --problem name -> (instance class, finder(instance, budget))
+PROBLEMS: dict[str, tuple[type, Callable[[Any, Budget], Any]]] = {
+    "accumulation": (RationalSequence, lambda x, b: solvers.find_accumulation_real(x, b)),
+    "branch": (SigmaTree, lambda tree, b: solvers.find_branch(tree, b)),
+    "cohesive": (SetFamily, lambda r, b: solvers.build_strongly_cohesive(r, b.depth, b)),
+    "slow-cauchy": (RationalSequence, lambda x, b: solvers.extract_slow_cauchy(x, b)),
+    "fast-cauchy": (RationalSequence, lambda x, b: solvers.thin_to_fast(
+        solvers.extract_slow_cauchy(x, b), x, b)),
+}
+
+
+def _summary(result: Any) -> str:
+    if isinstance(result, AccumulationResult):
+        return f"approx {format_rational(result.approx)}"
+    if isinstance(result, BranchPrefix):
+        return format_bits(result.bits)
+    return "selector " + " ".join(str(v) for v in result.selector.values)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     obj = _load(args.input)
     budget = _budget(args)
-    if args.problem == "accumulation":
-        x = _require(obj, RationalSequence, "accumulation")
-        res = solvers.find_accumulation_real(x, budget)
-        print(f"approx {format_rational(res.approx)}")
-        artifact: Any = res
-    elif args.problem == "branch":
-        tree = _require(obj, SigmaTree, "branch")
-        br = solvers.find_branch(tree, budget)
-        print(format_bits(br.bits))
-        artifact = br
-    elif args.problem == "cohesive":
-        family = _require(obj, SetFamily, "cohesive")
-        witness = solvers.build_strongly_cohesive(family, budget.depth, budget)
-        print(_selector_line(witness.selector.values))
-        artifact = witness
-    elif args.problem == "slow-cauchy":
-        x = _require(obj, RationalSequence, "slow-cauchy")
-        cert = solvers.extract_slow_cauchy(x, budget)
-        print(_selector_line(cert.selector.values))
-        artifact = cert
-    else:  # fast-cauchy
-        x = _require(obj, RationalSequence, "fast-cauchy")
-        slow = solvers.extract_slow_cauchy(x, budget)
-        cert = solvers.thin_to_fast(slow, x, budget)
-        print(_selector_line(cert.selector.values))
-        artifact = cert
+    cls, find = PROBLEMS[args.problem]
+    result = find(_require(obj, cls, args.problem), budget)
+    print(_summary(result))
     if args.output is not None:
-        _emit(args.output, serialize_instance(artifact))
+        _emit(args.output, serialize_instance(result))
     return 0
 
 
@@ -182,19 +167,7 @@ def _where(bad: Any) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args.input)
     cert = _load(args.certificate)
-    if isinstance(cert, CauchyCertificate) and isinstance(inst, RationalSequence):
-        bad: Any = solvers.verify_cauchy(cert, inst)
-    elif isinstance(cert, CohesiveWitness) and isinstance(inst, SetFamily):
-        bad = solvers.verify_cohesive(cert, inst)
-    elif isinstance(cert, SeparatorSet) and isinstance(inst, SeparationInstance):
-        bad = solvers.verify_separator(cert, inst, args.depth, _budget(args))
-    elif isinstance(cert, BranchPrefix) and isinstance(inst, SigmaTree):
-        bad = solvers.verify_branch(cert, inst)
-    else:
-        raise SchemaViolationError(
-            f"certificate kind {type(cert).__name__} does not verify against "
-            f"instance kind {type(inst).__name__}"
-        )
+    bad = check(cert, inst, _budget(args))
     if bad is None:
         print("pass")
         return 0
@@ -213,7 +186,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     edge = EDGES[pair]
     obj = _require(_load(args.input), edge.source, pair)
     notes: list[str] = []
-    stages, bad = edge.roundtrip(obj, budget, notes, args.convention)
+    stages, bad = roundtrip(edge, obj, budget, notes, args.convention)
 
     verifier = "pass" if bad is None else f"fail {_where(bad)}"
     verdict = "pass" if bad is None else "fail"
@@ -223,8 +196,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         "budget": budget.to_repr(),
         "convention": args.convention,
         "stages": [
-            {"step": step, "digest": digest, "verifier": check}
-            for step, digest, check in rows
+            {"step": step, "digest": digest, "verifier": verified}
+            for step, digest, verified in rows
         ],
         "notes": notes,
         "verdict": verdict,
@@ -237,8 +210,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     print(f"{'pair':<10} {pair}")
     print(f"{'verdict':<10} {verdict}")
     print(f"{'step':<10} {'digest':<18} verifier")
-    for step, digest, check in rows:
-        print(f"{step:<10} {digest:<18} {check}")
+    for step, digest, verified in rows:
+        print(f"{step:<10} {digest:<18} {verified}")
     for note in notes:
         print(f"note: {note}")
     return 0 if bad is None else 1
@@ -314,7 +287,7 @@ def _build_parser() -> _Parser:
     solve_p.add_argument(
         "--problem",
         required=True,
-        choices=("accumulation", "branch", "cohesive", "slow-cauchy", "fast-cauchy"),
+        choices=tuple(PROBLEMS),
     )
     solve_p.add_argument("-i", "--input", required=True)
     solve_p.add_argument("-o", "--output")
@@ -356,10 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
-    except InstanceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (
+        InstanceFormatError,
         NotANodeError,
         SeparatorUndefinedError,
         NonMonotoneSelectorError,
@@ -368,11 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except BudgetError as e:
-        payload = {"error": "budget", "kind": type(e).__name__, "reason": e.reason}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 2
-    except WitnessExhaustedError as e:
+    except (BudgetError, WitnessExhaustedError) as e:
         payload = {"error": "budget", "kind": type(e).__name__, "reason": str(e)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 2

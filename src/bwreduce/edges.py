@@ -1,15 +1,17 @@
-"""The five reduction edges of the paper, in one table.
+"""The five reduction edges of the paper, in one table, and one round trip.
 
 Each edge is one uniform, instance-wise reduction: ``forward`` turns a
-``source`` instance into a ``target`` instance, and ``roundtrip`` reduces,
-solves the derived instance, translates the witness back and verifies it.
-``EDGES`` drives ``bwreduce reduce`` and ``bwreduce roundtrip``, the replay
-of derived instance files (``instances.parse_instance``) and the catalog
-sweep ``scripts/run_roundtrips.py``.
+``source`` instance into a ``target`` instance, ``solve`` solves the target
+and ``back`` translates that solution into one of the source.  ``roundtrip``
+runs every edge through one loop (reduce, solve, back, check), and
+``check``, shared with ``bwreduce verify``, runs the verifier of each
+certificate kind.  ``EDGES`` drives ``bwreduce reduce`` and ``bwreduce
+roundtrip``, the replay of derived instance files
+(``instances.parse_instance``) and the sweep ``scripts/run_roundtrips.py``.
 
-The forward steps and the runners reach ``reductions.*`` and ``solvers.*``
-through the module attributes, looked up at call time, so that a tracer
-that rebinds those attributes sees every call.
+The steps reach ``reductions.*`` and ``solvers.*`` through the module
+attributes, looked up at call time, so that a tracer that rebinds those
+attributes sees every call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from . import reductions, solvers
-from .certificates import BranchPrefix, Budget, CauchyCertificate, SeparatorSet
+from .certificates import BranchPrefix, Budget, CauchyCertificate, CohesiveWitness, SeparatorSet
+from .errors import SchemaViolationError
 from .instances import (
     RationalSequence,
     SeparationInstance,
@@ -36,16 +39,18 @@ class Edge:
 
     ``forward`` is named after the ``derived_by`` its result records, and
     takes the source followed by the parameters that derivation records
-    (see :attr:`params`).  ``roundtrip(source, budget, notes, convention)``
-    returns the ``(step, digest)`` rows of the report and the first verifier
-    violation, or None.
+    (see :attr:`params`).  ``solve(source, target, budget, notes)`` returns
+    a solution of the target, and ``back(source, target, solution, budget)``
+    a solution of the source; ``back`` is None when the target's solution
+    already solves the source.
     """
 
     name: str
     source: type
     target: type
     forward: Callable[..., Any]
-    roundtrip: Callable[[Any, Budget, list[str], str], tuple[list[tuple[str, str]], Any]]
+    solve: Callable[[Any, Any, Budget, list[str]], Any]
+    back: Callable[[Any, Any, Any, Budget], Any] | None
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -54,7 +59,7 @@ class Edge:
 
 
 # ---------------------------------------------------------------------------
-# forward steps
+# steps: forward, and the solve and back steps longer than a lambda
 # ---------------------------------------------------------------------------
 
 
@@ -78,45 +83,17 @@ def stcoh_to_bwweak(r: SetFamily) -> RationalSequence:
     return reductions.stcoh_to_bwweak(r)
 
 
-# ---------------------------------------------------------------------------
-# round trips: reduce -> solve -> back-translate -> verify
-# ---------------------------------------------------------------------------
-
-
-def _digest(obj: Any) -> str:
-    return hashlib.sha256(serialize_instance(obj)).hexdigest()[:16]
-
-
-def _roundtrip_bw_swkl(
-    x: RationalSequence, budget: Budget, notes: list[str], convention: str
-):
-    tree = reductions.bw_to_swkl(x)
-    br = solvers.find_branch(tree, budget)
+def _branch_to_cauchy(x: RationalSequence, tree: SigmaTree, br: BranchPrefix, budget: Budget):
     bp = reductions.branch_to_point(tree, br.bits, budget.stage)
-    cert = CauchyCertificate(
+    return CauchyCertificate(
         bp.selector, tuple((n, n) for n in range(len(bp.selector))), "fast"
     )
-    stages = [("reduce", _digest(tree)), ("solve", _digest(br)), ("back", _digest(cert))]
-    bad = solvers.verify_branch(br, tree) or solvers.verify_cauchy(cert, x)
-    return stages, bad
 
 
-def _roundtrip_swkl_separation(
-    y: SigmaTree, budget: Budget, notes: list[str], convention: str
-):
-    p = reductions.swkl_to_separation(y)
-    s = reductions.exact_separator(y, budget.depth)
-    bits = reductions.separator_to_branch(s, y, budget.depth, budget.stage)
-    br = BranchPrefix(bits, budget.stage)
-    stages = [("reduce", _digest(p)), ("solve", _digest(s)), ("back", _digest(br))]
-    return stages, solvers.verify_branch(br, y)
-
-
-def _roundtrip_separation_bw(
-    p: SeparationInstance, budget: Budget, notes: list[str], convention: str
-):
+def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget, notes):
+    """The accumulation prefix of the h-stream past its stabilization bound,
+    which already is a separator of p."""
     rng = budget.depth
-    x = reductions.separation_to_bw(p, budget.code_budget)
     kstar = max(
         solvers.stabilization_bound(p, n, budget.code_budget) for n in range(rng)
     )
@@ -128,15 +105,10 @@ def _roundtrip_separation_bw(
     )
     if tuple(x.point(kstar).bits(rng)) != tuple(x.point(kstar + window).bits(rng)):
         notes.append("stabilization check failed")  # unreachable for ground truth
-    s = SeparatorSet(tuple(bits))
-    stages = [("reduce", _digest(x)), ("solve", _digest(s))]
-    return stages, solvers.verify_separator(s, p, rng, budget)
+    return SeparatorSet(tuple(bits))
 
 
-def _roundtrip_bwweak_stcoh(
-    x: RationalSequence, budget: Budget, notes: list[str], convention: str
-):
-    family = reductions.bwweak_to_stcoh(x, convention)
+def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, notes):
     levels = budget.depth
     full = [
         i
@@ -147,39 +119,16 @@ def _roundtrip_bwweak_stcoh(
         notes.append(f"R_i = N for all i < {levels}")
     elif full:
         notes.append("R_i = N for i in {" + ", ".join(map(str, full)) + "}")
-    witness = solvers.build_strongly_cohesive(family, levels, budget)
-    # a strictly increasing enumeration of a strongly cohesive set is already
-    # the Cauchy subsequence; verify_cauchy checks the claim
-    cert = CauchyCertificate(
-        witness.selector, tuple((n, 0) for n in range(budget.depth + 1)), "slow"
-    )
-    stages = [
-        ("reduce", _digest(family)),
-        ("solve", _digest(witness)),
-        ("back", _digest(cert)),
-    ]
-    bad = solvers.verify_cohesive(witness, family, strong_levels=levels)
-    return stages, bad or solvers.verify_cauchy(cert, x)
+    return solvers.build_strongly_cohesive(family, levels, budget)
 
 
-def _roundtrip_stcoh_bwweak(
-    family: SetFamily, budget: Budget, notes: list[str], convention: str
-):
-    x = reductions.stcoh_to_bwweak(family)
+def _slow_cauchy(family: SetFamily, x: RationalSequence, budget: Budget, notes):
     levels = budget.depth
     cauchy_depth = 0
     while 2**cauchy_depth <= 3**levels:
         cauchy_depth += 1
     notes.append(f"slow-cauchy depth {cauchy_depth} for {levels} levels")
-    cert = solvers.extract_slow_cauchy(x, replace(budget, depth=cauchy_depth))
-    witness = solvers.witness_from_selector(cert.selector, family, levels)
-    stages = [
-        ("reduce", _digest(x)),
-        ("solve", _digest(cert)),
-        ("back", _digest(witness)),
-    ]
-    bad = solvers.verify_cauchy(cert, x)
-    return stages, bad or solvers.verify_cohesive(witness, family, strong_levels=levels)
+    return solvers.extract_slow_cauchy(x, replace(budget, depth=cauchy_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +138,79 @@ def _roundtrip_stcoh_bwweak(
 EDGES: dict[str, Edge] = {
     edge.name: edge
     for edge in (
-        Edge("bw-swkl", RationalSequence, SigmaTree,
-             bw_to_swkl, _roundtrip_bw_swkl),
-        Edge("swkl-separation", SigmaTree, SeparationInstance,
-             swkl_to_separation, _roundtrip_swkl_separation),
-        Edge("separation-bw", SeparationInstance, RationalSequence,
-             separation_to_bw, _roundtrip_separation_bw),
-        Edge("bwweak-stcoh", RationalSequence, SetFamily,
-             bwweak_to_stcoh, _roundtrip_bwweak_stcoh),
-        Edge("stcoh-bwweak", SetFamily, RationalSequence,
-             stcoh_to_bwweak, _roundtrip_stcoh_bwweak),
+        Edge("bw-swkl", RationalSequence, SigmaTree, bw_to_swkl,
+             lambda x, tree, budget, notes: solvers.find_branch(tree, budget),
+             _branch_to_cauchy),
+        Edge("swkl-separation", SigmaTree, SeparationInstance, swkl_to_separation,
+             lambda y, p, budget, notes: reductions.exact_separator(y, budget.depth),
+             lambda y, p, s, budget: BranchPrefix(
+                 reductions.separator_to_branch(s, y, budget.depth, budget.stage),
+                 budget.stage,
+             )),
+        Edge("separation-bw", SeparationInstance, RationalSequence, separation_to_bw,
+             _stable_separator, None),
+        # a strictly increasing enumeration of a strongly cohesive set is
+        # already the Cauchy subsequence; the source check verifies the claim
+        Edge("bwweak-stcoh", RationalSequence, SetFamily, bwweak_to_stcoh,
+             _strongly_cohesive,
+             lambda x, family, witness, budget: CauchyCertificate(
+                 witness.selector, tuple((n, 0) for n in range(budget.depth + 1)), "slow"
+             )),
+        Edge("stcoh-bwweak", SetFamily, RationalSequence, stcoh_to_bwweak,
+             _slow_cauchy,
+             lambda family, x, cert, budget: solvers.witness_from_selector(
+                 cert.selector, family, budget.depth
+             )),
     )
 }
+
+
+# ---------------------------------------------------------------------------
+# checking and the round trip
+# ---------------------------------------------------------------------------
+
+
+def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = None):
+    """Run the verifier of ``cert``'s kind against ``instance``: None on pass,
+    the least violation on fail.  Separators are checked below
+    ``budget.depth``; ``strong_levels`` asks a cohesive witness to settle
+    every row below it (the strong form)."""
+    if isinstance(cert, CauchyCertificate) and isinstance(instance, RationalSequence):
+        return solvers.verify_cauchy(cert, instance)
+    if isinstance(cert, CohesiveWitness) and isinstance(instance, SetFamily):
+        return solvers.verify_cohesive(cert, instance, strong_levels=strong_levels)
+    if isinstance(cert, SeparatorSet) and isinstance(instance, SeparationInstance):
+        return solvers.verify_separator(cert, instance, budget.depth, budget)
+    if isinstance(cert, BranchPrefix) and isinstance(instance, SigmaTree):
+        return solvers.verify_branch(cert, instance)
+    raise SchemaViolationError(
+        f"certificate kind {type(cert).__name__} does not verify against "
+        f"instance kind {type(instance).__name__}"
+    )
+
+
+def _digest(obj: Any) -> str:
+    return hashlib.sha256(serialize_instance(obj)).hexdigest()[:16]
+
+
+def roundtrip(edge: Edge, source: Any, budget: Budget, notes: list[str], convention: str):
+    """Reduce ``source`` along ``edge``, solve, translate back and check.
+
+    Returns the ``(step, digest)`` rows of the report and the first
+    violation, or None.  The target's solution is checked against the
+    target unless ``back`` is None or the target is a separation without
+    ground truth; the translated solution is checked against the source.
+    """
+    recorded = {"code_budget": budget.code_budget, "convention": convention}
+    target = edge.forward(source, **{name: recorded[name] for name in edge.params})
+    solution = answer = edge.solve(source, target, budget, notes)
+    results = [("reduce", target), ("solve", solution)]
+    if edge.back is not None:
+        answer = edge.back(source, target, solution, budget)
+        results.append(("back", answer))
+    stages = [(step, _digest(obj)) for step, obj in results]
+    bad = None
+    checkable = not isinstance(target, SeparationInstance) or target.has_ground_truth()
+    if edge.back is not None and checkable:
+        bad = check(solution, target, budget, strong_levels=budget.depth)
+    return stages, bad or check(answer, source, budget, strong_levels=budget.depth)

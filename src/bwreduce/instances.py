@@ -369,9 +369,6 @@ class SigmaTree:
         None when unbounded)."""
         raise NotGroundTruthError(f"{self.form} tree has no decidable limit view")
 
-    def limit_has_extension(self, bits: Bits, length: int) -> bool:
-        raise NotGroundTruthError(f"{self.form} tree has no decidable limit view")
-
     def to_repr(self) -> dict[str, Any]:
         raise UnserializableError(f"{self.form or type(self).__name__} has no file form")
 
@@ -387,9 +384,6 @@ class FullBinaryTree(SigmaTree):
 
     def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
         return None, None
-
-    def limit_has_extension(self, bits: Bits, length: int) -> bool:
-        return length >= len(bits)
 
     def to_repr(self) -> dict[str, Any]:
         return {"form": "full_binary"}
@@ -409,36 +403,6 @@ def _point_from_repr(obj: Any, path: str) -> CantorPoint:
     if len(period) == 0:
         raise InvariantViolationError("period must be non-empty", f"{path}.period")
     return CantorPoint.periodic(prefix, period)
-
-
-class SingleBranchTree(SigmaTree):
-    """Exactly one infinite branch; members are its prefixes at every stage."""
-
-    form = "single_branch"
-
-    def __init__(self, point: CantorPoint, meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
-        self.point = point
-
-    def _on_branch(self, bits: Bits) -> bool:
-        return all(b == self.point.bit(i) for i, b in enumerate(bits))
-
-    def member_at_stage(self, bits: Bits, stage: int) -> bool:
-        return self._on_branch(bits)
-
-    def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
-        return length >= len(bits) and self._on_branch(bits)
-
-    def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
-        return tuple(
-            None if self._on_branch(bits + (c,)) else len(bits) for c in (0, 1)
-        )  # type: ignore[return-value]
-
-    def limit_has_extension(self, bits: Bits, length: int) -> bool:
-        return length >= len(bits) and self._on_branch(bits)
-
-    def to_repr(self) -> dict[str, Any]:
-        return {"form": "single_branch", "point": _point_repr(self.point)}
 
 
 class BranchUnionTree(SigmaTree):
@@ -468,11 +432,22 @@ class BranchUnionTree(SigmaTree):
             None if self._on_some_branch(bits + (c,)) else len(bits) for c in (0, 1)
         )  # type: ignore[return-value]
 
-    def limit_has_extension(self, bits: Bits, length: int) -> bool:
-        return length >= len(bits) and self._on_some_branch(bits)
-
     def to_repr(self) -> dict[str, Any]:
         return {"form": "branch_union", "points": [_point_repr(pt) for pt in self.points]}
+
+
+class SingleBranchTree(BranchUnionTree):
+    """Exactly one infinite branch; members are its prefixes at every stage.
+    A one-point branch union with a file form of its own."""
+
+    form = "single_branch"
+
+    def __init__(self, point: CantorPoint, meta: Mapping[str, Any] | None = None):
+        super().__init__((point,), meta)
+        self.point = point
+
+    def to_repr(self) -> dict[str, Any]:
+        return {"form": "single_branch", "point": _point_repr(self.point)}
 
 
 class StageListTree(SigmaTree):
@@ -536,11 +511,6 @@ class StageListTree(SigmaTree):
                     best = max(best, len(node))
             out.append(best)
         return out[0], out[1]
-
-    def limit_has_extension(self, bits: Bits, length: int) -> bool:
-        if length < len(bits):
-            return False
-        return any(len(node) >= length and is_prefix(bits, node) for node in self._limit())
 
     def to_repr(self) -> dict[str, Any]:
         entries = [
@@ -1490,7 +1460,7 @@ def _parse_envelope(doc: Any, path: str) -> Any:
     if not isinstance(doc, Mapping):
         raise SchemaViolationError("envelope must be an object", path)
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
         raise SchemaViolationError(f"unknown kind {kind!r}", f"{path}.kind")
     repr_obj = doc.get("repr")
     if not isinstance(repr_obj, Mapping):

@@ -7,6 +7,7 @@ asserted directly; one subprocess test covers the ``-m`` entry point.
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -17,11 +18,17 @@ from pathlib import Path
 import pytest
 
 from bwreduce import catalog
-from bwreduce.certificates import CauchyCertificate, Selector, SeparatorSet
+from bwreduce.certificates import (
+    BranchPrefix,
+    CauchyCertificate,
+    CohesiveWitness,
+    Selector,
+    SeparatorSet,
+)
 from bwreduce.cli import main
 from bwreduce.edges import EDGES
 from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
-from bwreduce.reductions import separation_to_bw
+from bwreduce.reductions import bw_to_swkl, separation_to_bw
 
 
 def _write(tmp_path: Path, name: str, obj) -> str:
@@ -226,6 +233,27 @@ def test_verify_mismatched_kinds(tmp_path, alternating_file, capsys):
     assert "does not verify against" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "instance, cert",
+    [
+        (catalog.SEQUENCES["alternating-ends"],
+         CauchyCertificate(Selector((0, 2, 4)), ((0, 0),), "slow")),
+        (catalog.FAMILIES["stripes"], CohesiveWitness(Selector((0, 2)), ((0, 0, "in"),))),
+        (catalog.TREES["branch-zero"], BranchPrefix((0, 0), 4)),
+        (catalog.SEPARATIONS["odds-vs-evens"], SeparatorSet((0, 1))),
+    ],
+    ids=["cauchy", "cohesive", "branch", "separator"],
+)
+@pytest.mark.parametrize("flag", ["--depth", "--horizon", "--code-budget"])
+def test_verify_rejects_a_negative_budget_flag_for_every_kind(
+    tmp_path, capsys, instance, cert, flag
+):
+    inst = _write(tmp_path, "inst.json", instance)
+    cert_path = _write(tmp_path, "cert.json", cert)
+    assert main(["verify", "-i", inst, "--certificate", cert_path, flag, "-1"]) == 3
+    assert capsys.readouterr().err.startswith("error: budget field ")
+
+
 # --- roundtrip -------------------------------------------------------------------
 
 
@@ -252,6 +280,41 @@ def test_roundtrip_report_is_byte_stable(tmp_path, capsys):
     assert report["verdict"] == "pass"
     assert report["pair"] == "separation-bw"
     assert report["stages"][-1]["verifier"] == "pass"
+
+
+# SHA-256 of the --report file of one catalog instance per edge, frozen so that
+# a change to any report byte shows, not only a change between two reruns
+_FROZEN_REPORTS = [
+    ("bw-swkl", catalog.SEQUENCES, "constant-third", "corrected", 0,
+     "7c9ae7763eb54ee5d640378bf4e88ad92270d3329158bc92785bdb63fbd029fe"),
+    ("swkl-separation", catalog.TREES, "union-cluster", "corrected", 0,
+     "4b9523b29df6e46005d9b17b83f4d5c1c599e866f502a75c3e5a3c424fe362de"),
+    ("separation-bw", catalog.SEPARATIONS, "odds-vs-evens", "corrected", 0,
+     "5715c376a23c913efe4ec633d621f65b496e94b9eac8812ed4efd427a5522fc8"),
+    ("bwweak-stcoh", catalog.SEQUENCES, "alternating-ends", "corrected", 0,
+     "557f122553638f6773f6cf6924e7fcd693db6a07e3ec65e53bf2abcc012e83cd"),
+    ("bwweak-stcoh", catalog.SEQUENCES, "alternating-ends", "paper-literal", 1,
+     "cc6dac8984a25cd1d3ce6f17a8a595bcff9237477932d8db9c5102861a6be514"),
+    ("stcoh-bwweak", catalog.FAMILIES, "stripes", "corrected", 0,
+     "7e29af450a895d82a2e58abecd59df66d7b240aa759cf6b4df5693c118d81397"),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, collection, name, convention, code, digest",
+    _FROZEN_REPORTS,
+    ids=[f"{row[0]}-{row[3]}" for row in _FROZEN_REPORTS],
+)
+def test_roundtrip_report_bytes_are_frozen(
+    tmp_path, capsys, pair, collection, name, convention, code, digest
+):
+    src = _write(tmp_path, "src.json", collection[name])
+    report = tmp_path / "report.json"
+    argv = ["roundtrip", "--pair", pair, "-i", src, "--report", str(report),
+            "--convention", convention]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_roundtrip_convention_changes_the_verdict(tmp_path, capsys):
@@ -407,6 +470,25 @@ def test_derived_code_budget_must_be_a_positive_natural(tmp_path, capsys, budget
     err = capsys.readouterr().err
     assert err.startswith("error: $.repr.code_budget")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind", [["rational_sequence"], {"a": 1}, 5], ids=["list", "object", "number"]
+)
+def test_envelope_kind_of_the_wrong_type_is_exit_3(tmp_path, capsys, kind):
+    doc = json.loads(serialize_instance(catalog.SEQUENCES["harmonic"]))
+    doc["kind"] = kind
+    src = tmp_path / "seq.json"
+    src.write_text(json.dumps(doc))
+    assert main(["reduce", "--from", "bw", "--to", "swkl", "-i", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.kind: unknown kind ")
+    assert "Traceback" not in err
+    derived = json.loads(serialize_instance(bw_to_swkl(catalog.SEQUENCES["harmonic"])))
+    derived["repr"]["source"]["kind"] = kind
+    src.write_text(json.dumps(derived))
+    assert main(["roundtrip", "--pair", "swkl-separation", "-i", str(src)]) == 3
+    assert capsys.readouterr().err.startswith("error: $.repr.source.kind: unknown kind ")
 
 
 def _derived_chain(depth: int) -> str:

@@ -178,7 +178,6 @@ def test_stage_list_tree_snapshots():
     assert t.member_at_stage((), 0)
     assert t.has_extension((0,), 2, 2)
     assert not t.has_extension((0,), 2, 1)
-    assert t.limit_has_extension((0,), 2)
     assert t.limit_heights(()) == (2, 0)
 
 
