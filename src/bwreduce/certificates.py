@@ -1,9 +1,12 @@
 """Finite evidence objects produced by solvers and checked by verifiers.
 
-Each type is a frozen dataclass with a canonical JSON representation
-(``kind`` + ``to_repr``/``from_repr``); parsing of whole files lives in
-:mod:`bwreduce.instances`.  Construction normalizes (sorts, dedupes) so that
-serialize ∘ parse is the identity on canonical bytes.
+Each type is a frozen dataclass that reads and writes its own canonical JSON
+representation (``kind`` + ``to_repr``/``from_repr``).  The envelope reader
+in :mod:`bwreduce.instances` dispatches on ``kind`` through the same table
+as the instance forms and attaches the envelope's ``meta``.  Construction
+normalizes (sorts, dedupes) so that serialize ∘ parse is the identity on
+canonical bytes.  The field readers ``_expect_nat``, ``_expect_array`` and
+``_expect_object`` are shared with the instance forms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,18 @@ from .errors import NonMonotoneSelectorError, SchemaViolationError
 def _expect_nat(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise SchemaViolationError(f"expected a natural, got {value!r}", path)
+    return value
+
+
+def _expect_array(value: Any, message: str, path: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise SchemaViolationError(message, path)
+    return value
+
+
+def _expect_object(value: Any, message: str, path: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise SchemaViolationError(message, path)
     return value
 
 
@@ -91,11 +106,8 @@ class Selector:
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "Selector":
-        if not isinstance(obj, Mapping):
-            raise SchemaViolationError("selector must be an object", path)
-        raw = obj.get("values")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("selector.values must be an array", f"{path}.values")
+        obj = _expect_object(obj, "selector must be an object", path)
+        raw = _expect_array(obj.get("values"), "selector.values must be an array", f"{path}.values")
         values = tuple(_expect_nat(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         step = obj.get("extension_step")
         if step is not None:
@@ -137,13 +149,10 @@ class CauchyCertificate:
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "CauchyCertificate":
         sel = Selector.from_repr(obj.get("selector", {}), f"{path}.selector")
-        raw = obj.get("moduli")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("moduli must be an array", f"{path}.moduli")
+        raw = _expect_array(obj.get("moduli"), "moduli must be an array", f"{path}.moduli")
         moduli = []
         for i, entry in enumerate(raw):
-            if not isinstance(entry, Mapping):
-                raise SchemaViolationError("modulus must be an object", f"{path}.moduli[{i}]")
+            entry = _expect_object(entry, "modulus must be an object", f"{path}.moduli[{i}]")
             moduli.append(
                 (
                     _expect_nat(entry.get("n"), f"{path}.moduli[{i}].n"),
@@ -188,13 +197,10 @@ class CohesiveWitness:
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "CohesiveWitness":
         sel = Selector.from_repr(obj.get("selector", {}), f"{path}.selector")
-        raw = obj.get("settle")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("settle must be an array", f"{path}.settle")
+        raw = _expect_array(obj.get("settle"), "settle must be an array", f"{path}.settle")
         settle = []
         for i, entry in enumerate(raw):
-            if not isinstance(entry, Mapping):
-                raise SchemaViolationError("settle entry must be an object", f"{path}.settle[{i}]")
+            entry = _expect_object(entry, "settle entry must be an object", f"{path}.settle[{i}]")
             side = entry.get("side")
             if side not in ("in", "out"):
                 raise SchemaViolationError(
@@ -298,13 +304,10 @@ class AccumulationResult:
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "AccumulationResult":
-        raw = obj.get("chain")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("chain must be an array", f"{path}.chain")
+        raw = _expect_array(obj.get("chain"), "chain must be an array", f"{path}.chain")
         chain = []
         for i, entry in enumerate(raw):
-            if not isinstance(entry, Mapping):
-                raise SchemaViolationError("chain entry must be an object", f"{path}.chain[{i}]")
+            entry = _expect_object(entry, "chain entry must be an object", f"{path}.chain[{i}]")
             chain.append(
                 DyadicInterval(
                     _expect_nat(entry.get("level"), f"{path}.chain[{i}].level"),

@@ -335,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         SeparatorUndefinedError,
         NonMonotoneSelectorError,
         ValueError,
+        OverflowError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

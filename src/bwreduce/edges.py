@@ -94,6 +94,8 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
     """The accumulation prefix of the h-stream past its stabilization bound,
     which already is a separator of p."""
     rng = budget.depth
+    if rng < 1:
+        raise ValueError("separator search needs depth >= 1")
     kstar = max(
         solvers.stabilization_bound(p, n, budget.code_budget) for n in range(rng)
     )

@@ -10,12 +10,17 @@ caller-supplied evaluator callbacks (API only, never serialized):
   B_i(x, y; n) whose limit behaviour carves out disjoint sets A_0, A_1,
 * countable set families R_0, R_1, ... over the naturals (cohesion).
 
-Files use one JSON envelope ``{"kind": ..., "repr": ..., "meta": ...}``;
-parsing reports malformed syntax, schema violations and invariant violations
-separately, each with a dotted location.  Serialization is canonical (sorted
-keys, two-space indent, trailing newline) and ``serialize ∘ parse`` is the
-identity on canonical bytes.  Derived instances (built by reductions) carry
-their source and are re-derived on parse, so round trips are replayable.
+Files use one JSON envelope ``{"kind": ..., "repr": ..., "meta": ...}``.
+Each file form reads and writes itself: its class has ``to_repr`` and a
+static ``from_repr(obj, path)`` side by side, as the certificates do.  One
+table maps (kind, form) to that class, or a certificate kind alone to its
+class, and the envelope reader dispatches through it and attaches ``meta``
+to whatever it parsed.  Parsing reports malformed syntax, schema violations
+and invariant violations separately, each with a dotted location.
+Serialization is canonical (sorted keys, two-space indent, trailing newline)
+and ``serialize ∘ parse`` is the identity on canonical bytes.  Derived
+instances (built by reductions) carry their source and are re-derived on
+parse, so round trips are replayable.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from .certificates import (
     CohesiveWitness,
     Selector,
     SeparatorSet,
+    _expect_array,
     _expect_nat,
+    _expect_object,
 )
 from .core import (
     Bits,
@@ -101,9 +108,6 @@ class RationalSequence:
     kind = "rational_sequence"
     form: str = ""
 
-    def __init__(self, meta: Mapping[str, Any] | None = None):
-        self.meta: dict[str, Any] = dict(meta or {})
-
     def term(self, i: int) -> Fraction:
         raise NotImplementedError
 
@@ -125,13 +129,7 @@ class PeriodicSequence(RationalSequence):
 
     form = "periodic"
 
-    def __init__(
-        self,
-        prefix: Sequence[Fraction],
-        period: Sequence[Fraction],
-        meta: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(meta)
+    def __init__(self, prefix: Sequence[Fraction], period: Sequence[Fraction]):
         if len(period) == 0:
             raise ValueError("period must be non-empty")
         self.prefix = tuple(_check_unit(Fraction(q), "term") for q in prefix)
@@ -152,12 +150,18 @@ class PeriodicSequence(RationalSequence):
             "period": [format_rational(q) for q in self.period],
         }
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "PeriodicSequence":
+        return PeriodicSequence(
+            _rationals(obj.get("prefix", []), f"{path}.prefix"),
+            _rationals(obj.get("period"), f"{path}.period"),
+        )
+
 
 class ConstantSequence(RationalSequence):
     form = "constant"
 
-    def __init__(self, value: Fraction, meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
+    def __init__(self, value: Fraction):
         self.value = _check_unit(Fraction(value), "constant value")
 
     def term(self, i: int) -> Fraction:
@@ -168,6 +172,10 @@ class ConstantSequence(RationalSequence):
 
     def to_repr(self) -> dict[str, Any]:
         return {"form": "constant", "value": format_rational(self.value)}
+
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "ConstantSequence":
+        return ConstantSequence(parse_rational(obj.get("value"), location=f"{path}.value"))
 
 
 class HarmonicSequence(RationalSequence):
@@ -181,14 +189,17 @@ class HarmonicSequence(RationalSequence):
     def to_repr(self) -> dict[str, Any]:
         return {"form": "harmonic"}
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "HarmonicSequence":
+        return HarmonicSequence()
+
 
 class AlternatingSequence(RationalSequence):
     """term(2i) = a, term(2i+1) = b."""
 
     form = "alternating"
 
-    def __init__(self, a: Fraction, b: Fraction, meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
+    def __init__(self, a: Fraction, b: Fraction):
         self.a = _check_unit(Fraction(a), "term")
         self.b = _check_unit(Fraction(b), "term")
 
@@ -205,6 +216,13 @@ class AlternatingSequence(RationalSequence):
             "b": format_rational(self.b),
         }
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "AlternatingSequence":
+        return AlternatingSequence(
+            parse_rational(obj.get("a"), location=f"{path}.a"),
+            parse_rational(obj.get("b"), location=f"{path}.b"),
+        )
+
 
 class BinaryWalkSequence(RationalSequence):
     """Dyadic approximations from below: term(i) = floor(value * 2^i) / 2^i.
@@ -215,8 +233,7 @@ class BinaryWalkSequence(RationalSequence):
 
     form = "binary_walk"
 
-    def __init__(self, value: Fraction, meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
+    def __init__(self, value: Fraction):
         self.value = _check_unit(Fraction(value), "walk target")
 
     def term(self, i: int) -> Fraction:
@@ -232,19 +249,17 @@ class BinaryWalkSequence(RationalSequence):
     def to_repr(self) -> dict[str, Any]:
         return {"form": "binary_walk", "value": format_rational(self.value)}
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "BinaryWalkSequence":
+        return BinaryWalkSequence(parse_rational(obj.get("value"), location=f"{path}.value"))
+
 
 class TableSequence(RationalSequence):
     """Finitely many listed terms, a fixed default everywhere else."""
 
     form = "table"
 
-    def __init__(
-        self,
-        entries: Mapping[int, Fraction],
-        default: Fraction,
-        meta: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(meta)
+    def __init__(self, entries: Mapping[int, Fraction], default: Fraction):
         self.entries = {
             int(i): _check_unit(Fraction(q), "term") for i, q in sorted(entries.items())
         }
@@ -268,6 +283,16 @@ class TableSequence(RationalSequence):
             "default": format_rational(self.default),
         }
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "TableSequence":
+        return TableSequence(
+            {
+                idx: parse_rational(entry.get("value"), location=f"{at}.value")
+                for idx, entry, at in _table_entries(obj, path, "table")
+            },
+            parse_rational(obj.get("default"), location=f"{path}.default"),
+        )
+
 
 class EmbeddedSequence(RationalSequence):
     """Image of a sequence of Cantor points under the middle-third embedding.
@@ -284,9 +309,7 @@ class EmbeddedSequence(RationalSequence):
         provenance: Provenance | None = None,
         structure: tuple[int, int] | None = None,
         label: str = "embedded",
-        meta: Mapping[str, Any] | None = None,
     ):
-        super().__init__(meta)
         if callable(points):
             self._points_fn = points
         else:
@@ -352,9 +375,6 @@ class SigmaTree:
     kind = "sigma_tree"
     form: str = ""
 
-    def __init__(self, meta: Mapping[str, Any] | None = None):
-        self.meta: dict[str, Any] = dict(meta or {})
-
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
         raise NotImplementedError
 
@@ -388,6 +408,10 @@ class FullBinaryTree(SigmaTree):
     def to_repr(self) -> dict[str, Any]:
         return {"form": "full_binary"}
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "FullBinaryTree":
+        return FullBinaryTree()
+
 
 def _point_repr(pt: CantorPoint) -> dict[str, str]:
     if not pt.is_periodic:
@@ -396,8 +420,7 @@ def _point_repr(pt: CantorPoint) -> dict[str, str]:
 
 
 def _point_from_repr(obj: Any, path: str) -> CantorPoint:
-    if not isinstance(obj, Mapping):
-        raise SchemaViolationError("point must be an object", path)
+    obj = _expect_object(obj, "point must be an object", path)
     prefix = parse_bits(obj.get("prefix", ""), location=f"{path}.prefix")
     period = parse_bits(obj.get("period", None), location=f"{path}.period")
     if len(period) == 0:
@@ -410,8 +433,7 @@ class BranchUnionTree(SigmaTree):
 
     form = "branch_union"
 
-    def __init__(self, points: Sequence[CantorPoint], meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
+    def __init__(self, points: Sequence[CantorPoint]):
         if len(points) == 0:
             raise ValueError("branch union needs at least one branch")
         self.points = tuple(points)
@@ -435,6 +457,15 @@ class BranchUnionTree(SigmaTree):
     def to_repr(self) -> dict[str, Any]:
         return {"form": "branch_union", "points": [_point_repr(pt) for pt in self.points]}
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "BranchUnionTree":
+        raw = _expect_array(obj.get("points"), "points must be an array", f"{path}.points")
+        points = [_point_from_repr(p, f"{path}.points[{i}]") for i, p in enumerate(raw)]
+        try:
+            return BranchUnionTree(points)
+        except ValueError as e:
+            raise InvariantViolationError(str(e), f"{path}.points") from e
+
 
 class SingleBranchTree(BranchUnionTree):
     """Exactly one infinite branch; members are its prefixes at every stage.
@@ -442,12 +473,16 @@ class SingleBranchTree(BranchUnionTree):
 
     form = "single_branch"
 
-    def __init__(self, point: CantorPoint, meta: Mapping[str, Any] | None = None):
-        super().__init__((point,), meta)
+    def __init__(self, point: CantorPoint):
+        super().__init__((point,))
         self.point = point
 
     def to_repr(self) -> dict[str, Any]:
         return {"form": "single_branch", "point": _point_repr(self.point)}
+
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "SingleBranchTree":
+        return SingleBranchTree(_point_from_repr(obj.get("point"), f"{path}.point"))
 
 
 class StageListTree(SigmaTree):
@@ -460,10 +495,7 @@ class StageListTree(SigmaTree):
 
     form = "stage_list"
 
-    def __init__(
-        self, entries: Sequence[tuple[int, Bits]], meta: Mapping[str, Any] | None = None
-    ):
-        super().__init__(meta)
+    def __init__(self, entries: Sequence[tuple[int, Bits]]):
         snapshots: dict[int, set[Bits]] = {}
         for stage, node in entries:
             if stage < 0:
@@ -520,6 +552,24 @@ class StageListTree(SigmaTree):
         ]
         return {"form": "stage_list", "entries": entries}
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "StageListTree":
+        raw = _expect_array(obj.get("entries"), "entries must be an array", f"{path}.entries")
+        entries = []
+        for i, entry in enumerate(raw):
+            at = f"{path}.entries[{i}]"
+            entry = _expect_object(entry, "stage entry must be an object", at)
+            entries.append(
+                (
+                    _expect_nat(entry.get("stage"), f"{at}.stage"),
+                    parse_bits(entry.get("node", None), location=f"{at}.node"),
+                )
+            )
+        try:
+            return StageListTree(entries)
+        except ValueError as e:
+            raise InvariantViolationError(str(e), f"{path}.entries") from e
+
 
 class DerivedTree(SigmaTree):
     """Tree derived from a rational sequence: the node of bits b (depth d) is
@@ -537,8 +587,7 @@ class DerivedTree(SigmaTree):
 
     form = "derived"
 
-    def __init__(self, source: RationalSequence, meta: Mapping[str, Any] | None = None):
-        super().__init__(meta)
+    def __init__(self, source: RationalSequence):
         self.source = source
         self.provenance = Provenance("bw_to_swkl", source)
         self._terms: dict[int, list[tuple[int, int, int]]] = {}
@@ -604,9 +653,7 @@ def _optional_nat(obj: Mapping[str, Any], key: str, path: str) -> int | None:
 
 
 def _nat_list(obj: Mapping[str, Any], key: str, path: str) -> tuple[int, ...]:
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        raise SchemaViolationError("expected an array of naturals", f"{path}.{key}")
+    raw = _expect_array(obj.get(key, []), "expected an array of naturals", f"{path}.{key}")
     return tuple(_expect_nat(v, f"{path}.{key}[{j}]") for j, v in enumerate(raw))
 
 
@@ -808,13 +855,12 @@ class RulePredicate:
         if "cond" in obj:
             cond = Cond.from_repr(obj["cond"], f"{path}.cond")
         overrides = []
-        raw = obj.get("overrides", [])
-        if not isinstance(raw, list):
-            raise SchemaViolationError("overrides must be an array", f"{path}.overrides")
+        raw = _expect_array(
+            obj.get("overrides", []), "overrides must be an array", f"{path}.overrides"
+        )
         for i, entry in enumerate(raw):
             at = f"{path}.overrides[{i}]"
-            if not isinstance(entry, Mapping):
-                raise SchemaViolationError("override must be an object", at)
+            entry = _expect_object(entry, "override must be an object", at)
             if not isinstance(entry.get("value"), bool):
                 raise SchemaViolationError("override value must be a boolean", f"{at}.value")
             xyn = (_expect_nat(entry.get(c), f"{at}.{c}") for c in "xyn")
@@ -874,6 +920,7 @@ class SeparationInstance:
     A_0 ⊆ S ⊆ complement(A_1)."""
 
     kind = "separation"
+    form = "rules"  # a derived instance writes its provenance instead
 
     def __init__(
         self,
@@ -881,12 +928,10 @@ class SeparationInstance:
         b1: Predicate,
         disjointness_promise: bool = True,
         provenance: Provenance | None = None,
-        meta: Mapping[str, Any] | None = None,
     ):
         self.predicates: tuple[Predicate, Predicate] = (b0, b1)
         self.disjointness_promise = bool(disjointness_promise)
         self.provenance = provenance
-        self.meta: dict[str, Any] = dict(meta or {})
 
     def evaluate(self, i: int, x: int, y: int, n: int) -> bool:
         return self.predicates[i].evaluate(x, y, n)
@@ -935,6 +980,19 @@ class SeparationInstance:
             "disjointness_promise": self.disjointness_promise,
         }
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "SeparationInstance":
+        promise = obj.get("disjointness_promise", True)
+        if not isinstance(promise, bool):
+            raise SchemaViolationError(
+                "disjointness_promise must be a boolean", f"{path}.disjointness_promise"
+            )
+        return SeparationInstance(
+            RulePredicate.from_repr(obj.get("b0"), f"{path}.b0"),
+            RulePredicate.from_repr(obj.get("b1"), f"{path}.b1"),
+            promise,
+        )
+
 
 # ---------------------------------------------------------------------------
 # set families
@@ -968,8 +1026,7 @@ class RowPattern:
 
     @staticmethod
     def from_repr(obj: Any, path: str) -> "RowPattern":
-        if not isinstance(obj, Mapping):
-            raise SchemaViolationError("row pattern must be an object", path)
+        obj = _expect_object(obj, "row pattern must be an object", path)
         prefix = parse_bits(obj.get("prefix", ""), location=f"{path}.prefix")
         period = parse_bits(obj.get("period", None), location=f"{path}.period")
         try:
@@ -989,9 +1046,6 @@ class SetFamily:
 
     kind = "set_family"
     form: str = ""
-
-    def __init__(self, meta: Mapping[str, Any] | None = None):
-        self.meta: dict[str, Any] = dict(meta or {})
 
     def member(self, n: int, j: int) -> bool:
         raise NotImplementedError
@@ -1026,13 +1080,7 @@ class PeriodicRowsFamily(SetFamily):
 
     form = "periodic_rows"
 
-    def __init__(
-        self,
-        row_prefix: Sequence[RowPattern],
-        row_period: Sequence[RowPattern],
-        meta: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(meta)
+    def __init__(self, row_prefix: Sequence[RowPattern], row_period: Sequence[RowPattern]):
         if len(row_period) == 0:
             raise ValueError("row period must be non-empty")
         self.row_prefix = tuple(row_prefix)
@@ -1064,19 +1112,22 @@ class PeriodicRowsFamily(SetFamily):
             "row_period": [r.to_repr() for r in self.row_period],
         }
 
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "PeriodicRowsFamily":
+        raw_prefix = _expect_array(obj.get("row_prefix", []), "row lists must be arrays", path)
+        raw_period = _expect_array(obj.get("row_period"), "row lists must be arrays", path)
+        return PeriodicRowsFamily(
+            [RowPattern.from_repr(r, f"{path}.row_prefix[{i}]") for i, r in enumerate(raw_prefix)],
+            [RowPattern.from_repr(r, f"{path}.row_period[{i}]") for i, r in enumerate(raw_period)],
+        )
+
 
 class TableRowsFamily(SetFamily):
     """Finitely many listed rows, a fixed default row everywhere else."""
 
     form = "table_rows"
 
-    def __init__(
-        self,
-        entries: Mapping[int, RowPattern],
-        default: RowPattern,
-        meta: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(meta)
+    def __init__(self, entries: Mapping[int, RowPattern], default: RowPattern):
         self.entries = {int(n): r for n, r in sorted(entries.items())}
         if any(n < 0 for n in self.entries):
             raise ValueError("row indices must be naturals")
@@ -1108,6 +1159,16 @@ class TableRowsFamily(SetFamily):
             ],
             "default": self.default.to_repr(),
         }
+
+    @staticmethod
+    def from_repr(obj: Mapping[str, Any], path: str) -> "TableRowsFamily":
+        return TableRowsFamily(
+            {
+                idx: RowPattern.from_repr(entry.get("row"), f"{at}.row")
+                for idx, entry, at in _table_entries(obj, path, "row")
+            },
+            RowPattern.from_repr(obj.get("default"), f"{path}.default"),
+        )
 
 
 def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
@@ -1149,13 +1210,7 @@ class DerivedFamily(SetFamily):
     form = "derived"
     conventions = ("corrected", "paper-literal")
 
-    def __init__(
-        self,
-        source: RationalSequence,
-        convention: str = "corrected",
-        meta: Mapping[str, Any] | None = None,
-    ):
-        super().__init__(meta)
+    def __init__(self, source: RationalSequence, convention: str = "corrected"):
         if convention not in self.conventions:
             raise ValueError(f"unknown convention {convention!r}")
         self.source = source
@@ -1206,19 +1261,6 @@ class DerivedFamily(SetFamily):
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
-_CERTIFICATE_TYPES = {
-    "selector": Selector,
-    "cauchy_certificate": CauchyCertificate,
-    "cohesive_witness": CohesiveWitness,
-    "branch_prefix": BranchPrefix,
-    "separator_set": SeparatorSet,
-    "accumulation_point": AccumulationResult,
-}
-
-_KINDS = {"rational_sequence", "sigma_tree", "separation", "set_family"} | set(
-    _CERTIFICATE_TYPES
-)
-
 
 def _envelope_dict(obj: Any) -> dict[str, Any]:
     meta = getattr(obj, "meta", {}) or {}
@@ -1232,8 +1274,7 @@ def serialize_instance(obj: Any) -> bytes:
 
 
 def _rationals(raw: Any, path: str) -> tuple[Fraction, ...]:
-    if not isinstance(raw, list):
-        raise SchemaViolationError("expected an array of rationals", path)
+    raw = _expect_array(raw, "expected an array of rationals", path)
     return tuple(parse_rational(v, location=f"{path}[{i}]") for i, v in enumerate(raw))
 
 
@@ -1242,148 +1283,16 @@ def _table_entries(
 ) -> Iterator[tuple[int, Mapping[str, Any], str]]:
     """(index, entry, location) for each entry of a table's ``entries`` array;
     every index is a natural, listed once."""
-    raw = repr_obj.get("entries")
-    if not isinstance(raw, list):
-        raise SchemaViolationError("entries must be an array", f"{path}.entries")
+    raw = _expect_array(repr_obj.get("entries"), "entries must be an array", f"{path}.entries")
     seen: set[int] = set()
     for i, entry in enumerate(raw):
         at = f"{path}.entries[{i}]"
-        if not isinstance(entry, Mapping):
-            raise SchemaViolationError(f"{what} entry must be an object", at)
+        entry = _expect_object(entry, f"{what} entry must be an object", at)
         idx = _expect_nat(entry.get("index"), f"{at}.index")
         if idx in seen:
             raise InvariantViolationError(f"duplicate {what} index {idx}", at)
         seen.add(idx)
         yield idx, entry, at
-
-
-def _parse_sequence(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) -> RationalSequence:
-    form = repr_obj.get("form")
-    try:
-        if form == "periodic":
-            return PeriodicSequence(
-                _rationals(repr_obj.get("prefix", []), f"{path}.prefix"),
-                _rationals(repr_obj.get("period"), f"{path}.period"),
-                meta,
-            )
-        if form == "constant":
-            return ConstantSequence(
-                parse_rational(repr_obj.get("value"), location=f"{path}.value"), meta
-            )
-        if form == "harmonic":
-            return HarmonicSequence(meta)
-        if form == "alternating":
-            return AlternatingSequence(
-                parse_rational(repr_obj.get("a"), location=f"{path}.a"),
-                parse_rational(repr_obj.get("b"), location=f"{path}.b"),
-                meta,
-            )
-        if form == "binary_walk":
-            return BinaryWalkSequence(
-                parse_rational(repr_obj.get("value"), location=f"{path}.value"), meta
-            )
-        if form == "table":
-            return TableSequence(
-                {
-                    idx: parse_rational(entry.get("value"), location=f"{at}.value")
-                    for idx, entry, at in _table_entries(repr_obj, path, "table")
-                },
-                parse_rational(repr_obj.get("default"), location=f"{path}.default"),
-                meta,
-            )
-        if form == "derived":
-            return _parse_derived(repr_obj, meta, path, expected_kind="rational_sequence")
-    except ValueError as e:
-        raise InvariantViolationError(str(e), path) from e
-    raise SchemaViolationError(f"unknown sequence form {form!r}", f"{path}.form")
-
-
-def _parse_tree(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) -> SigmaTree:
-    form = repr_obj.get("form")
-    if form == "full_binary":
-        return FullBinaryTree(meta)
-    if form == "single_branch":
-        return SingleBranchTree(_point_from_repr(repr_obj.get("point"), f"{path}.point"), meta)
-    if form == "branch_union":
-        raw = repr_obj.get("points")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("points must be an array", f"{path}.points")
-        points = [_point_from_repr(p, f"{path}.points[{i}]") for i, p in enumerate(raw)]
-        try:
-            return BranchUnionTree(points, meta)
-        except ValueError as e:
-            raise InvariantViolationError(str(e), f"{path}.points") from e
-    if form == "stage_list":
-        raw = repr_obj.get("entries")
-        if not isinstance(raw, list):
-            raise SchemaViolationError("entries must be an array", f"{path}.entries")
-        entries = []
-        for i, entry in enumerate(raw):
-            at = f"{path}.entries[{i}]"
-            if not isinstance(entry, Mapping):
-                raise SchemaViolationError("stage entry must be an object", at)
-            entries.append(
-                (
-                    _expect_nat(entry.get("stage"), f"{at}.stage"),
-                    parse_bits(entry.get("node", None), location=f"{at}.node"),
-                )
-            )
-        try:
-            return StageListTree(entries, meta)
-        except ValueError as e:
-            raise InvariantViolationError(str(e), f"{path}.entries") from e
-    if form == "derived":
-        return _parse_derived(repr_obj, meta, path, expected_kind="sigma_tree")
-    raise SchemaViolationError(f"unknown tree form {form!r}", f"{path}.form")
-
-
-def _parse_separation(
-    repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str
-) -> SeparationInstance:
-    form = repr_obj.get("form")
-    if form == "rules":
-        promise = repr_obj.get("disjointness_promise", True)
-        if not isinstance(promise, bool):
-            raise SchemaViolationError(
-                "disjointness_promise must be a boolean", f"{path}.disjointness_promise"
-            )
-        return SeparationInstance(
-            RulePredicate.from_repr(repr_obj.get("b0"), f"{path}.b0"),
-            RulePredicate.from_repr(repr_obj.get("b1"), f"{path}.b1"),
-            promise,
-            meta=meta,
-        )
-    if form == "derived":
-        return _parse_derived(repr_obj, meta, path, expected_kind="separation")
-    raise SchemaViolationError(f"unknown separation form {form!r}", f"{path}.form")
-
-
-def _parse_family(repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str) -> SetFamily:
-    form = repr_obj.get("form")
-    try:
-        if form == "periodic_rows":
-            raw_prefix = repr_obj.get("row_prefix", [])
-            raw_period = repr_obj.get("row_period")
-            if not isinstance(raw_prefix, list) or not isinstance(raw_period, list):
-                raise SchemaViolationError("row lists must be arrays", path)
-            return PeriodicRowsFamily(
-                [RowPattern.from_repr(r, f"{path}.row_prefix[{i}]") for i, r in enumerate(raw_prefix)],
-                [RowPattern.from_repr(r, f"{path}.row_period[{i}]") for i, r in enumerate(raw_period)],
-                meta,
-            )
-        if form == "table_rows":
-            entries = {
-                idx: RowPattern.from_repr(entry.get("row"), f"{at}.row")
-                for idx, entry, at in _table_entries(repr_obj, path, "row")
-            }
-            return TableRowsFamily(
-                entries, RowPattern.from_repr(repr_obj.get("default"), f"{path}.default"), meta
-            )
-        if form == "derived":
-            return _parse_derived(repr_obj, meta, path, expected_kind="set_family")
-    except ValueError as e:
-        raise InvariantViolationError(str(e), path) from e
-    raise SchemaViolationError(f"unknown family form {form!r}", f"{path}.form")
 
 
 # Nested derived sources a file may hold: each level costs a few stack frames
@@ -1413,9 +1322,7 @@ def _derived_convention(repr_obj: Mapping[str, Any], path: str) -> str:
 _DERIVED_PARAMS = {"code_budget": _derived_code_budget, "convention": _derived_convention}
 
 
-def _parse_derived(
-    repr_obj: Mapping[str, Any], meta: dict[str, Any], path: str, expected_kind: str
-) -> Any:
+def _parse_derived(repr_obj: Mapping[str, Any], path: str, expected_kind: str) -> Any:
     from .edges import EDGES  # deferred: edges imports this module
 
     derived_by = repr_obj.get("derived_by")
@@ -1441,44 +1348,61 @@ def _parse_derived(
             f"{derived_by} needs a {edge.source.kind} source, got {source.kind}",
             f"{path}.source.kind",
         )
-    out = edge.forward(
+    return edge.forward(
         source, **{name: _DERIVED_PARAMS[name](repr_obj, path) for name in edge.params}
     )
-    out.meta = meta
-    return out
 
 
-_INSTANCE_PARSERS = {
-    "rational_sequence": _parse_sequence,
-    "sigma_tree": _parse_tree,
-    "separation": _parse_separation,
-    "set_family": _parse_family,
+# (kind, form) -> the class whose from_repr reads that form; a certificate
+# kind has no forms and maps to its class alone.  A "derived" form is not
+# listed: _parse_derived replays it along its edge.
+_FORMS: dict[str | tuple[str, str], type] = {
+    **{
+        (cls.kind, cls.form): cls
+        for cls in (
+            PeriodicSequence, ConstantSequence, HarmonicSequence, AlternatingSequence,
+            BinaryWalkSequence, TableSequence, FullBinaryTree, SingleBranchTree,
+            BranchUnionTree, StageListTree, SeparationInstance, PeriodicRowsFamily,
+            TableRowsFamily,
+        )
+    },
+    **{
+        cls.kind: cls
+        for cls in (
+            Selector, CauchyCertificate, CohesiveWitness, BranchPrefix, SeparatorSet,
+            AccumulationResult,
+        )
+    },
 }
+
+# every kind the table reads, so a new form or certificate needs one entry
+_KINDS = {key if isinstance(key, str) else key[0] for key in _FORMS}
 
 
 def _parse_envelope(doc: Any, path: str) -> Any:
-    if not isinstance(doc, Mapping):
-        raise SchemaViolationError("envelope must be an object", path)
+    doc = _expect_object(doc, "envelope must be an object", path)
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
         raise SchemaViolationError(f"unknown kind {kind!r}", f"{path}.kind")
-    repr_obj = doc.get("repr")
-    if not isinstance(repr_obj, Mapping):
-        raise SchemaViolationError("repr must be an object", f"{path}.repr")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, Mapping):
-        raise SchemaViolationError("meta must be an object", f"{path}.meta")
-    meta = dict(meta)
     repr_path = f"{path}.repr"
-    if kind in _CERTIFICATE_TYPES:
-        try:
-            obj = _CERTIFICATE_TYPES[kind].from_repr(repr_obj, repr_path)
-        except ValueError as e:
-            raise InvariantViolationError(str(e), repr_path) from e
-        # certificates are frozen dataclasses; meta rides along unfrozen
-        object.__setattr__(obj, "meta", meta)
-        return obj
-    return _INSTANCE_PARSERS[kind](repr_obj, meta, repr_path)
+    repr_obj = _expect_object(doc.get("repr"), "repr must be an object", repr_path)
+    meta = dict(_expect_object(doc.get("meta", {}), "meta must be an object", f"{path}.meta"))
+    form = repr_obj.get("form")
+    cls = _FORMS.get(kind)  # a certificate reads no form
+    if cls is None and isinstance(form, str):  # a list form is unhashable
+        cls = _FORMS.get((kind, form))
+    try:
+        if cls is not None:
+            obj = cls.from_repr(repr_obj, repr_path)
+        elif form == "derived":
+            obj = _parse_derived(repr_obj, repr_path, kind)
+        else:
+            noun = kind.rpartition("_")[2]  # sequence, tree, separation, family
+            raise SchemaViolationError(f"unknown {noun} form {form!r}", f"{repr_path}.form")
+    except ValueError as e:
+        raise InvariantViolationError(str(e), repr_path) from e
+    object.__setattr__(obj, "meta", meta)  # certificates are frozen dataclasses
+    return obj
 
 
 def parse_instance(data: bytes | str) -> Any:

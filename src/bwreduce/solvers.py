@@ -374,10 +374,14 @@ def verify_cauchy(
     m = len(f)
     vals = [x.term(f.value(t)) for t in range(m)]
     sufmax, sufmin = _suffix_extrema(vals)
+    # with den the largest denominator, two terms that differ do so by at
+    # least 1/den² > 2^-cap, so every rate n >= cap asks, as cap does, only
+    # that they be equal; cap keeps an absurd n from building 2^n
+    cap = 2 * max((v.denominator for v in vals), default=1).bit_length()
     for n, s in certificate.moduli:
         if s >= m:
             continue  # no two positions to compare
-        eps = Fraction(1, 2**n)
+        eps = Fraction(1, 2 ** min(n, cap))
         if sufmax[s] - sufmin[s] < eps:
             continue
         for v in range(s, m):

@@ -6,26 +6,33 @@ asserted directly; one subprocess test covers the ``-m`` entry point.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwreduce import catalog
 from bwreduce.certificates import (
     BranchPrefix,
+    Budget,
     CauchyCertificate,
     CohesiveWitness,
     Selector,
     SeparatorSet,
 )
-from bwreduce.cli import main
+from bwreduce.cli import PROBLEMS, main
 from bwreduce.edges import EDGES
 from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
 from bwreduce.reductions import bw_to_swkl, separation_to_bw
@@ -217,6 +224,32 @@ def test_verify_fail_prints_least_counterexample(alternating_file, tmp_path, cap
     assert capsys.readouterr().err == "counterexample (n=1,v=0,w=1)\n"
 
 
+@pytest.mark.parametrize(
+    "name, code, err",
+    [
+        ("constant-third", 0, ""),
+        ("alternating-ends", 1, f"counterexample (n={2**70},v=0,w=1)\n"),
+    ],
+)
+def test_verify_reads_an_absurd_rate_as_equality(tmp_path, capsys, name, code, err):
+    """A rate 2^-n past every nonzero gap between the terms asks that they
+    be equal, without building 2^n."""
+    inst = _write(tmp_path, "inst.json", catalog.SEQUENCES[name])
+    cert = _write(tmp_path, "cert.json", CauchyCertificate(Selector((0, 1)), ((2**70, 0),), "slow"))
+    assert main(["verify", "-i", inst, "--certificate", cert]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_verify_an_absurd_selector_index_is_exit_3(tmp_path, capsys):
+    inst = _write(tmp_path, "walk.json", catalog.SEQUENCES["walk-third"])
+    selector = Selector((2, 3, 4, 2**70))
+    cert = _write(tmp_path, "cert.json", CauchyCertificate(selector, ((0, 0), (1, 1)), "fast"))
+    assert main(["verify", "-i", inst, "--certificate", cert]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_separator_files(tmp_path, capsys):
     inst = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
     good = _write(tmp_path, "good.json", SeparatorSet(tuple(n % 2 for n in range(8))))
@@ -315,6 +348,12 @@ def test_roundtrip_report_bytes_are_frozen(
     assert main(argv) == code
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):
+    src = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
+    assert main(["roundtrip", "--pair", "separation-bw", "-i", src, "--depth", "0"]) == 3
+    assert capsys.readouterr().err == "error: separator search needs depth >= 1\n"
 
 
 def test_roundtrip_convention_changes_the_verdict(tmp_path, capsys):
@@ -489,6 +528,76 @@ def test_envelope_kind_of_the_wrong_type_is_exit_3(tmp_path, capsys, kind):
     src.write_text(json.dumps(derived))
     assert main(["roundtrip", "--pair", "swkl-separation", "-i", str(src)]) == 3
     assert capsys.readouterr().err.startswith("error: $.repr.source.kind: unknown kind ")
+
+
+# What a mutated field may become: wrong types, bools, negatives, an absurd
+# size, near-miss spellings and nesting.  Mid-sized integers stay out: a stage
+# of 10^8 makes DerivedTree allocate 10^8 weights.
+_MENU = (None, True, False, -1, 0, 3, 2**70, "x", "1/2", "01", [], {}, [1], 1.5)
+_DELETE = object()
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_corpus() -> tuple[tuple[str, bytes, bytes | None], ...]:
+    """(kind, file bytes, instance bytes) for every catalog instance and for
+    each certificate ``solve`` writes for it; instance bytes only for a
+    certificate, which is verified against them."""
+    corpus = []
+    collections = (catalog.SEQUENCES, catalog.PERIODIC_SEQUENCES, catalog.TREES,
+                   catalog.SEPARATIONS, catalog.FAMILIES)
+    for inst in (x for c in collections for x in c.values()):
+        data = serialize_instance(inst)
+        corpus.append((inst.kind, data, None))
+        for cls, find in PROBLEMS.values():
+            if isinstance(inst, cls):
+                cert = find(inst, Budget(horizon=256, stage=256))  # quick to build
+                corpus.append((cert.kind, serialize_instance(cert), data))
+    return tuple(corpus)
+
+
+def _field_paths(node, path=()):
+    """Every key and index path inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_envelopes_never_escape_main(data):
+    kind, raw, instance = data.draw(st.sampled_from(_mutation_corpus()))
+    doc = json.loads(raw)
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    value = data.draw(st.sampled_from(_MENU + (_DELETE,)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "mutated.json"
+        mutated.write_text(json.dumps(doc))
+        if instance is None:
+            edge = data.draw(st.sampled_from(
+                [name for name, e in EDGES.items() if e.source.kind == kind]))
+            src, dst = edge.split("-")
+            argv = ["reduce", "--from", src, "--to", dst, "-i", str(mutated),
+                    "-o", str(Path(tmp) / "out.json")]
+            allowed = {0, 2, 3, 4}
+        else:
+            inst = Path(tmp) / "instance.json"
+            inst.write_bytes(instance)
+            argv = ["verify", "-i", str(inst), "--certificate", str(mutated)]
+            allowed = {0, 1, 2, 3, 4}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in allowed, (argv[0], path, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def _derived_chain(depth: int) -> str:

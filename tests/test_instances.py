@@ -7,6 +7,7 @@ checked for replay: parsing a derived file re-runs the construction.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -687,7 +688,8 @@ def test_parse_rejects_wrong_derivation_direction():
 
 
 def test_meta_rides_along():
-    inst = ConstantSequence(Fraction(1, 2), meta={"note": "example"})
-    out = parse_instance(serialize_instance(inst))
+    doc = json.loads(serialize_instance(ConstantSequence(Fraction(1, 2))))
+    doc["meta"] = {"note": "example"}
+    out = parse_instance(serialize_instance(parse_instance(json.dumps(doc))))
     assert out.meta == {"note": "example"}
     assert format_rational(out.term(0)) == "1/2"

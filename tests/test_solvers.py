@@ -433,6 +433,31 @@ def test_verify_cauchy_least_counterexample():
     assert verify_cauchy(vacuous, x) is None  # settle point beyond the list
 
 
+@given(
+    periods,
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 6)), max_size=4),
+)
+def test_verify_cauchy_agrees_with_every_rate_built_as_written(period, m, moduli):
+    """Rates past the finest gap between the terms (2^-10 for denominators
+    up to 16) are read as equality; verdict and counterexample stay those
+    of checking every pair against 2^-n."""
+    x = PeriodicSequence((), period)
+    cert = CauchyCertificate(Selector(tuple(range(m))), tuple(moduli), "slow")
+    vals = [x.term(t) for t in range(m)]
+    literal = next(
+        (
+            CauchyViolation(n, v, w)
+            for n, s in cert.moduli
+            for v in range(s, m)
+            for w in range(v + 1, m)
+            if abs(vals[v] - vals[w]) >= Fraction(1, 2**n)
+        ),
+        None,
+    )
+    assert verify_cauchy(cert, x) == literal
+
+
 # --- separator verification -----------------------------------------------------------
 
 
