@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from . import reductions, solvers
-from .certificates import BranchPrefix, Budget, CauchyCertificate, CohesiveWitness, SeparatorSet
+from .certificates import (
+    AccumulationResult,
+    BranchPrefix,
+    Budget,
+    CauchyCertificate,
+    CohesiveWitness,
+    SeparatorSet,
+)
 from .errors import SchemaViolationError
 from .instances import (
     RationalSequence,
@@ -175,7 +182,8 @@ EDGES: dict[str, Edge] = {
 def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = None):
     """Run the verifier of ``cert``'s kind against ``instance``: None on pass,
     the least violation on fail.  Separators are checked below
-    ``budget.depth``; ``strong_levels`` asks a cohesive witness to settle
+    ``budget.depth``, accumulation points against ``budget.horizon`` and
+    ``budget.threshold``; ``strong_levels`` asks a cohesive witness to settle
     every row below it (the strong form)."""
     if isinstance(cert, CauchyCertificate) and isinstance(instance, RationalSequence):
         return solvers.verify_cauchy(cert, instance)
@@ -185,6 +193,8 @@ def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = 
         return solvers.verify_separator(cert, instance, budget.depth, budget)
     if isinstance(cert, BranchPrefix) and isinstance(instance, SigmaTree):
         return solvers.verify_branch(cert, instance)
+    if isinstance(cert, AccumulationResult) and isinstance(instance, RationalSequence):
+        return solvers.verify_accumulation(cert, instance, budget)
     raise SchemaViolationError(
         f"certificate kind {type(cert).__name__} does not verify against "
         f"instance kind {type(instance).__name__}"

@@ -120,6 +120,12 @@ class RationalSequence:
         periodic by construction, else None."""
         return None
 
+    def cell_structure(self, level: int) -> tuple[int, int] | None:
+        """(j0, q) such that term(j) and term(j + q) lie in the same closed
+        level-``level`` cells (the same ``DerivedTree`` key) for every
+        j >= j0, else None."""
+        return self.periodic_structure()
+
     def to_repr(self) -> dict[str, Any]:
         raise UnserializableError(f"{self.form or type(self).__name__} has no file form")
 
@@ -186,6 +192,9 @@ class HarmonicSequence(RationalSequence):
     def term(self, i: int) -> Fraction:
         return Fraction(1, i + 1)
 
+    def cell_structure(self, level: int) -> tuple[int, int]:
+        return 1 << level, 1  # terms j >= 2^level lie inside (0, 2^-level): key 1
+
     def to_repr(self) -> dict[str, Any]:
         return {"form": "harmonic"}
 
@@ -245,6 +254,18 @@ class BinaryWalkSequence(RationalSequence):
         if d & (d - 1) == 0:  # dyadic target: constant from level log2(d)
             return d.bit_length() - 1, 1
         return None
+
+    def cell_structure(self, level: int) -> tuple[int, int] | None:
+        """Terms j >= level share floor(value·2^level).  They sit on the
+        boundary of its cell up to the first 1 digit of value past position
+        ``level``, at level + k, and strictly inside from there on."""
+        v = self.value
+        r, den = (v.numerator << level) % v.denominator, v.denominator
+        if r == 0:  # value·2^level is whole: a dyadic walk, constant from log2(den)
+            return self.periodic_structure()
+        k = den.bit_length() - r.bit_length()
+        k += (r << k) < den  # now the least k with r << k >= den
+        return level + k, 1
 
     def to_repr(self) -> dict[str, Any]:
         return {"form": "binary_walk", "value": format_rational(self.value)}
@@ -580,42 +601,42 @@ class DerivedTree(SigmaTree):
     Cells are counted on integers: at level L the term num/den has the key
     2·whole + (rem != 0), where whole, rem = divmod(num << L, den), and the
     closed cell with index a holds exactly the keys 2a, 2a + 1 and 2a + 2.
-    The terms j <= s form a weighted multiset.  For a source with periodic
-    structure (j0, q) and j0 + q <= s + 1 only the j0 + q window terms are
-    evaluated, period term j weighing len(range(j, s + 1, q)); otherwise each
-    j <= s is evaluated once."""
+    The terms j <= s form a weighted multiset.  At level L the source's
+    ``cell_structure(L)`` = (j0, q) says term j + q keys as term j does for
+    j >= j0, so when j0 + q <= s + 1 only the j0 + q window terms are
+    evaluated, window term j weighing len(range(j, s + 1, q)); otherwise each
+    j <= s is evaluated once.  A periodic source has one window for every
+    level; a binary walk's is about L + bitlen(den) terms and the harmonic
+    sequence's 2^L + 1.  Terms are evaluated once each, whatever the stage."""
 
     form = "derived"
 
     def __init__(self, source: RationalSequence):
         self.source = source
         self.provenance = Provenance("bw_to_swkl", source)
-        self._terms: dict[int, list[tuple[int, int, int]]] = {}
+        self._terms: list[tuple[int, int]] = []
         self._keys: dict[tuple[int, int], dict[int, int]] = {}
 
-    def _weighted_terms(self, stage: int) -> list[tuple[int, int, int]]:
-        """(numerator, denominator, weight) of the multiset of terms j <= stage."""
-        terms = self._terms.get(stage)
-        if terms is None:
-            struct = self.source.periodic_structure()
-            if struct is not None and sum(struct) <= stage + 1:
-                j0, q = struct
-                weights = [1] * j0 + [len(range(j, stage + 1, q)) for j in range(j0, j0 + q)]
-            else:
-                weights = [1] * (stage + 1)
-            terms = []
-            for j, w in enumerate(weights):
-                t = self.source.term(j)
-                terms.append((t.numerator, t.denominator, w))
-            self._terms[stage] = terms
-        return terms
+    def _weighted_terms(self, stage: int, level: int) -> Iterator[tuple[tuple[int, int], int]]:
+        """((numerator, denominator), weight) of the terms j <= stage, as
+        keyed at ``level``."""
+        struct = self.source.cell_structure(level)
+        if struct is not None and sum(struct) <= stage + 1:
+            j0, q = struct
+            weights = [1] * j0 + [len(range(j, stage + 1, q)) for j in range(j0, j0 + q)]
+        else:
+            weights = [1] * (stage + 1)
+        for j in range(len(self._terms), len(weights)):
+            t = self.source.term(j)
+            self._terms.append((t.numerator, t.denominator))
+        return zip(self._terms, weights)
 
     def witness_count(self, bits: Bits, stage: int) -> int:
         level = len(bits)
         keys = self._keys.get((stage, level))
         if keys is None:
             keys = {}
-            for num, den, w in self._weighted_terms(stage):
+            for (num, den), w in self._weighted_terms(stage, level):
                 whole, rem = divmod(num << level, den)
                 key = 2 * whole + (rem != 0)
                 keys[key] = keys.get(key, 0) + w

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -76,6 +77,18 @@ class SeparatorViolation:
     """An n < range where one of the two separation implications fails."""
 
     n: int
+
+
+@dataclass(frozen=True)
+class AccumulationViolation:
+    """The first failed check of an accumulation result, at the chain cell
+    of ``level``: ``check`` is "chain" (cell not at its level or not nested
+    in the one above), "approx" (approximant outside the last cell), "exact"
+    (approximant not a period value) or "count" (too few terms in the last
+    cell)."""
+
+    level: int
+    check: str
 
 
 @dataclass(frozen=True)
@@ -431,6 +444,35 @@ def verify_separator(
             return SeparatorViolation(n)
         if not p.totality(1, n) and separator.member(n):
             return SeparatorViolation(n)
+    return None
+
+
+def verify_accumulation(
+    result: AccumulationResult, x: RationalSequence, budget: Budget
+) -> AccumulationViolation | None:
+    """Cell d of the chain must sit at level d + 1 inside cell d - 1 (cell 0
+    inside [0, 1]) and ``approx`` in the last cell.  An exact result needs a
+    periodic x with ``approx`` equal to a term j0 <= j < j0 + q; any other
+    needs ``threshold`` of the terms j < ``horizon`` in the last cell, each
+    compared as a ``Fraction``, counting stopped at the threshold."""
+    last = DyadicInterval(0, 0)
+    for cell in result.chain:
+        if cell.level != last.level + 1 or cell.index >> 1 != last.index:
+            return AccumulationViolation(last.level + 1, "chain")
+        last = cell
+    if last.level == 0:
+        return AccumulationViolation(1, "chain")
+    if not last.contains(result.approx):
+        return AccumulationViolation(last.level, "approx")
+    if result.exact:
+        struct = x.periodic_structure()
+        window = range(struct[0], sum(struct)) if struct is not None else ()
+        if all(x.term(j) != result.approx for j in window):
+            return AccumulationViolation(last.level, "exact")
+        return None
+    inside = (j for j in range(budget.horizon) if last.contains(x.term(j)))
+    if sum(1 for _ in islice(inside, budget.threshold)) < budget.threshold:
+        return AccumulationViolation(last.level, "count")
     return None
 
 

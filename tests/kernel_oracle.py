@@ -10,7 +10,8 @@ the direct forms they must agree with: the dyadic-cell parity of term(j)·2^n
 as a ``Fraction``, the geometric series summed term by term, the enumeration
 that evaluates the membership pattern of every j below the horizon, the
 sorted list of every term j <= stage bisected at the cell's ``Fraction``
-endpoints, and the walk term as a ``Fraction`` product.
+endpoints, the tree's cell key of a term as a ``Fraction`` product, and the
+walk term as a ``Fraction`` product.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def witness_count(x: RationalSequence, bits: Bits, stage: int) -> int:
     cell = DyadicInterval.from_bits(bits)
     terms = sorted(x.term(j) for j in range(stage + 1))
     return bisect_right(terms, cell.upper) - bisect_left(terms, cell.lower)
+
+
+def cell_key(q: Fraction, level: int) -> int:
+    """2·floor(q·2^level), plus 1 when q·2^level is not whole: the closed
+    level cells holding q are the ones whose index a has key 2a, 2a + 1 or
+    2a + 2."""
+    t = q * 2**level
+    whole = t.numerator // t.denominator
+    return 2 * whole + (t != whole)
 
 
 def binary_walk_term(value: Fraction, i: int) -> Fraction:

@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwreduce import catalog
+from bwreduce import catalog, solvers
 from bwreduce.certificates import (
     BranchPrefix,
     Budget,
@@ -33,6 +34,7 @@ from bwreduce.certificates import (
     SeparatorSet,
 )
 from bwreduce.cli import PROBLEMS, main
+from bwreduce.core import DyadicInterval
 from bwreduce.edges import EDGES
 from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
 from bwreduce.reductions import bw_to_swkl, separation_to_bw
@@ -181,6 +183,23 @@ def test_solve_budget_exhaustion_is_exit_2_with_json(harmonic_file, capsys):
     assert "threshold" in payload["reason"]
 
 
+@pytest.mark.parametrize("name", ["harmonic", "walk-third"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "accumulation", "--horizon", "100000000"],
+        ["roundtrip", "--pair", "bw-swkl", "--stage", "100000000"],
+    ],
+    ids=["solve", "roundtrip"],
+)
+def test_tree_commands_at_stage_1e8(tmp_path, capsys, name, argv):
+    """The derived tree of a walk or of the harmonic sequence counts a
+    level-sized window of terms, so a stage of 10^8 costs what a small one does."""
+    src = _write(tmp_path, "seq.json", catalog.SEQUENCES[name])
+    assert main(argv + ["-i", src]) == 0
+    capsys.readouterr()
+
+
 def test_solve_rejects_wrong_instance_kind(tmp_path, capsys):
     src = _write(tmp_path, "tree.json", catalog.TREES["full"])
     assert main(["solve", "--problem", "accumulation", "-i", src]) == 3
@@ -248,6 +267,56 @@ def test_verify_an_absurd_selector_index_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+_SEQUENCES = {**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}
+
+
+@pytest.mark.parametrize("name", sorted(_SEQUENCES))
+def test_verify_accepts_every_solved_accumulation_point(tmp_path, capsys, name):
+    inst = _write(tmp_path, "seq.json", _SEQUENCES[name])
+    cert = str(tmp_path / "acc.json")
+    assert main(["solve", "--problem", "accumulation", "-i", inst, "-o", cert]) == 0
+    assert main(["verify", "-i", inst, "--certificate", cert]) == 0
+    assert capsys.readouterr().out.endswith("pass\n")
+
+
+@pytest.mark.parametrize(
+    "name, change, err",
+    [
+        # the last cell shifted two places leaves its parent; shifted to its
+        # sibling it loses the approximant, or (walk-third, whose approximant
+        # is the shared endpoint 85/256) the terms
+        ("harmonic", lambda a: replace(a, chain=a.chain[:-1] + (
+            DyadicInterval(8, a.chain[-1].index + 2),)), "(level=8,check=chain)"),
+        ("harmonic", lambda a: replace(a, chain=a.chain[:-1] + (
+            DyadicInterval(8, a.chain[-1].index ^ 1),)), "(level=8,check=approx)"),
+        ("walk-third", lambda a: replace(a, chain=a.chain[:-1] + (
+            DyadicInterval(8, a.chain[-1].index ^ 1),)), "(level=8,check=count)"),
+        # the approximant moved past the right end of its cell
+        ("harmonic", lambda a: replace(a, approx=a.chain[-1].upper + Fraction(1, 512)),
+         "(level=8,check=approx)"),
+        ("period-three", lambda a: replace(a, approx=a.approx + Fraction(1, 256)),
+         "(level=8,check=approx)"),
+        # a heuristic cell claimed exact, and an exact one's approximant moved
+        # inside its cell off the period values
+        ("harmonic", lambda a: replace(a, exact=True), "(level=8,check=exact)"),
+        ("period-three", lambda a: replace(a, approx=a.chain[-1].lower),
+         "(level=8,check=exact)"),
+        # the cell of 1 at level 8 holds a single harmonic term
+        ("harmonic", lambda a: replace(a, chain=tuple(
+            DyadicInterval(d, 2**d - 1) for d in range(1, 9)), approx=Fraction(1)),
+         "(level=8,check=count)"),
+        ("harmonic", lambda a: replace(a, chain=()), "(level=1,check=chain)"),
+    ],
+)
+def test_verify_rejects_a_broken_accumulation_point(tmp_path, capsys, name, change, err):
+    x = _SEQUENCES[name]
+    good = solvers.find_accumulation_real(x, Budget())
+    inst = _write(tmp_path, "seq.json", x)
+    cert = _write(tmp_path, "acc.json", change(good))
+    assert main(["verify", "-i", inst, "--certificate", cert]) == 1
+    assert capsys.readouterr().err == f"counterexample {err}\n"
 
 
 def test_verify_separator_files(tmp_path, capsys):

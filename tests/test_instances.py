@@ -52,7 +52,7 @@ from bwreduce.instances import (
     serialize_instance,
 )
 from bwreduce.edges import EDGES
-from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh
+from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh, stcoh_to_bwweak
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
@@ -251,20 +251,40 @@ tree_sources = st.one_of(
 def test_tree_witness_count_matches_the_sorted_terms(x, data):
     """Integer cell keys over the weighted window count exactly what the
     sorted Fraction list counts, on cells with a term on or near an endpoint,
-    at levels up to 40 and at stages on both sides of j0 + q."""
-    struct = x.periodic_structure()
-    edge = sum(struct) if struct is not None else 8
-    stage = data.draw(
-        st.one_of(st.integers(max(edge - 3, 0), edge + 2), st.integers(0, 160)), "stage"
-    )
+    at levels up to 40 and at stages on both sides of each level's j0 + q
+    (up to 2^12 + 1, harmonic's window at level 12)."""
     tree = DerivedTree(x)
     for _ in range(6):
         level = data.draw(st.integers(0, 40), "level")
+        struct = x.cell_structure(level)
+        edge = sum(struct) if struct is not None else 8
+        stages = st.integers(0, 160)
+        if edge <= 2**12 + 1:
+            stages = st.one_of(st.integers(max(edge - 3, 0), edge + 2), stages)
+        stage = data.draw(stages, "stage")
         t = x.term(data.draw(st.integers(0, stage), "j"))
         near = int(t * 2**level) + data.draw(st.integers(-1, 1), "shift")
         index = min(max(near, 0), 2**level - 1)
         bits = tuple((index >> (level - 1 - i)) & 1 for i in range(level))
         assert tree.witness_count(bits, stage) == kernel_oracle.witness_count(x, bits, stage)
+
+
+cell_sources = st.one_of(
+    tree_sources,
+    st.builds(AlternatingSequence, boundary_fractions, boundary_fractions),
+    st.sampled_from(list(catalog.FAMILIES.values())).map(stcoh_to_bwweak),
+)
+
+
+@settings(max_examples=300)
+@given(cell_sources, st.integers(0, 12), st.data())
+def test_cell_structure_repeats_the_cell_key(x, level, data):
+    """Past j0, term j keys at ``level`` as the window term j0 + (j - j0) mod q."""
+    j0, q = x.cell_structure(level)
+    j = data.draw(st.integers(j0, j0 + 3 * q + 5), "j")
+    assert kernel_oracle.cell_key(x.term(j), level) == kernel_oracle.cell_key(
+        x.term(j0 + (j - j0) % q), level
+    )
 
 
 @given(boundary_fractions, st.integers(0, 200))
@@ -297,6 +317,33 @@ def test_tree_work_on_a_periodic_source_is_one_window():
         assert tree.witness_count((0,) * level, stage) == zeros
     assert tree.has_extension((), 12, stage)
     assert calls <= j0 + q
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(5, 7), Fraction(1, 1000003)])
+def test_tree_work_on_a_binary_walk_is_a_level_window(value):
+    """At stage 10^8 a walk's tree evaluates only the terms up to level + k,
+    k <= bitlen(den) being the position of the next 1 digit past the level."""
+    x = BinaryWalkSequence(value)
+    calls = []
+    x.term = lambda j: calls.append(j) or BinaryWalkSequence.term(x, j)
+    tree = DerivedTree(x)
+    for level in range(9):
+        tree.witness_count((0,) * level, 10**8)
+        assert len(calls) <= level + value.denominator.bit_length() + 1
+
+
+def test_tree_work_on_the_harmonic_sequence_is_a_level_window():
+    """At stage 10^8 the harmonic sequence's tree evaluates the 2^level + 1
+    terms j <= 2^level: every later term keys as 1 at that level."""
+    x = HarmonicSequence()
+    calls = []
+    x.term = lambda j: calls.append(j) or HarmonicSequence.term(x, j)
+    tree = DerivedTree(x)
+    stage = 10**8
+    for level in range(9):
+        assert tree.witness_count((0,) * level, stage) == stage + 2 - 2**level
+        assert len(calls) <= 2**level + 1
+    assert len(calls) == 2**8 + 1
 
 
 # --- set families -----------------------------------------------------------------
