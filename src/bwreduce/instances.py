@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .certificates import (
     AccumulationResult,
@@ -354,6 +354,10 @@ class EmbeddedSequence(RationalSequence):
         return pt
 
     def term(self, i: int) -> Fraction:
+        if self._structure is not None:
+            j0, q = self._structure
+            if i >= j0 + q:
+                i = j0 + (i - j0) % q  # the column of i repeats that of its slot
         value = self._values.get(i)
         if value is None:
             pt = self.point(i)
@@ -1071,6 +1075,16 @@ class SetFamily:
     def member(self, n: int, j: int) -> bool:
         raise NotImplementedError
 
+    def pattern(self, j: int, rows: Iterable[int]) -> int:
+        """Membership of j in the listed rows (ascending) as one integer: the
+        first row is the most significant bit and a 0 digit means j ∈ R_i
+        (cell-pattern orientation), so over range(L) the integer order is
+        the order of the patterns as tuples."""
+        out = 0
+        for i in rows:
+            out = out << 1 | (not self.member(i, j))
+        return out
+
     def row_pattern(self, n: int) -> RowPattern | None:
         """Eventually periodic view of row n when available."""
         return None
@@ -1096,7 +1110,39 @@ class SetFamily:
         raise UnserializableError(f"{self.form or type(self).__name__} has no file form")
 
 
-class PeriodicRowsFamily(SetFamily):
+class _ListedRowsFamily(SetFamily):
+    """A family whose rows are drawn from a few listed patterns."""
+
+    def __init__(self, listed: Sequence[RowPattern]):
+        self._window = _joint_structure(listed)
+        self._patterns: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def row(self, n: int) -> RowPattern:
+        raise NotImplementedError
+
+    def member(self, n: int, j: int) -> bool:
+        return self.row(n).member(j)
+
+    def pattern(self, j: int, rows: Iterable[int]) -> int:
+        # columns repeat over the joint window: read each slot once per rows
+        j0, q = self._window
+        key = (j if j < j0 + q else j0 + (j - j0) % q, tuple(rows))
+        out = self._patterns.get(key)
+        if out is None:
+            out = 0
+            for i in key[1]:
+                out = out << 1 | (not self.row(i).member(key[0]))
+            self._patterns[key] = out
+        return out
+
+    def row_pattern(self, n: int) -> RowPattern:
+        return self.row(n)
+
+    def column_structure(self) -> tuple[int, int]:
+        return self._window
+
+
+class PeriodicRowsFamily(_ListedRowsFamily):
     """Rows cycle through finitely many patterns beyond a finite prefix."""
 
     form = "periodic_rows"
@@ -1106,25 +1152,17 @@ class PeriodicRowsFamily(SetFamily):
             raise ValueError("row period must be non-empty")
         self.row_prefix = tuple(row_prefix)
         self.row_period = tuple(row_period)
+        super().__init__(self.row_prefix + self.row_period)
 
     def row(self, n: int) -> RowPattern:
         if n < len(self.row_prefix):
             return self.row_prefix[n]
         return self.row_period[(n - len(self.row_prefix)) % len(self.row_period)]
 
-    def member(self, n: int, j: int) -> bool:
-        return self.row(n).member(j)
-
-    def row_pattern(self, n: int) -> RowPattern:
-        return self.row(n)
-
     def column_point(self, i: int) -> CantorPoint:
         prefix = tuple(1 if r.member(i) else 0 for r in self.row_prefix)
         period = tuple(1 if r.member(i) else 0 for r in self.row_period)
         return CantorPoint.periodic(prefix, period)
-
-    def column_structure(self) -> tuple[int, int]:
-        return _joint_structure(self.row_prefix + self.row_period)
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -1143,7 +1181,7 @@ class PeriodicRowsFamily(SetFamily):
         )
 
 
-class TableRowsFamily(SetFamily):
+class TableRowsFamily(_ListedRowsFamily):
     """Finitely many listed rows, a fixed default row everywhere else."""
 
     form = "table_rows"
@@ -1153,24 +1191,16 @@ class TableRowsFamily(SetFamily):
         if any(n < 0 for n in self.entries):
             raise ValueError("row indices must be naturals")
         self.default = default
+        super().__init__([*self.entries.values(), default])
 
     def row(self, n: int) -> RowPattern:
         return self.entries.get(n, self.default)
-
-    def member(self, n: int, j: int) -> bool:
-        return self.row(n).member(j)
-
-    def row_pattern(self, n: int) -> RowPattern:
-        return self.row(n)
 
     def column_point(self, i: int) -> CantorPoint:
         bound = max(self.entries) + 1 if self.entries else 0
         prefix = tuple(1 if self.row(n).member(i) else 0 for n in range(bound))
         period = (1 if self.default.member(i) else 0,)
         return CantorPoint.periodic(prefix, period)
-
-    def column_structure(self) -> tuple[int, int]:
-        return _joint_structure([*self.entries.values(), self.default])
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -1213,6 +1243,17 @@ def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
     return CantorPoint.periodic(tuple(bits[:start]), tuple(bits[start:]))
 
 
+def _runs(rows: Iterable[int]) -> list[list[int]]:
+    """The maximal runs [a, b] of consecutive values in ascending ``rows``."""
+    runs: list[list[int]] = []
+    for i in rows:
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
+
+
 class DerivedFamily(SetFamily):
     """Family derived from a rational sequence by dyadic-cell parities.
 
@@ -1223,9 +1264,10 @@ class DerivedFamily(SetFamily):
     [k/2^n, (k+1)/2^n] with k even — every boundary point qualifies, which is
     the known defect (e.g. both 0 and 1 land in every R_n).
 
-    ``member`` reads both in integers, from term(j) = num/den: corrected holds
-    iff (num << n) // (den << 1) is even; paper-literal takes whole, rem =
-    divmod(num << n, den) and holds iff rem == 0 or whole is even.
+    ``pattern`` reads both from one term(j) = num/den: with x = num/m (m =
+    2·den corrected, den paper-literal) j ∉ R_i iff floor(x·2^i) is odd, and
+    paper-literal also puts j in each row i with den | 2^i.  Rows a..b read
+    the low b - a + 1 bits of floor(x·2^b) by one modular power.
     """
 
     form = "derived"
@@ -1242,12 +1284,23 @@ class DerivedFamily(SetFamily):
         self._columns: dict[int, CantorPoint] = {}
 
     def member(self, n: int, j: int) -> bool:
+        return self.pattern(j, (n,)) == 0
+
+    def pattern(self, j: int, rows: Iterable[int]) -> int:
         q = self.source.term(j)
         num, den = q.numerator, q.denominator
-        if self.convention == "corrected":
-            return ((num << n) // (den << 1)) & 1 == 0
-        whole, rem = divmod(num << n, den)
-        return rem == 0 or whole & 1 == 0
+        literal = self.convention == "paper-literal"
+        m = den if literal else den << 1
+        # the rows from e on hold term(j)·2^i whole when den = 2^e
+        e = den.bit_length() - 1 if literal and den & (den - 1) == 0 else None
+        out = 0
+        for a, b in _runs(rows):
+            c = b - a + 1
+            bits = num * pow(2, b, m << c) % (m << c) // m
+            if e is not None and e <= b:
+                bits &= -1 << (b - max(a, e) + 1)
+            out = out << c | bits
+        return out
 
     def row_pattern(self, n: int) -> RowPattern | None:
         struct = self.source.periodic_structure()

@@ -5,7 +5,9 @@ branch, strongly cohesive set, Cauchy thinning) under an explicit Budget;
 when a search space is exhausted they raise a budget error rather than
 guessing.  Verifiers re-check finished certificates exhaustively with exact
 arithmetic; a verifier returns None on pass and a small violation record on
-fail, and shares nothing with the finders beyond the numeric kernel.
+fail, and shares nothing with the finders beyond the numeric kernel, of
+which ``SetFamily.pattern`` (the membership of one j in many rows as one
+integer) is part.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -235,11 +237,6 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
 # ---------------------------------------------------------------------------
 
 
-def _membership_pattern(family: SetFamily, j: int, levels: int) -> Bits:
-    """0 at position i means j ∈ R_i (cell-pattern orientation)."""
-    return tuple(0 if family.member(i, j) else 1 for i in range(levels))
-
-
 def build_strongly_cohesive(
     family: SetFamily, levels: int, budget: Budget
 ) -> CohesiveWitness:
@@ -250,22 +247,23 @@ def build_strongly_cohesive(
     Jointly eventually periodic rows (prefix j0, period q) are decided by the
     patterns of one lcm window j < j0 + q: y is the least of window[j0:], and
     j is a member iff window[j if j < j0 else j0 + (j - j0) % q] == y, so the
-    search makes levels·(j0 + q) membership queries whatever the horizon.
+    search reads j0 + q patterns whatever the horizon.
     Otherwise y is the most populated pattern below the horizon."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
+    rows = range(levels)
     struct = family.periodic_structure(levels)
     if struct is not None:
         j0, q = struct
-        window = [_membership_pattern(family, j, levels) for j in range(j0 + q)]
+        window = [family.pattern(j, rows) for j in range(j0 + q)]
         y = min(window[j0:])
         members = tuple(
             j for j in range(budget.horizon) if window[j if j < j0 else j0 + (j - j0) % q] == y
         )
     else:
-        counts: dict[Bits, int] = {}
-        for j in range(budget.horizon):
-            pat = _membership_pattern(family, j, levels)
+        patterns = [family.pattern(j, rows) for j in range(budget.horizon)]
+        counts: dict[int, int] = {}
+        for pat in patterns:
             counts[pat] = counts.get(pat, 0) + 1
         if not counts:
             raise EmptyCellsError(
@@ -273,13 +271,9 @@ def build_strongly_cohesive(
             )
         best = max(counts.values())
         y = min(pat for pat, c in counts.items() if c == best)
-        members = tuple(
-            j
-            for j in range(budget.horizon)
-            if _membership_pattern(family, j, levels) == y
-        )
+        members = tuple(j for j, pat in enumerate(patterns) if pat == y)
     settle = tuple(
-        (i, 0, "in" if y[i] == 0 else "out") for i in range(levels)
+        (i, 0, "out" if y >> (levels - 1 - i) & 1 else "in") for i in rows
     )
     return CohesiveWitness(Selector(members), settle)
 
@@ -305,18 +299,17 @@ def witness_from_selector(
     """Back-translate a selector into a cohesive witness by scanning each row
     for the side its tail settles on and the first value from which it never
     leaves that side."""
+    values = selector.values
+    patterns = [family.pattern(j, range(levels)) for j in values]
     settle = []
     for i in range(levels):
-        values = selector.values
-        if not values:
-            settle.append((i, 0, "in"))
-            continue
-        want = family.member(i, values[-1])
+        shift = levels - 1 - i
+        want = patterns[-1] >> shift & 1 if patterns else 0
         s = 0
-        for j in values:
-            if family.member(i, j) != want:
+        for j, pat in zip(values, patterns):
+            if pat >> shift & 1 != want:
                 s = j + 1
-        settle.append((i, s, "in" if want else "out"))
+        settle.append((i, s, "out" if want else "in"))
     return CohesiveWitness(selector, tuple(settle))
 
 
@@ -326,12 +319,18 @@ def witness_from_selector(
 
 
 def _suffix_extrema(vals: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(max(vals[t:]), min(vals[t:])) for every t, as two lists."""
-    sufmax = list(vals)
-    sufmin = list(vals)
+    """(max(vals[t:]), min(vals[t:])) for every t, as two lists, compared
+    by integer cross-products of (numerator, denominator)."""
+    sufmax, sufmin = list(vals), list(vals)
+    pairs = [(v.numerator, v.denominator) for v in vals]
+    hi = lo = len(vals) - 1
     for t in range(len(vals) - 2, -1, -1):
-        sufmax[t] = max(sufmax[t], sufmax[t + 1])
-        sufmin[t] = min(sufmin[t], sufmin[t + 1])
+        n, d = pairs[t]
+        if n * pairs[hi][1] > pairs[hi][0] * d:
+            hi = t
+        if n * pairs[lo][1] < pairs[lo][0] * d:
+            lo = t
+        sufmax[t], sufmin[t] = vals[hi], vals[lo]
     return sufmax, sufmin
 
 
@@ -417,11 +416,19 @@ def verify_cohesive(
         for i in range(strong_levels):
             if i not in covered:
                 raise InvalidCertificateError(f"no settle entry for row {i}")
+    # one pattern per selected value over the distinct rows, read when first needed
+    rows = sorted({i for i, _, _ in witness.settle})
+    place = {i: len(rows) - 1 - k for k, i in enumerate(rows)}
+    patterns: dict[int, int] = {}
     for i, s, side in witness.settle:
-        want = side == "in"
+        shift, want = place[i], side == "out"
         for j in witness.selector.values:
-            if j >= s and family.member(i, j) != want:
-                return CohesiveViolation(i, j)
+            if j >= s:
+                pat = patterns.get(j)
+                if pat is None:
+                    pat = patterns[j] = family.pattern(j, rows)
+                if pat >> shift & 1 != want:
+                    return CohesiveViolation(i, j)
     return None
 
 

@@ -1,17 +1,24 @@
 """Reference bodies of the cohesion and tree kernels, in plain ``Fraction``
 arithmetic.
 
-``DerivedFamily.member`` and ``core.embed_point_exact`` compute in integer
-shifts and base-3 integers, and ``solvers.build_strongly_cohesive`` lists the
-members of a periodic family from one lcm window.  ``DerivedTree.witness_count``
-counts integer cell keys over a weighted window of terms, and
+``SetFamily.pattern`` reads the membership of j in many rows as one integer
+(one modular power per run of rows for a derived family, one read per window
+slot for listed rows), ``core.embed_point_exact`` computes in base-3
+integers, and ``solvers.build_strongly_cohesive`` lists the members of a
+periodic family from one lcm window.  ``solvers._suffix_extrema`` compares
+integer cross-products, and ``EmbeddedSequence.term`` folds an index past
+its (j0, q) window into the window.  ``DerivedTree.witness_count`` counts
+integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.  This module keeps
 the direct forms they must agree with: the dyadic-cell parity of term(j)·2^n
-as a ``Fraction``, the geometric series summed term by term, the enumeration
-that evaluates the membership pattern of every j below the horizon, the
-sorted list of every term j <= stage bisected at the cell's ``Fraction``
-endpoints, the tree's cell key of a term as a ``Fraction`` product, and the
-walk term as a ``Fraction`` product.
+as a ``Fraction``; each listed row looked up and read at j; the cohesion
+verifier and back-translation that ask ``member`` once per row and selected
+value; the geometric series summed term by term; the enumeration that
+evaluates the membership pattern of every j below the horizon; suffix
+extrema taken by ``max``/``min`` over ``Fraction``s; the embedded term read
+at its own index; the sorted list of every term j <= stage bisected at the
+cell's ``Fraction`` endpoints; the tree's cell key of a term as a
+``Fraction`` product; and the walk term as a ``Fraction`` product.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from fractions import Fraction
 
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
 from bwreduce.core import Bits, CantorPoint, DyadicInterval
-from bwreduce.instances import RationalSequence, SetFamily
+from bwreduce.instances import (
+    EmbeddedSequence,
+    PeriodicRowsFamily,
+    RationalSequence,
+    RowPattern,
+    SetFamily,
+)
+from bwreduce.solvers import CohesiveViolation
 
 
 def member(q: Fraction, n: int, convention: str) -> bool:
@@ -32,6 +46,58 @@ def member(q: Fraction, n: int, convention: str) -> bool:
     t = q * 2**n
     whole, frac_num = divmod(t.numerator, t.denominator)
     return frac_num == 0 or whole % 2 == 0
+
+
+def listed_row(family: SetFamily, n: int) -> RowPattern:
+    """Row n of a ``periodic_rows`` or ``table_rows`` family."""
+    if isinstance(family, PeriodicRowsFamily):
+        if n < len(family.row_prefix):
+            return family.row_prefix[n]
+        return family.row_period[(n - len(family.row_prefix)) % len(family.row_period)]
+    return family.entries.get(n, family.default)
+
+
+def verify_cohesive(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
+    """Every settle triple checked by one ``member`` query per selected value."""
+    for i, s, side in witness.settle:
+        want = side == "in"
+        for j in witness.selector.values:
+            if j >= s and family.member(i, j) != want:
+                return CohesiveViolation(i, j)
+    return None
+
+
+def witness_from_selector(selector: Selector, family: SetFamily, levels: int) -> CohesiveWitness:
+    """Each row scanned by ``member`` for the side its tail settles on and
+    the first value from which it never leaves that side."""
+    settle = []
+    for i in range(levels):
+        values = selector.values
+        if not values:
+            settle.append((i, 0, "in"))
+            continue
+        want = family.member(i, values[-1])
+        s = 0
+        for j in values:
+            if family.member(i, j) != want:
+                s = j + 1
+        settle.append((i, s, "in" if want else "out"))
+    return CohesiveWitness(selector, tuple(settle))
+
+
+def suffix_extrema(vals: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(max(vals[t:]), min(vals[t:])) for every t, by ``Fraction`` comparison."""
+    sufmax = list(vals)
+    sufmin = list(vals)
+    for t in range(len(vals) - 2, -1, -1):
+        sufmax[t] = max(sufmax[t], sufmax[t + 1])
+        sufmin[t] = min(sufmin[t], sufmin[t + 1])
+    return sufmax, sufmin
+
+
+def embedded_term(x: EmbeddedSequence, i: int) -> Fraction:
+    """Term i of an embedded sequence: its own point, embedded by the series."""
+    return embed_point_exact(x.point(i))
 
 
 def embed_point_exact(x: CantorPoint) -> Fraction:

@@ -37,7 +37,7 @@ from bwreduce.cli import PROBLEMS, main
 from bwreduce.core import DyadicInterval
 from bwreduce.edges import EDGES
 from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
-from bwreduce.reductions import bw_to_swkl, separation_to_bw
+from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh, separation_to_bw
 
 
 def _write(tmp_path: Path, name: str, obj) -> str:
@@ -267,6 +267,33 @@ def test_verify_an_absurd_selector_index_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", [2, 2**70])
+def test_verify_a_cohesive_witness_at_a_huge_row(tmp_path, capsys, row):
+    """The binary digits of 1/6 repeat with period 2 from the third on, so
+    row 2^70 of constant-third's derived family reads like row 2: one
+    modular power, not a shift by 2^70."""
+    fam = _write(tmp_path, "fam.json", bwweak_to_stcoh(catalog.SEQUENCES["constant-third"]))
+    witness = CohesiveWitness(Selector((0, 1, 5)), ((0, 0, "in"), (row, 0, "in")))
+    cert = _write(tmp_path, "w.json", witness)
+    assert main(["verify", "-i", fam, "--certificate", cert]) == 0
+    assert capsys.readouterr().out.endswith("pass\n")
+
+
+@pytest.mark.parametrize("side, code", [("out", 0), ("in", 1)])
+def test_verify_a_periodic_rows_witness_at_a_huge_row(tmp_path, capsys, side, code):
+    """Row 2^70 of prefix-noise is its period row, (0, 0, 1) from j = 0,
+    which holds none of 3, 9 and 2^70; only that row is read."""
+    fam = _write(tmp_path, "fam.json", catalog.FAMILIES["prefix-noise"])
+    witness = CohesiveWitness(Selector((3, 9, 2**70)), ((2**70, 0, side),))
+    cert = _write(tmp_path, "w.json", witness)
+    assert main(["verify", "-i", fam, "--certificate", cert]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.endswith("pass\n")
+    else:
+        assert captured.err == f"counterexample (i={2**70},j=3)\n"
 
 
 _SEQUENCES = {**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}

@@ -435,6 +435,100 @@ def test_family_column_points_agree_with_membership(q, n):
         assert fam.column_point(0).bit(n) == (1 if fam.member(n, 0) else 0)
 
 
+pattern_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(0, 20).flatmap(
+        lambda m: st.builds(Fraction, st.integers(0, 2**m), st.just(2**m))
+    ),
+    st.integers(0, 499_999).flatmap(
+        lambda h: st.builds(Fraction, st.integers(0, 2 * h + 1), st.just(2 * h + 1))
+    ),
+)
+pattern_rows = st.one_of(
+    st.tuples(st.integers(0, 200), st.integers(0, 200)).map(
+        lambda t: range(t[0], min(t[0] + t[1], 200) + 1)
+    ),
+    st.sets(st.integers(0, 200), max_size=40).map(sorted),
+)
+
+
+def _oracle_pattern(bit, rows) -> int:
+    out = 0
+    for i in rows:
+        out = out << 1 | (not bit(i))
+    return out
+
+
+@settings(max_examples=300)
+@given(pattern_values, pattern_rows, st.integers(0, 1))
+def test_derived_pattern_matches_the_member_oracle(q, rows, period):
+    """One integer per term over contiguous or sparse rows equals the
+    Fraction cell parity asked row by row, in both conventions, whether the
+    term comes from the constant (q = 0, period 0) or a one-term period."""
+    x = ConstantSequence(q) if period == 0 else PeriodicSequence([Fraction(1, 3)], [q])
+    for convention in DerivedFamily.conventions:
+        fam = DerivedFamily(x, convention)
+        want = _oracle_pattern(lambda i: kernel_oracle.member(q, i, convention), rows)
+        assert fam.pattern(period, rows) == want, convention
+        if rows:
+            assert fam.member(rows[-1], period) == kernel_oracle.member(q, rows[-1], convention)
+
+
+row_patterns = st.builds(
+    RowPattern,
+    st.lists(st.integers(0, 1), max_size=3).map(tuple),
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+)
+listed_families = st.one_of(
+    st.builds(PeriodicRowsFamily, st.lists(row_patterns, max_size=3),
+              st.lists(row_patterns, min_size=1, max_size=3)),
+    st.builds(TableRowsFamily, st.dictionaries(st.integers(0, 12), row_patterns, max_size=4),
+              row_patterns),
+)
+
+
+@settings(max_examples=200)
+@given(listed_families, pattern_rows, st.lists(st.integers(0, 10**4), min_size=1, max_size=6))
+def test_listed_rows_pattern_matches_each_row(fam, rows, js):
+    """periodic_rows and table_rows read each window slot once; the pattern
+    equals the listed row looked up and read at j, row by row, also when the
+    same j is asked again."""
+    for j in js + js:
+        want = _oracle_pattern(lambda i: kernel_oracle.listed_row(fam, i).member(j), rows)
+        assert fam.pattern(j, rows) == want
+
+
+def test_pattern_reads_a_huge_row_in_one_step():
+    """Row 2^70 costs one modular power: 1/6 has binary digits 0010101...,
+    so the corrected row 2^70 reads like row 2."""
+    fam = DerivedFamily(ConstantSequence(Fraction(1, 3)), "corrected")
+    assert fam.pattern(0, [0, 2**70, 2**70 + 1]) == fam.pattern(0, [0, 2, 3]) == 0b001
+    literal = DerivedFamily(ConstantSequence(Fraction(3, 8)), "paper-literal")
+    assert literal.pattern(0, [0, 1, 2, 2**70]) == 0b0010
+
+
+def _catalog_columns() -> list[tuple[str, EmbeddedSequence]]:
+    """The embedded columns of every catalog family and of the derived
+    families of the periodic catalog sequences, in both conventions."""
+    families = dict(catalog.FAMILIES)
+    for name, x in sorted({**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}.items()):
+        if x.periodic_structure() is not None:
+            for convention in DerivedFamily.conventions:
+                families[f"{name}/{convention}"] = DerivedFamily(x, convention)
+    return [(name, stcoh_to_bwweak(fam)) for name, fam in sorted(families.items())]
+
+
+def test_embedded_term_folds_into_the_column_window():
+    """Past j0 + q an embedded column is read at its window slot, which the
+    family's column structure promises is the same point."""
+    columns = _catalog_columns()
+    assert len(columns) == 10 + 2 * 31
+    for name, x in columns:
+        j0, q = x.periodic_structure()
+        for i in range(j0 + 3 * q + 6):
+            assert x.term(i) == kernel_oracle.embedded_term(x, i), (name, i)
+
+
 def test_periodic_rows_family_structure():
     fam = PeriodicRowsFamily(
         [RowPattern((1, 1), (0,))],

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
-from bwreduce import catalog
+from bwreduce import catalog, instances
 from bwreduce.certificates import (
     Budget,
     BranchPrefix,
@@ -71,8 +71,10 @@ from bwreduce.solvers import (
     verify_cauchy,
     verify_cohesive,
     verify_separator,
+    _suffix_extrema,
     witness_from_selector,
 )
+from bwreduce.edges import EDGES, roundtrip
 
 periods = st.lists(
     st.fractions(min_value=0, max_value=1, max_denominator=16),
@@ -294,6 +296,89 @@ def test_witness_from_selector_finds_settle_points():
     assert verify_cohesive(w, fam, strong_levels=2) is None
     empty = witness_from_selector(Selector(()), fam, 2)
     assert empty.settle == ((0, 0, "in"), (1, 0, "in"))
+
+
+def _cohesion_families() -> list[SetFamily]:
+    out: list[SetFamily] = [fam for _, fam in sorted(catalog.FAMILIES.items())]
+    for name in ("mixed-prefix", "three-cluster", "walk-half", "constant-one"):
+        x = catalog.PERIODIC_SEQUENCES[name]
+        out += [DerivedFamily(x, c) for c in DerivedFamily.conventions]
+    return out
+
+
+_COHESION_FAMILIES = _cohesion_families()
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(range(len(_COHESION_FAMILIES))),
+    st.sets(st.integers(0, 200), max_size=30).map(lambda v: Selector(tuple(sorted(v)))),
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 20), st.just(2**70)), st.integers(0, 200),
+                  st.sampled_from(["in", "out"])),
+        max_size=8,
+    ),
+    st.integers(0, 12),
+)
+def test_cohesion_kernels_match_the_member_oracle(k, selector, settle, levels):
+    """One pattern per selected value gives the verdict and least violation
+    of asking member once per row and value, and the same back-translation."""
+    fam = _COHESION_FAMILIES[k]
+    witness = CohesiveWitness(selector, tuple(settle))
+    assert verify_cohesive(witness, fam) == kernel_oracle.verify_cohesive(witness, fam)
+    assert witness_from_selector(selector, fam, levels) == kernel_oracle.witness_from_selector(
+        selector, fam, levels
+    )
+
+
+class _CountingConstant(ConstantSequence):
+    def __init__(self, value: Fraction):
+        super().__init__(value)
+        self.calls: list[int] = []
+
+    def term(self, i: int) -> Fraction:
+        self.calls.append(i)
+        return super().term(i)
+
+
+@pytest.mark.parametrize("rows", [range(1), range(8), range(40), (0, 3, 2**70)])
+def test_verify_cohesive_evaluates_each_selected_term_once(rows):
+    """One source term per selected value, however many settle rows."""
+    value = Fraction(5, 13)
+    values = tuple(range(0, 90, 3))
+    for convention in DerivedFamily.conventions:
+        x = _CountingConstant(value)
+        plain = DerivedFamily(ConstantSequence(value), convention)
+        settle = tuple((i, 0, "in" if plain.member(i, 0) else "out") for i in rows)
+        witness = CohesiveWitness(Selector(values), settle)
+        assert verify_cohesive(witness, DerivedFamily(x, convention)) is None
+        assert x.calls == list(values)
+
+
+def test_stcoh_bwweak_round_trip_embeds_each_window_slot_once(monkeypatch):
+    """The back-translated sequence folds every index into its (j0, q)
+    window, so a default-budget round trip embeds at most j0 + q columns."""
+    calls = []
+    real = instances.embed_point_exact
+    monkeypatch.setattr(instances, "embed_point_exact", lambda pt: calls.append(pt) or real(pt))
+    for fam in _COHESION_FAMILIES:
+        calls.clear()
+        _, bad = roundtrip(EDGES["stcoh-bwweak"], fam, Budget(), [], "corrected")
+        assert bad is None
+        j0, q = fam.column_structure()
+        assert 0 < len(calls) <= j0 + q
+
+
+_mixed = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 6), Fraction(1, 2), Fraction(1)]),
+    st.fractions(0, 1, max_denominator=10**6),
+)
+
+
+@given(st.lists(_mixed, max_size=40))
+def test_suffix_extrema_match_the_fraction_body(vals):
+    """Integer cross-products pick the same suffix extrema as Fraction max/min."""
+    assert _suffix_extrema(vals) == kernel_oracle.suffix_extrema(vals)
 
 
 def test_build_strongly_cohesive_verifies_on_catalog():
