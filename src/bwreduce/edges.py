@@ -30,7 +30,7 @@ from .certificates import (
     CohesiveWitness,
     SeparatorSet,
 )
-from .errors import SchemaViolationError
+from .errors import BudgetExceededError, SchemaViolationError
 from .instances import (
     RationalSequence,
     SeparationInstance,
@@ -108,6 +108,11 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
     )
     notes.append(f"stabilization bound {kstar}")
     window = max(budget.threshold, 1)
+    if kstar + window > budget.code_budget:  # the finder reads h up to k* + window
+        raise BudgetExceededError(
+            f"stabilization bound {kstar} plus finder window {window} "
+            f"exceeds code budget {budget.code_budget}"
+        )
     finder_budget = replace(budget, horizon=window, threshold=window)
     bits = solvers.find_accumulation_cantor(
         lambda k: x.point(kstar + k), finder_budget

@@ -26,6 +26,7 @@ parse, so round trips are replayable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,6 +46,7 @@ from .certificates import (
 from .core import (
     Bits,
     CantorPoint,
+    _prime,
     embed_point,
     embed_point_exact,
     format_bits,
@@ -781,14 +783,12 @@ class RulePredicate:
                 raise ValueError(f"conflicting overrides at ({x}, {y}, {n})")
             seen.add((x, y, n))
         object.__setattr__(self, "overrides", norm)
+        pins = {(x, y, n): v for x, y, n, v in norm}
+        least = {(x, n): y for x, y, n, v in reversed(norm) if v}  # least y wins
+        object.__setattr__(self, "_pins", pins)  # not fields: ==, hash, repr skip them
+        object.__setattr__(self, "_least_pin", least)
 
     # -- raw evaluation ------------------------------------------------------
-
-    def _override(self, x: int, y: int, n: int) -> bool | None:
-        for ox, oy, on, ov in self.overrides:
-            if (ox, oy, on) == (x, y, n):
-                return ov
-        return None
 
     def _rule_holds(self, x: int, y: int, n: int) -> bool:
         if self.rule == "never":
@@ -804,7 +804,7 @@ class RulePredicate:
         return x < self.bound and y == x  # y_eq_x_below
 
     def evaluate(self, x: int, y: int, n: int) -> bool:
-        ov = self._override(x, y, n)
+        ov = self._pins.get((x, y, n))
         return ov if ov is not None else self._rule_holds(x, y, n)
 
     # -- exact witness structure ----------------------------------------------
@@ -824,17 +824,15 @@ class RulePredicate:
 
     def minimal_witness(self, x: int, n: int) -> int | None:
         """Least y with B(x, y; n), or None when there is none."""
-        cands = [oy for ox, oy, on, ov in self.overrides if ov and (ox, on) == (x, n)]
         if self.rule == "always":
             y = 0
-            while self._override(x, y, n) is False:
+            while self._pins.get((x, y, n)) is False:
                 y += 1
-            cands.append(y)
-        else:
-            w = self._rule_witness(x, n)
-            if w is not None and self._override(x, w, n) is not False:
-                cands.append(w)
-        return min(cands) if cands else None
+            return y  # every y' < y is pinned false, so no true pin is below y
+        w, pinned = self._rule_witness(x, n), self._least_pin.get((x, n))
+        if w is None or self._pins.get((x, w, n)) is False:
+            return pinned
+        return w if pinned is None else min(w, pinned)
 
     def first_failure(self, n: int) -> int | None:
         """Least x with no witness at all, or None when ∀x∃y B(x, y; n)."""
@@ -939,6 +937,35 @@ class TreeSidePredicate:
 Predicate = RulePredicate | CallbackPredicate | TreeSidePredicate
 
 
+class WitnessPrefix:
+    """The least-witness stream x ↦ min{y : B(x, y; n)} of one predicate at
+    one n, read as far as the largest cutoff asked so far: ``codes[L]``
+    codes the length-L prefix, and the first ``refuted`` candidates y at
+    position len(codes) - 1 are known to fail, so each (x, y) is evaluated
+    at most once whatever cutoffs are asked, in whatever order."""
+
+    def __init__(self, pred: Predicate, n: int):
+        self.pred, self.n = pred, n
+        self.codes, self.refuted = [1], 0
+
+    def length_below(self, k: int) -> int:
+        """Length of the longest prefix coded below k (0 when only the empty
+        one fits); a new position tries y only while code · p_x^(y+1) < k."""
+        codes = self.codes
+        while codes[-1] < k:
+            x, y = len(codes) - 1, self.refuted
+            q = _prime(x)
+            step = codes[-1] * q ** (y + 1)
+            while step < k and not self.pred.evaluate(x, y, self.n):
+                step, y = step * q, y + 1
+            if step >= k:
+                self.refuted = y
+                break
+            codes.append(step)
+            self.refuted = 0
+        return bisect_left(codes, k, 1) - 1
+
+
 class SeparationInstance:
     """Two decidable predicates B_0, B_1 with the promise that the limit sets
     A_i = {n : ¬∀x∃y B_i(x, y; n)} are disjoint; a separator S must satisfy
@@ -957,9 +984,18 @@ class SeparationInstance:
         self.predicates: tuple[Predicate, Predicate] = (b0, b1)
         self.disjointness_promise = bool(disjointness_promise)
         self.provenance = provenance
+        self._prefixes: dict[tuple[int, int], WitnessPrefix] = {}
 
     def evaluate(self, i: int, x: int, y: int, n: int) -> bool:
         return self.predicates[i].evaluate(x, y, n)
+
+    def witness_prefix(self, i: int, n: int) -> WitnessPrefix:
+        """Side i's least-witness prefixes at n, built once on first use and
+        shared by every cutoff k that f/g/h read."""
+        prefix = self._prefixes.get((i, n))
+        if prefix is None:
+            prefix = self._prefixes[i, n] = WitnessPrefix(self.predicates[i], n)
+        return prefix
 
     # -- ground truth (closed rule forms only) --------------------------------
 

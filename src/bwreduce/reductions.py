@@ -21,9 +21,7 @@ from .core import (
     Bits,
     CantorPoint,
     DyadicInterval,
-    _prime,
     format_bits,
-    seq_len,
     string_code,
     string_decode,
 )
@@ -158,31 +156,21 @@ def f_code(p: SeparationInstance, i: int, n: int, k: int, code_budget: int) -> i
     exactly the course-of-values codes of the prefixes of the least-witness
     stream x ↦ min{y : B_i(x, y; n)}, and they grow with the prefix length;
     the answer is the code of the longest prefix whose code is below k,
-    built one position at a time.  Candidates y for position x are tried in
-    ascending order only while code · p_x^(y+1) < k, so each position costs
-    at most log2(k) predicate calls.  Returns 1 (the empty sequence,
-    vacuously valid) when no longer prefix fits, so the result is total and
-    monotone nondecreasing in k.
+    read off the prefix codes that ``p.witness_prefix(i, n)`` shares across
+    every cutoff.  Returns 1 (the empty sequence, vacuously valid) when no
+    longer prefix fits, so the result is total and monotone nondecreasing
+    in k.
     """
-    if k > code_budget:
-        raise BudgetExceededError(f"k = {k} exceeds code budget {code_budget}")
-    pred = p.predicates[i]
-    code, x = 1, 0
-    while True:
-        q = _prime(x)
-        step, y = code * q, 0  # step = code · q^(y+1)
-        while step < k and not pred.evaluate(x, y, n):
-            step, y = step * q, y + 1
-        if step >= k:
-            return code
-        code, x = step, x + 1
+    return p.witness_prefix(i, n).codes[g_len(p, i, n, k, code_budget)]
 
 
 def g_len(p: SeparationInstance, i: int, n: int, k: int, code_budget: int) -> int:
     """Length of the longest least-witness prefix of side i whose code is
-    below k (0 when only the empty prefix fits); its range over all k is all
-    of ℕ exactly when ∀x∃y B_i(x, y; n)."""
-    return seq_len(f_code(p, i, n, k, code_budget))
+    below k (0 when only the empty prefix fits), with no decoding; its range
+    over all k is all of ℕ exactly when ∀x∃y B_i(x, y; n)."""
+    if k > code_budget:
+        raise BudgetExceededError(f"k = {k} exceeds code budget {code_budget}")
+    return p.witness_prefix(i, n).length_below(k)
 
 
 def h_bit(p: SeparationInstance, k: int, n: int, code_budget: int) -> int:

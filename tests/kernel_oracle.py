@@ -1,5 +1,5 @@
-"""Reference bodies of the cohesion and tree kernels, in plain ``Fraction``
-arithmetic.
+"""Reference bodies of the cohesion, tree and rule-predicate kernels, in
+plain ``Fraction`` arithmetic and linear scans.
 
 ``SetFamily.pattern`` reads the membership of j in many rows as one integer
 (one modular power per run of rows for a derived family, one read per window
@@ -9,16 +9,18 @@ periodic family from one lcm window.  ``solvers._suffix_extrema`` compares
 integer cross-products, and ``EmbeddedSequence.term`` folds an index past
 its (j0, q) window into the window.  ``DerivedTree.witness_count`` counts
 integer cell keys over a weighted window of terms, and
-``BinaryWalkSequence.term`` shifts the target's numerator.  This module keeps
-the direct forms they must agree with: the dyadic-cell parity of term(j)·2^n
-as a ``Fraction``; each listed row looked up and read at j; the cohesion
+``BinaryWalkSequence.term`` shifts the target's numerator.
+``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
+dicts built once per predicate.  This module keeps the direct forms they
+must agree with: the dyadic-cell parity of term(j)·2^n as a ``Fraction``; each listed row looked up and read at j; the cohesion
 verifier and back-translation that ask ``member`` once per row and selected
 value; the geometric series summed term by term; the enumeration that
 evaluates the membership pattern of every j below the horizon; suffix
 extrema taken by ``max``/``min`` over ``Fraction``s; the embedded term read
 at its own index; the sorted list of every term j <= stage bisected at the
 cell's ``Fraction`` endpoints; the tree's cell key of a term as a
-``Fraction`` product; and the walk term as a ``Fraction`` product.
+``Fraction`` product; the walk term as a ``Fraction`` product; and a rule
+predicate's overrides scanned in full for each lookup.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from bwreduce.instances import (
     PeriodicRowsFamily,
     RationalSequence,
     RowPattern,
+    RulePredicate,
     SetFamily,
 )
 from bwreduce.solvers import CohesiveViolation
@@ -158,3 +161,43 @@ def binary_walk_term(value: Fraction, i: int) -> Fraction:
     """floor(value · 2^i) / 2^i."""
     scale = 2**i
     return Fraction(int(value * scale), scale)
+
+
+def rule_override(pred: RulePredicate, x: int, y: int, n: int) -> bool | None:
+    """The pinned value of (x, y, n), found by scanning every override."""
+    for ox, oy, on, ov in pred.overrides:
+        if (ox, oy, on) == (x, y, n):
+            return ov
+    return None
+
+
+def rule_evaluate(pred: RulePredicate, x: int, y: int, n: int) -> bool:
+    ov = rule_override(pred, x, y, n)
+    return ov if ov is not None else pred._rule_holds(x, y, n)
+
+
+def rule_minimal_witness(pred: RulePredicate, x: int, n: int) -> int | None:
+    """The least of every true pin on (x, n) and the rule's own witness,
+    unless a false pin covers it."""
+    cands = [oy for ox, oy, on, ov in pred.overrides if ov and (ox, on) == (x, n)]
+    if pred.rule == "always":
+        y = 0
+        while rule_override(pred, x, y, n) is False:
+            y += 1
+        cands.append(y)
+    else:
+        w = pred._rule_witness(x, n)
+        if w is not None and rule_override(pred, x, w, n) is not False:
+            cands.append(w)
+    return min(cands) if cands else None
+
+
+def rule_first_failure(pred: RulePredicate, n: int) -> int | None:
+    """``RulePredicate.first_failure`` over ``rule_minimal_witness``."""
+    scan_end = max(
+        [ox for ox, _, on, _ in pred.overrides if on == n] + [pred.bound or 0]
+    ) + 1
+    for x in range(scan_end + 1):
+        if rule_minimal_witness(pred, x, n) is None:
+            return x
+    return None

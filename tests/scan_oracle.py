@@ -1,18 +1,23 @@
-"""Small-k reference for the f/g/h machinery: the linear code scan.
+"""References for the f/g/h machinery: the per-cutoff stream and the
+linear code scan.
 
-``reductions.f_code`` builds the largest valid code below k directly from
-the least-witness stream.  This module keeps the definition it must agree
-with: decode every s < k and keep the codes whose every position x holds
-the least witness of x, found by brute force from ``evaluate`` alone.  The
-largest kept code is f_code's answer.  The scan costs O(k) decodes, so tests
-call it only with small k.
+``reductions.f_code`` reads the largest valid code below k off the prefix
+codes that ``SeparationInstance.witness_prefix`` builds once per (side, n)
+and shares across every cutoff.  This module keeps the two forms it must
+agree with.  ``f_code`` rebuilds the least-witness stream from scratch for
+one cutoff, trying each candidate y only while its code still fits below
+k, so it costs O(L · log k) predicate calls per cutoff.  ``valid_codes_below``
+is the definition itself: decode every s < k and keep the codes whose every
+position x holds the least witness of x, found by brute force from
+``evaluate`` alone; the largest kept code is f_code's answer.  The scan
+costs O(k) decodes, so tests call it only with small k.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from bwreduce.core import seq_decode
+from bwreduce.core import _prime, seq_decode
 from bwreduce.instances import SeparationInstance
 
 Relation = Callable[[int, int, int], bool]
@@ -40,3 +45,18 @@ def valid_codes_below(p: SeparationInstance, i: int, n: int, k: int) -> list[int
         if vals is not None and all(bprime(x, v, n) for x, v in enumerate(vals)):
             codes.append(s)
     return codes
+
+
+def f_code(p: SeparationInstance, i: int, n: int, k: int) -> int:
+    """Largest valid code below k for side i at n, from a stream built for
+    this cutoff alone (no budget check)."""
+    pred = p.predicates[i]
+    code, x = 1, 0
+    while True:
+        q = _prime(x)
+        step, y = code * q, 0  # step = code · q^(y+1)
+        while step < k and not pred.evaluate(x, y, n):
+            step, y = step * q, y + 1
+        if step >= k:
+            return code
+        code, x = step, x + 1

@@ -446,6 +446,27 @@ def test_roundtrip_report_bytes_are_frozen(
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+LATE_MILLION = str(Path(__file__).parent / "data" / "late_million.json")
+
+
+@pytest.mark.parametrize("budget, code", [(810005, 2), (810009, 0)])
+def test_roundtrip_separation_bw_budget_covers_the_finder_window(capsys, budget, code):
+    """k* = 810001 at n = 5 and the finder reads h up to k* + 8, so 810008
+    is the least budget that holds the window."""
+    argv = ["roundtrip", "--pair", "separation-bw", "-i", LATE_MILLION,
+            "--code-budget", str(budget)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        payload = json.loads(captured.err)
+        assert payload["kind"] == "BudgetExceededError"
+        assert payload["reason"] == (
+            "stabilization bound 810001 plus finder window 8 exceeds code budget 810005"
+        )
+    else:
+        assert "verdict    pass" in captured.out
+
+
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):
     src = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
     assert main(["roundtrip", "--pair", "separation-bw", "-i", src, "--depth", "0"]) == 3

@@ -675,6 +675,59 @@ def test_first_failure_scans_to_the_rule_tail(p, n):
     assert ff == brute
 
 
+_RULES = ("never", "always", "y_eq_x", "y_eq_x_if", "y_eq_const", "y_eq_x_below")
+_PIN_CONDS = (Cond("always"), Cond("even"), Cond("in", values=(1, 3)))
+
+
+@st.composite
+def pinned_rule_predicates(draw):
+    """Random rule predicates with random pins, false pins on the rule's own
+    witness (a run of them from y = 0 for ``always``) and several true pins
+    on one (x, n)."""
+    rule = draw(st.sampled_from(_RULES))
+    fields = dict(
+        cond=draw(st.sampled_from(_PIN_CONDS)),
+        value=draw(st.integers(0, 6)),
+        bound=draw(st.integers(0, 5)),
+    )
+    bare = RulePredicate(rule, **fields)
+    xyn = st.tuples(st.integers(0, 5), st.integers(0, 8), st.integers(0, 4))
+    pins = dict(draw(st.lists(st.tuples(xyn, st.booleans()), max_size=8)))
+    for x, n in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=3)):
+        if rule == "always":
+            for y in range(draw(st.integers(1, 3))):
+                pins[x, y, n] = False
+        elif (w := bare.minimal_witness(x, n)) is not None:
+            pins[x, w, n] = False
+    x, n = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    for y in draw(st.lists(st.integers(0, 8), max_size=4)):
+        pins[x, y, n] = True
+    overrides = tuple((x, y, n, v) for (x, y, n), v in pins.items())
+    return RulePredicate(rule, overrides=overrides, **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_rule_predicates())
+def test_override_index_matches_the_linear_scan(p):
+    for n in range(5):
+        for x in range(7):
+            for y in range(10):
+                assert p.evaluate(x, y, n) == kernel_oracle.rule_evaluate(p, x, y, n)
+            assert p.minimal_witness(x, n) == kernel_oracle.rule_minimal_witness(p, x, n)
+        want = kernel_oracle.rule_first_failure(p, n)
+        assert p.first_failure(n) == want
+        assert SeparationInstance(p, p).totality(0, n) == (want is None)
+    # the indexes are no fields: equality, hash, repr and the file form
+    # read the fields alone, and a copy indexes the same pins
+    twin = RulePredicate(
+        p.rule, cond=p.cond, value=p.value, bound=p.bound, overrides=p.overrides[::-1]
+    )
+    assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+    assert "_pins" not in repr(p) and "_least_pin" not in repr(p)
+    assert twin._pins == p._pins and twin._least_pin == p._least_pin
+    assert RulePredicate.from_repr(p.to_repr(), "$").to_repr() == p.to_repr()
+
+
 def test_separation_unique_has_at_most_one_witness():
     for name, inst in catalog.SEPARATIONS.items():
         for i, pred in enumerate(inst.predicates):

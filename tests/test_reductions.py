@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ import scan_oracle
 from bwreduce import catalog
 from bwreduce.certificates import Budget, Selector, SeparatorSet
 from bwreduce.core import DyadicInterval, seq_code, seq_len, string_code
+from bwreduce.edges import EDGES, roundtrip
 from bwreduce.errors import (
     BudgetExceededError,
     ExactValueUnavailableError,
@@ -27,6 +30,7 @@ from bwreduce.instances import (
     RulePredicate,
     SeparationInstance,
     SingleBranchTree,
+    serialize_instance,
 )
 from bwreduce.core import CantorPoint
 from bwreduce.reductions import (
@@ -295,6 +299,59 @@ def test_f_g_h_match_the_linear_scan(p, n, ks):
         assert h_bit(p, k, n, budget) == want_h
 
 
+def _callback_relation(a: int, b: int, m: int, gaps: frozenset):
+    # least witness (a·x + b·n) % m, then every second y; none on the gaps
+    def fn(x: int, y: int, n: int) -> bool:
+        w = (a * x + b * n) % m
+        return (x, n) not in gaps and y >= w and (y - w) % 2 == 0
+
+    return fn
+
+
+random_callback_predicates = st.builds(
+    lambda a, b, m, gaps: CallbackPredicate(_callback_relation(a, b, m, gaps)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(1, 6),
+    st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 5)), max_size=3),
+)
+
+_either_predicate = st.one_of(random_rule_predicates, random_callback_predicates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(SeparationInstance, _either_predicate, _either_predicate),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 3000) | st.integers(0, 120), max_size=10),
+    st.sampled_from(("ascending", "descending", "as drawn")),
+)
+def test_shared_prefixes_match_the_per_cutoff_stream(p, n, ks, order):
+    """One instance asked many cutoffs in any order (each asked again after
+    larger and smaller ones, k in {0, 1}, k = budget) answers as a stream
+    rebuilt for each cutoff and as the linear scan; k > budget raises."""
+    budget = 3000
+    ks = ks + [0, 1, budget]
+    if order != "as drawn":
+        ks.sort(reverse=order == "descending")
+    ks += ks[::-1]
+    valid = [scan_oracle.valid_codes_below(p, i, n, budget) for i in (0, 1)]
+    for k in ks:
+        want = [scan_oracle.f_code(p, i, n, k) for i in (0, 1)]
+        assert want == [max((c for c in codes if c < k), default=1) for codes in valid]
+        for i in (0, 1):
+            assert f_code(p, i, n, k, budget) == want[i]
+            assert g_len(p, i, n, k, budget) == seq_len(want[i])
+        assert h_bit(p, k, n, budget) == (0 if seq_len(want[0]) >= seq_len(want[1]) else 1)
+    for i in (0, 1):
+        with pytest.raises(BudgetExceededError):
+            f_code(p, i, n, budget + 1, budget)
+        with pytest.raises(BudgetExceededError):
+            g_len(p, i, n, budget + 1, budget)
+    with pytest.raises(BudgetExceededError):
+        h_bit(p, budget + 1, n, budget)
+
+
 def test_f_code_work_is_logarithmic_in_the_cutoff():
     """Each position tries only witnesses whose code still fits below k, so
     a cutoff of 10^6 costs at most (L + 1) · ceil(log2 k) predicate calls."""
@@ -345,6 +402,32 @@ def test_late_stabilizing_separation_at_a_million(late_million):
     elapsed = time.perf_counter() - t0
     assert bits == [1, 1, 1, 1, 1, 0, 1, 1]
     assert elapsed < 1.0
+
+
+LATE_MILLION_FILE = Path(__file__).parent / "data" / "late_million.json"
+
+
+def test_late_million_file_is_the_fixture(late_million):
+    assert LATE_MILLION_FILE.read_bytes() == serialize_instance(late_million)
+
+
+def test_separation_bw_round_trip_evaluates_each_rule_pair_once(monkeypatch, late_million):
+    """Every cutoff the round trip reads shares one least-witness stream per
+    side and n, so no (side, x, y, n) is evaluated twice."""
+    calls: Counter = Counter()
+    evaluate = RulePredicate.evaluate
+
+    def counted(self, x: int, y: int, n: int) -> bool:
+        calls[id(self), x, y, n] += 1
+        return evaluate(self, x, y, n)
+
+    monkeypatch.setattr(RulePredicate, "evaluate", counted)
+    for p in (*catalog.SEPARATIONS.values(), late_million):
+        calls.clear()
+        fresh = SeparationInstance(*p.predicates)
+        _, bad = roundtrip(EDGES["separation-bw"], fresh, Budget(), [], "corrected")
+        assert bad is None
+        assert calls and max(calls.values()) == 1
 
 
 def test_course_of_values_identity():
