@@ -7,14 +7,15 @@ witness search), ``verify`` (exact certificate checking), ``roundtrip``
 
 Exit codes: 0 pass, 1 verification failure, 2 budget exhaustion (with a
 machine-readable JSON reason on stderr), 3 malformed input or usage, 4
-unsupported request.  Every command is deterministic in its flags and input
-bytes.
+unsupported request, 5 standard output closed.  Every command is
+deterministic in its flags and input bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Any, Callable
@@ -325,10 +326,17 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone; the flush at interpreter shutdown stays silent
+        sys.stdout = open(os.devnull, "w")
+        print("error: standard output closed", file=sys.stderr)
+        return 5
     except (
         InstanceFormatError,
         NotANodeError,

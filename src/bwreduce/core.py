@@ -130,10 +130,6 @@ class DyadicInterval:
         """Closed membership: lower <= q <= upper."""
         return self.lower <= q <= self.upper
 
-    def contains_halfopen(self, q: Fraction) -> bool:
-        """Half-open variant: lower <= q < upper."""
-        return self.lower <= q < self.upper
-
     def child(self, b: int) -> "DyadicInterval":
         return DyadicInterval(self.level + 1, 2 * self.index + b)
 
@@ -216,18 +212,6 @@ class CantorPoint:
         return f"CantorPoint<rule:{self.label}>"
 
 
-def _equality_bound(x: CantorPoint, y: CantorPoint) -> int:
-    """Positions to compare so agreement implies equality (periodic pair)."""
-    assert x.is_periodic and y.is_periodic
-    return max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))
-
-
-def periodic_equal(x: CantorPoint, y: CantorPoint) -> bool:
-    """Decide equality of two eventually periodic points exactly."""
-    bound = _equality_bound(x, y)
-    return all(x.bit(n) == y.bit(n) for n in range(bound))
-
-
 def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
     """Exact distance of two eventually periodic points (no budget needed)."""
     from .errors import ExactValueUnavailableError
@@ -236,7 +220,8 @@ def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
         raise ExactValueUnavailableError(
             "exact Cantor distance needs eventually periodic points"
         )
-    for m in range(_equality_bound(x, y)):
+    # agreement up to the longer prefix plus the lcm of the periods is equality
+    for m in range(max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))):
         if x.bit(m) != y.bit(m):
             return Fraction(1, 2**m)
     return Fraction(0)

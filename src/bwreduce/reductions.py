@@ -23,7 +23,6 @@ from .core import (
     DyadicInterval,
     format_bits,
     string_code,
-    string_decode,
 )
 from .errors import BudgetExceededError, NotANodeError, WitnessExhaustedError
 from .instances import (
@@ -110,17 +109,21 @@ def swkl_to_separation(y: SigmaTree) -> SeparationInstance:
 
 
 def exact_separator(y: SigmaTree, depth: int) -> SeparatorSet:
-    """Brute-force separator over all string codes of length < depth, from
-    the tree's decidable limit view: code(σ) is in iff the 0-side below σ
-    dies strictly before the 1-side."""
+    """Separator over all string codes of length < depth, from the tree's
+    decidable limit view: code(σ) is in iff the 0-side below σ dies strictly
+    before the 1-side.  One walk of the limit tree asks ``limit_heights`` once
+    per limit node; a node off it has both heights len(σ), hence bit 0."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    bits = []
-    for n in range(2**depth - 1):
-        sigma = string_decode(n)
+    bits = bytearray(2**depth - 1)
+    stack: list[Bits] = [()]
+    while stack:
+        sigma = stack.pop()
         h0, h1 = y.limit_heights(sigma)
-        dead0 = h0 is not None and (h1 is None or h0 < h1)
-        bits.append(1 if dead0 else 0)
+        if h0 is not None and (h1 is None or h0 < h1):
+            bits[string_code(sigma)] = 1
+        if len(sigma) + 1 < depth:
+            stack += [sigma + (c,) for c, h in enumerate((h0, h1)) if h is None or h > len(sigma)]
     return SeparatorSet(tuple(bits))
 
 

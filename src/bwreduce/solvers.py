@@ -212,24 +212,24 @@ def find_accumulation_cantor(
 
 
 def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
-    """Leftmost depth-level member at stage ``budget.stage``; every prefix of
-    the result has member extensions at all lengths up to the depth."""
+    """Leftmost depth-level member at stage ``budget.stage``, found by one
+    leftmost depth-first descent over ``member_at_stage``: members are
+    downward closed, so every prefix of it has member extensions at all
+    lengths up to the depth, and no non-member's subtree is entered."""
     stage = budget.stage
     if not (
         tree.member_at_stage((0,), stage) or tree.member_at_stage((1,), stage)
     ):
         raise EmptyTreeAtStageError(f"no length-1 member by stage {stage}")
-    if not tree.has_extension((), budget.depth, stage):
-        raise BudgetExhaustedError(
-            f"no member reaches depth {budget.depth} by stage {stage}"
-        )
-    bits: Bits = ()
-    for _ in range(budget.depth):
-        for c in (0, 1):
-            if tree.has_extension(bits + (c,), budget.depth, stage):
-                bits = bits + (c,)
-                break
-    return BranchPrefix(bits, stage)
+    stack: list[Bits] = [()]
+    while stack:
+        bits = stack.pop()
+        if not tree.member_at_stage(bits, stage):
+            continue
+        if len(bits) == budget.depth:
+            return BranchPrefix(bits, stage)
+        stack += (bits + (1,), bits + (0,))
+    raise BudgetExhaustedError(f"no member reaches depth {budget.depth} by stage {stage}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,44 @@ its (j0, q) window into the window.  ``DerivedTree.witness_count`` counts
 integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
-dicts built once per predicate.  This module keeps the direct forms they
-must agree with: the dyadic-cell parity of term(j)·2^n as a ``Fraction``; each listed row looked up and read at j; the cohesion
-verifier and back-translation that ask ``member`` once per row and selected
-value; the geometric series summed term by term; the enumeration that
+dicts built once per predicate.  ``reductions.exact_separator`` walks the
+limit tree once, and ``solvers.find_branch`` makes one leftmost depth-first
+descent.  This module keeps the direct forms they must agree with: the
+dyadic-cell parity of term(j)·2^n as a ``Fraction``; each listed row looked
+up and read at j; the cohesion verifier and back-translation that ask
+``member`` once per row and selected value; the geometric series summed term by term; the enumeration that
 evaluates the membership pattern of every j below the horizon; suffix
 extrema taken by ``max``/``min`` over ``Fraction``s; the embedded term read
 at its own index; the sorted list of every term j <= stage bisected at the
 cell's ``Fraction`` endpoints; the tree's cell key of a term as a
-``Fraction`` product; the walk term as a ``Fraction`` product; and a rule
-predicate's overrides scanned in full for each lookup.
+``Fraction`` product; the walk term as a ``Fraction`` product; a rule
+predicate's overrides scanned in full for each lookup; the separator asked
+at every string code below 2^depth - 1; and the branch search that asks
+``has_extension`` from the root and again at every level.  It also keeps
+two helpers that only tests use: half-open cell membership and the
+bit-by-bit equality of eventually periodic points.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 
-from bwreduce.certificates import Budget, CohesiveWitness, Selector
-from bwreduce.core import Bits, CantorPoint, DyadicInterval
+from bwreduce.certificates import (
+    BranchPrefix,
+    Budget,
+    CohesiveWitness,
+    Selector,
+    SeparatorSet,
+)
+from bwreduce.core import (
+    Bits,
+    CantorPoint,
+    DyadicInterval,
+    string_decode,
+)
+from bwreduce.errors import BudgetExhaustedError, EmptyTreeAtStageError
 from bwreduce.instances import (
     EmbeddedSequence,
     PeriodicRowsFamily,
@@ -37,6 +56,7 @@ from bwreduce.instances import (
     RowPattern,
     RulePredicate,
     SetFamily,
+    SigmaTree,
 )
 from bwreduce.solvers import CohesiveViolation
 
@@ -201,3 +221,51 @@ def rule_first_failure(pred: RulePredicate, n: int) -> int | None:
         if rule_minimal_witness(pred, x, n) is None:
             return x
     return None
+
+
+def exact_separator(y: SigmaTree, depth: int) -> SeparatorSet:
+    """The separator with ``limit_heights`` asked at every one of the
+    2^depth - 1 string codes of length < depth, in code order."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    bits = []
+    for n in range(2**depth - 1):
+        sigma = string_decode(n)
+        h0, h1 = y.limit_heights(sigma)
+        dead0 = h0 is not None and (h1 is None or h0 < h1)
+        bits.append(1 if dead0 else 0)
+    return SeparatorSet(tuple(bits))
+
+
+def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
+    """The leftmost depth-level member, found by asking ``has_extension``
+    from the root and then again for each child at every level."""
+    stage = budget.stage
+    if not (
+        tree.member_at_stage((0,), stage) or tree.member_at_stage((1,), stage)
+    ):
+        raise EmptyTreeAtStageError(f"no length-1 member by stage {stage}")
+    if not tree.has_extension((), budget.depth, stage):
+        raise BudgetExhaustedError(
+            f"no member reaches depth {budget.depth} by stage {stage}"
+        )
+    bits: Bits = ()
+    for _ in range(budget.depth):
+        for c in (0, 1):
+            if tree.has_extension(bits + (c,), budget.depth, stage):
+                bits = bits + (c,)
+                break
+    return BranchPrefix(bits, stage)
+
+
+def contains_halfopen(cell: DyadicInterval, q: Fraction) -> bool:
+    """Half-open cell membership: lower <= q < upper."""
+    return cell.lower <= q < cell.upper
+
+
+def periodic_equal(x: CantorPoint, y: CantorPoint) -> bool:
+    """Equality of two eventually periodic points, bit by bit up to the
+    longer prefix plus the lcm of the periods."""
+    assert x.is_periodic and y.is_periodic
+    bound = max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))
+    return all(x.bit(n) == y.bit(n) for n in range(bound))

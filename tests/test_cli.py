@@ -13,6 +13,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -542,6 +543,44 @@ def test_nonmonotone_stage_list_file_is_exit_3(tmp_path, capsys):
     )
     assert main(["solve", "--problem", "branch", "-i", str(bad)]) == 3
     assert "absent at stage 4" in capsys.readouterr().err
+
+
+class _ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone away: each ``write`` fails at
+    once, or the text is buffered and the first ``flush`` fails."""
+
+    def __init__(self, fails: str):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, s: str) -> int:
+        if self.fails == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+    def flush(self) -> None:
+        if self.fails == "flush":
+            self.fails = ""
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_closed_stdout_is_exit_5(tmp_path, monkeypatch, capsys, fails):
+    src = _write(tmp_path, "tree.json", catalog.TREES["union-cluster"])
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(fails))
+    assert main(["roundtrip", "--pair", "swkl-separation", "-i", src]) == 5
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == "error: standard output closed\n"
+
+
+def test_report_write_error_stays_exit_3(tmp_path, monkeypatch, capsys):
+    src = _write(tmp_path, "tree.json", catalog.TREES["union-cluster"])
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout("write"))
+    argv = ["roundtrip", "--pair", "swkl-separation", "-i", src, "--report", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21]") and err.count("\n") == 1
 
 
 

@@ -379,7 +379,7 @@ def _in_even_closed_cell(q: Fraction, n: int) -> bool:
 
 def _in_even_halfopen_cell(q: Fraction, n: int) -> bool:
     return any(
-        DyadicInterval(n, k).contains_halfopen(q) for k in range(0, 2**n, 2)
+        kernel_oracle.contains_halfopen(DyadicInterval(n, k), q) for k in range(0, 2**n, 2)
     )
 
 

@@ -1,0 +1,168 @@
+"""The tree layer against its reference bodies in ``kernel_oracle``.
+
+``reductions.exact_separator`` walks the limit tree once and
+``solvers.find_branch`` makes one leftmost depth-first descent; both must
+give what the brute-force separator and the ``has_extension``-per-level
+search give, errors included, on branch unions, stage lists, the full tree
+and derived trees of generated sequences.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kernel_oracle
+from bwreduce import catalog
+from bwreduce.certificates import Budget
+from bwreduce.core import CantorPoint
+from bwreduce.instances import (
+    BinaryWalkSequence,
+    BranchUnionTree,
+    DerivedTree,
+    FullBinaryTree,
+    HarmonicSequence,
+    PeriodicSequence,
+    SigmaTree,
+    SingleBranchTree,
+    StageListTree,
+    TableSequence,
+    serialize_instance,
+)
+from bwreduce.reductions import exact_separator
+from bwreduce.solvers import find_branch
+
+# --- strategies ------------------------------------------------------------------
+
+
+def _bits(lo: int, hi: int):
+    return st.lists(st.integers(0, 1), min_size=lo, max_size=hi).map(tuple)
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+branch_unions = st.lists(
+    st.builds(CantorPoint.periodic, _bits(0, 4), _bits(1, 4)), min_size=1, max_size=4
+).map(BranchUnionTree)
+
+
+@st.composite
+def stage_lists(draw) -> StageListTree:
+    """Inclusion-increasing snapshots: each stage adds nodes to the last."""
+    nodes: set[tuple[int, ...]] = set()
+    entries = []
+    for stage in sorted(draw(st.sets(st.integers(0, 40), max_size=4))):
+        nodes |= set(draw(st.lists(_bits(1, 12), min_size=1, max_size=3)))
+        entries.extend((stage, node) for node in sorted(nodes))
+    return StageListTree(entries)
+
+
+sequences = st.one_of(
+    st.builds(
+        PeriodicSequence,
+        st.lists(unit, max_size=3),
+        st.lists(unit, min_size=1, max_size=4),
+    ),
+    st.builds(BinaryWalkSequence, unit),
+    st.builds(TableSequence, st.dictionaries(st.integers(0, 30), unit, max_size=5), unit),
+    st.just(HarmonicSequence()),
+)
+
+trees = st.one_of(
+    st.just(FullBinaryTree()),
+    branch_unions,
+    stage_lists(),
+    sequences.map(DerivedTree),
+)
+
+stages = st.one_of(st.just(0), st.integers(0, 200))
+
+
+def _outcome(fn, *args):
+    """The result, or the error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return type(e), str(e)
+
+
+# --- differential tests ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.integers(0, 12))
+def test_separator_walk_matches_the_brute_force(tree: SigmaTree, depth: int):
+    assert _outcome(exact_separator, tree, depth) == _outcome(
+        kernel_oracle.exact_separator, tree, depth
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.integers(0, 12), stages)
+def test_branch_descent_matches_the_per_level_search(tree: SigmaTree, depth: int, stage: int):
+    budget = Budget(depth=depth, stage=stage)
+    assert _outcome(find_branch, tree, budget) == _outcome(
+        kernel_oracle.find_branch, tree, budget
+    )
+
+
+def test_separator_and_branch_match_the_oracles_on_the_catalog():
+    for name, tree in sorted(catalog.TREES.items()):
+        for depth in (1, 5, 10):
+            assert exact_separator(tree, depth) == kernel_oracle.exact_separator(tree, depth), name
+            budget = Budget(depth=depth)
+            assert _outcome(find_branch, tree, budget) == _outcome(
+                kernel_oracle.find_branch, tree, budget
+            ), name
+
+
+# --- work counters -----------------------------------------------------------------
+
+
+def test_separator_walk_asks_one_node_per_level_of_a_single_branch(monkeypatch):
+    calls = [0]
+    limit_heights = BranchUnionTree.limit_heights
+
+    def counted(self, bits):
+        calls[0] += 1
+        return limit_heights(self, bits)
+
+    monkeypatch.setattr(BranchUnionTree, "limit_heights", counted)
+    single = {n: t for n, t in catalog.TREES.items() if isinstance(t, SingleBranchTree)}
+    assert len(single) == 4
+    for name, tree in sorted(single.items()):
+        calls[0] = 0
+        exact_separator(tree, 20)
+        assert calls[0] == 20, name
+        calls[0] = 0
+        kernel_oracle.exact_separator(tree, 12)
+        assert calls[0] == 2**12 - 1, name
+
+
+def test_branch_descent_asks_no_more_members_than_the_oracle(monkeypatch):
+    calls = [0]
+    member_at_stage = DerivedTree.member_at_stage
+
+    def counted(self, bits, stage):
+        calls[0] += 1
+        return member_at_stage(self, bits, stage)
+
+    monkeypatch.setattr(DerivedTree, "member_at_stage", counted)
+    budget = Budget()
+    for name, x in sorted(catalog.SEQUENCES.items()):
+        calls[0] = 0
+        got = find_branch(DerivedTree(x), budget)
+        new = calls[0]
+        calls[0] = 0
+        assert kernel_oracle.find_branch(DerivedTree(x), budget) == got, name
+        assert new <= calls[0], (name, new, calls[0])
+
+
+
+UNION_CLUSTER_FILE = Path(__file__).parent / "data" / "union_cluster.json"
+
+
+def test_union_cluster_file_is_the_catalog_tree():
+    assert UNION_CLUSTER_FILE.read_bytes() == serialize_instance(catalog.TREES["union-cluster"])
