@@ -27,7 +27,7 @@ from pathlib import Path
 from bwreduce import catalog
 from bwreduce.cli import main as cli_main
 from bwreduce.edges import EDGES
-from bwreduce.instances import DerivedFamily, serialize_instance
+from bwreduce.instances import DerivedFamily, canonical_json, serialize_instance
 
 PAIR_CATALOGS = {
     "bw-swkl": catalog.SEQUENCES,
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         doc = {"convention": args.convention, "rows": rows}
-        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.json).write_text(canonical_json(doc) + "\n")
 
     return 1 if failures else 0
 

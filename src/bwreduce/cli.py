@@ -7,8 +7,9 @@ witness search), ``verify`` (exact certificate checking), ``roundtrip``
 
 Exit codes: 0 pass, 1 verification failure, 2 budget exhaustion (with a
 machine-readable JSON reason on stderr), 3 malformed input or usage, 4
-unsupported request, 5 standard output closed.  Every command is
-deterministic in its flags and input bytes.
+unsupported request, 5 standard output closed, 6 internal error (with a
+JSON diagnostic on stderr).  Every command is deterministic in its flags and
+input bytes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .instances import (
     RationalSequence,
     SetFamily,
     SigmaTree,
+    canonical_json,
     parse_instance,
     serialize_instance,
 )
@@ -204,7 +206,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         "verdict": verdict,
     }
     if args.report is not None:
-        data = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        data = (canonical_json(report) + "\n").encode("utf-8")
         with open(args.report, "wb") as fh:
             fh.write(data)
 
@@ -363,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except Exception as e:  # a fault of this program, never a verdict on the input
+        payload = {"error": "internal", "kind": type(e).__name__, "reason": str(e)}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return 6
 
 
 def app() -> None:

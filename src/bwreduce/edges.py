@@ -124,11 +124,14 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
 
 def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, notes):
     levels = budget.depth
-    full = [
-        i
-        for i in range(levels)
-        if (pat := family.row_pattern(i)) is not None and pat.is_full()
-    ]
+    full = []
+    struct = family.periodic_structure(levels)
+    if struct is not None:
+        # a 1 digit marks a window slot outside that row (see SetFamily.pattern)
+        outside = 0
+        for j in range(sum(struct)):
+            outside |= family.pattern(j, range(levels))
+        full = [i for i in range(levels) if not outside >> (levels - 1 - i) & 1]
     if len(full) == levels:
         notes.append(f"R_i = N for all i < {levels}")
     elif full:

@@ -29,6 +29,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -1112,10 +1113,12 @@ class SetFamily:
         raise NotImplementedError
 
     def pattern(self, j: int, rows: Iterable[int]) -> int:
-        """Membership of j in the listed rows (ascending) as one integer: the
-        first row is the most significant bit and a 0 digit means j ∈ R_i
-        (cell-pattern orientation), so over range(L) the integer order is
-        the order of the patterns as tuples."""
+        """Membership of j in the listed rows as one integer: the first row is
+        the most significant bit and a 0 digit means j ∈ R_i (cell-pattern
+        orientation), so over range(L) the integer order is the order of the
+        patterns as tuples.  The rows must be strictly ascending: a derived
+        family reads a range, list or tuple whose last row is its first plus
+        its length minus 1 as one contiguous run."""
         out = 0
         for i in rows:
             out = out << 1 | (not self.member(i, j))
@@ -1280,7 +1283,10 @@ def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
 
 
 def _runs(rows: Iterable[int]) -> list[list[int]]:
-    """The maximal runs [a, b] of consecutive values in ascending ``rows``."""
+    """The maximal runs [a, b] of consecutive values in ascending ``rows``;
+    a range, list or tuple spanning exactly its length is one run."""
+    if isinstance(rows, (range, list, tuple)) and rows and rows[-1] - rows[0] == len(rows) - 1:
+        return [[rows[0], rows[-1]]]
     runs: list[list[int]] = []
     for i in rows:
         if runs and runs[-1][1] == i - 1:
@@ -1377,10 +1383,46 @@ def _envelope_dict(obj: Any) -> dict[str, Any]:
     return {"kind": obj.kind, "repr": obj.to_repr(), "meta": dict(meta)}
 
 
+def canonical_json(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``depth``,
+    byte for byte, without the pure-Python encoder that ``indent`` selects.
+
+    Dicts with string keys, lists, tuples, exact ints and strs, bools and
+    None are written here; a flat list of ints or of strs is one join.  Any
+    other value (floats, int or str subclasses, other keys) is handed to
+    ``json.dumps`` and re-indented to ``depth``: its strings hold no raw
+    newline, so every newline it writes starts a line."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        body = [_quote(k) + ": " + canonical_json(value[k], depth + 1) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(body) + outer + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = map(int.__repr__, value)
+        elif kinds == {str}:
+            body = map(_quote, value)
+        else:
+            body = [canonical_json(v, depth + 1) for v in value]
+        return "[" + inner + ("," + inner).join(body) + outer + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
+
+
 def serialize_instance(obj: Any) -> bytes:
     """Canonical UTF-8 bytes of the instance/certificate envelope."""
-    text = json.dumps(_envelope_dict(obj), sort_keys=True, indent=2)
-    return (text + "\n").encode("utf-8")
+    return (canonical_json(_envelope_dict(obj)) + "\n").encode("utf-8")
 
 
 def _rationals(raw: Any, path: str) -> tuple[Fraction, ...]:

@@ -38,6 +38,11 @@ from .instances import (
 )
 
 
+# exact_separator keeps one bit per string code below its depth, 2^depth - 1
+# in all; a deeper request is refused before anything is allocated
+MAX_SEPARATOR_DEPTH = 22
+
+
 class BranchPoint(NamedTuple):
     """Accumulation data recovered from a tree branch."""
 
@@ -112,9 +117,15 @@ def exact_separator(y: SigmaTree, depth: int) -> SeparatorSet:
     """Separator over all string codes of length < depth, from the tree's
     decidable limit view: code(σ) is in iff the 0-side below σ dies strictly
     before the 1-side.  One walk of the limit tree asks ``limit_heights`` once
-    per limit node; a node off it has both heights len(σ), hence bit 0."""
+    per limit node; a node off it has both heights len(σ), hence bit 0.
+    A depth past ``MAX_SEPARATOR_DEPTH`` is an exceeded budget."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > MAX_SEPARATOR_DEPTH:
+        raise BudgetExceededError(
+            f"separator of depth {depth} needs 2^{depth} - 1 bits; "
+            f"the limit is depth {MAX_SEPARATOR_DEPTH}"
+        )
     bits = bytearray(2**depth - 1)
     stack: list[Bits] = [()]
     while stack:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwreduce import catalog, solvers
+from bwreduce import catalog, cli, reductions, solvers
 from bwreduce.certificates import (
     BranchPrefix,
     Budget,
@@ -38,7 +38,12 @@ from bwreduce.cli import PROBLEMS, main
 from bwreduce.core import DyadicInterval
 from bwreduce.edges import EDGES
 from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
-from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh, separation_to_bw
+from bwreduce.reductions import (
+    MAX_SEPARATOR_DEPTH,
+    bw_to_swkl,
+    bwweak_to_stcoh,
+    separation_to_bw,
+)
 
 
 def _write(tmp_path: Path, name: str, obj) -> str:
@@ -581,6 +586,43 @@ def test_report_write_error_stays_exit_3(tmp_path, monkeypatch, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 21]") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "limit, depth, code", [(5, 5, 0), (5, 6, 2), (MAX_SEPARATOR_DEPTH, 40, 2)]
+)
+def test_roundtrip_separator_depth_is_bounded(tmp_path, monkeypatch, capsys, limit, depth, code):
+    """The separator keeps 2^depth - 1 bits; a depth past the limit is an
+    exceeded budget, refused before anything is allocated.  A lowered limit
+    pins the boundary without allocating the largest allowed separator."""
+    monkeypatch.setattr(reductions, "MAX_SEPARATOR_DEPTH", limit)
+    src = _write(tmp_path, "tree.json", catalog.TREES["union-cluster"])
+    argv = ["roundtrip", "--pair", "swkl-separation", "-i", src, "--depth", str(depth)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert json.loads(captured.err) == {
+            "error": "budget",
+            "kind": "BudgetExceededError",
+            "reason": f"separator of depth {depth} needs 2^{depth} - 1 bits; "
+            f"the limit is depth {limit}",
+        }
+    else:
+        assert "verdict    pass" in captured.out
+
+
+def test_an_internal_fault_is_exit_6_with_json(monkeypatch, capsys):
+    def broken(point):
+        raise RuntimeError("an internal fault")
+
+    monkeypatch.setattr(cli, "embed_point_exact", broken)
+    assert main(["embed", "--direction", "to-real", "1,(0)"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "internal", "kind": "RuntimeError", "reason": "an internal fault",
+    }
 
 
 

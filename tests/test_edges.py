@@ -11,6 +11,7 @@ from dataclasses import replace
 from bwreduce import catalog
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
 from bwreduce.edges import EDGES, roundtrip
+from bwreduce.instances import DerivedFamily
 from bwreduce.solvers import CohesiveViolation
 
 
@@ -30,3 +31,27 @@ def test_roundtrip_checks_the_target_solution():
     stages, bad = roundtrip(broken, x, Budget(), [], "corrected")
     assert bad == CohesiveViolation(0, 0)
     assert [step for step, _ in stages] == ["reduce", "solve", "back"]
+
+
+def test_full_row_note_reads_patterns_not_members(monkeypatch):
+    """The ``R_i = N`` note of bwweak-stcoh lists the rows that
+    ``row_pattern`` reads as full, in both conventions, while the round
+    trip asks ``member`` of the family not once."""
+    edge = EDGES["bwweak-stcoh"]
+    budget = Budget()
+    for x in catalog.PERIODIC_SEQUENCES.values():
+        for convention in DerivedFamily.conventions:
+            family = edge.forward(x, convention)
+            full = [i for i in range(budget.depth) if family.row_pattern(i).is_full()]
+            calls = []
+            monkeypatch.setattr(DerivedFamily, "member", lambda *a: calls.append(a))
+            notes: list[str] = []
+            roundtrip(edge, x, budget, notes, convention)
+            monkeypatch.undo()
+            assert calls == []
+            if len(full) == budget.depth:
+                assert f"R_i = N for all i < {budget.depth}" in notes
+            elif full:
+                assert "R_i = N for i in {" + ", ".join(map(str, full)) + "}" in notes
+            else:
+                assert not any(note.startswith("R_i") for note in notes)

@@ -7,6 +7,8 @@ checked for replay: parsing a derived file re-runs the construction.
 
 from __future__ import annotations
 
+import enum
+import gc
 import json
 from fractions import Fraction
 
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 import kernel_oracle
 from scan_oracle import unique_minimal
-from bwreduce import catalog
+from bwreduce import catalog, solvers
+from bwreduce.certificates import Budget
 from bwreduce.core import CantorPoint, DyadicInterval, format_rational
 from bwreduce.errors import (
     ExactValueUnavailableError,
@@ -48,6 +51,7 @@ from bwreduce.instances import (
     StageListTree,
     TableRowsFamily,
     TableSequence,
+    canonical_json,
     parse_instance,
     serialize_instance,
 )
@@ -449,6 +453,12 @@ pattern_rows = st.one_of(
         lambda t: range(t[0], min(t[0] + t[1], 200) + 1)
     ),
     st.sets(st.integers(0, 200), max_size=40).map(sorted),
+    # one row short of a run: must not pass for a contiguous one
+    st.tuples(st.integers(0, 190), st.integers(2, 10)).flatmap(
+        lambda t: st.integers(t[0] + 1, t[0] + t[1] - 1).map(
+            lambda gap: [i for i in range(t[0], t[0] + t[1] + 1) if i != gap]
+        )
+    ),
 )
 
 
@@ -464,12 +474,14 @@ def _oracle_pattern(bit, rows) -> int:
 def test_derived_pattern_matches_the_member_oracle(q, rows, period):
     """One integer per term over contiguous or sparse rows equals the
     Fraction cell parity asked row by row, in both conventions, whether the
-    term comes from the constant (q = 0, period 0) or a one-term period."""
+    term comes from the constant (q = 0, period 0) or a one-term period, and
+    whether the rows come as a range, a list or a tuple."""
     x = ConstantSequence(q) if period == 0 else PeriodicSequence([Fraction(1, 3)], [q])
     for convention in DerivedFamily.conventions:
         fam = DerivedFamily(x, convention)
         want = _oracle_pattern(lambda i: kernel_oracle.member(q, i, convention), rows)
-        assert fam.pattern(period, rows) == want, convention
+        for given_rows in (rows, list(rows), tuple(rows)):
+            assert fam.pattern(period, given_rows) == want, (convention, type(given_rows))
         if rows:
             assert fam.member(rows[-1], period) == kernel_oracle.member(q, rows[-1], convention)
 
@@ -887,3 +899,116 @@ def test_meta_rides_along():
     out = parse_instance(serialize_instance(parse_instance(json.dumps(doc))))
     assert out.meta == {"note": "example"}
     assert format_rational(out.term(0)) == "1/2"
+
+
+# --- the canonical writer ---------------------------------------------------------
+
+
+def _oracle_bytes(envelope) -> bytes:
+    return (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+class _Text(str):
+    pass
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**70, -(2**70)]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00", "é", "\U0001f600", " "]),
+)
+# flat lists of one scalar type, the writer's fast paths, and lists mixing
+# bools and None into ints
+flat_lists = st.one_of(
+    st.lists(st.integers(-(2**70), 2**70)),
+    st.lists(st.text()),
+    st.lists(st.one_of(st.integers(), st.booleans(), st.none())),
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, flat_lists),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+# meta may hold anything json.dumps writes: floats, infinities, NaN, str and
+# int subclasses, non-string keys
+meta_values = st.recursive(
+    st.one_of(
+        json_scalars,
+        st.floats(),
+        st.sampled_from([float("inf"), float("-inf"), 0.1, -0.0, 1e300]),
+        st.text().map(_Text),
+        st.just(_Count.ONE),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.text(max_size=5), kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class _Envelope:
+    def __init__(self, kind, rep, meta):
+        self.kind, self._rep, self.meta = kind, rep, meta
+
+    def to_repr(self):
+        return self._rep
+
+
+@settings(max_examples=200)
+@given(
+    st.text(max_size=8),
+    st.dictionaries(st.text(max_size=8), json_values, max_size=5),
+    st.dictionaries(st.text(max_size=8), meta_values, max_size=4),
+)
+def test_serialize_instance_matches_json_dumps(kind, rep, meta):
+    """The canonical writer is json.dumps(sort_keys=True, indent=2) byte for
+    byte on generated envelopes, and at every nesting depth of a value."""
+    obj = _Envelope(kind, rep, meta)
+    assert serialize_instance(obj) == _oracle_bytes({"kind": kind, "repr": rep, "meta": meta})
+    for value in (*rep.values(), *meta.values()):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_serialize_instance_matches_json_dumps_on_the_catalog():
+    """Every catalog instance, its targets along each edge in both
+    conventions, and the cohesive witnesses and slow Cauchy certificates of
+    the eventually periodic sequences."""
+    objs = [x for name, x in _corpus()]
+    for edge in EDGES.values():
+        for x in (x for x in objs if isinstance(x, edge.source)):
+            for convention in DerivedFamily.conventions:
+                params = {"code_budget": 5000, "convention": convention}
+                objs.append(edge.forward(x, **{name: params[name] for name in edge.params}))
+    for x in catalog.PERIODIC_SEQUENCES.values():
+        objs.append(solvers.extract_slow_cauchy(x, Budget()))
+        objs.append(solvers.build_strongly_cohesive(bwweak_to_stcoh(x, "corrected"), 8, Budget()))
+    for obj in objs:
+        envelope = {"kind": obj.kind, "repr": obj.to_repr(), "meta": getattr(obj, "meta", {})}
+        assert serialize_instance(obj) == _oracle_bytes(envelope), obj
+
+
+def test_serialize_instance_leaves_no_cyclic_garbage():
+    family = bwweak_to_stcoh(catalog.PERIODIC_SEQUENCES["period-three"], "corrected")
+    witness = solvers.build_strongly_cohesive(family, 8, Budget())
+    serialize_instance(witness)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            serialize_instance(witness)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
