@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import lt
 from typing import Any, Mapping
 
 from .core import Bits, DyadicInterval, format_bits, format_rational, parse_bits, parse_rational
@@ -81,9 +83,10 @@ class Selector:
     kind = "selector"
 
     def __post_init__(self) -> None:
-        if any((not isinstance(v, int)) or v < 0 for v in self.values):
+        values = self.values  # checked by C-level passes, not a Python loop
+        if not all(map(isinstance, values, repeat(int))) or min(values, default=0) < 0:
             raise NonMonotoneSelectorError("selector values must be naturals")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if not all(map(lt, values, values[1:])):
             raise NonMonotoneSelectorError("selector values must strictly increase")
         if self.extension_step is not None and self.extension_step < 1:
             raise NonMonotoneSelectorError("extension step must be >= 1")

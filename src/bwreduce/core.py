@@ -53,8 +53,13 @@ def parse_bits(text: str, *, location: str = "$") -> Bits:
     return tuple(int(c) for c in text)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def format_bits(bits: Bits) -> str:
-    return "".join(str(b) for b in bits)
+    """The 0/1 string of ``bits``, written in one step as bytes, so a long
+    string costs about its own size rather than one str per bit."""
+    return bytes(bits).translate(_BIT_DIGITS).decode("ascii")
 
 
 def is_prefix(p: Bits, q: Bits) -> bool:

@@ -26,9 +26,10 @@ parse, so round trips are replayable.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -531,6 +532,7 @@ class StageListTree(SigmaTree):
             snapshots.setdefault(stage, set()).add(tuple(node))
         self.stages = tuple(sorted(snapshots))
         self.snapshots = {s: frozenset(snapshots[s]) for s in self.stages}
+        self._sorted = [sorted(snapshots[s]) for s in self.stages]
         for earlier, later in zip(self.stages, self.stages[1:]):
             missing = self.snapshots[earlier] - self.snapshots[later]
             if missing:
@@ -541,15 +543,19 @@ class StageListTree(SigmaTree):
                 )
 
     def snapshot(self, stage: int) -> frozenset[Bits]:
-        best: frozenset[Bits] = frozenset()
-        for s in self.stages:
-            if s > stage:
-                break
-            best = self.snapshots[s]
-        return best
+        k = bisect_right(self.stages, stage)
+        return self.snapshots[self.stages[k - 1]] if k else frozenset()
 
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
-        return any(is_prefix(bits, node) for node in self.snapshot(stage))
+        """σ is a member iff the least node >= σ of the latest snapshot at or
+        below ``stage`` starts with σ: the nodes extending σ sort right after
+        it."""
+        k = bisect_right(self.stages, stage)
+        if not k:
+            return False
+        nodes = self._sorted[k - 1]
+        at = bisect_left(nodes, bits)
+        return at < len(nodes) and nodes[at][: len(bits)] == bits
 
     def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
         if length < len(bits):
@@ -1118,7 +1124,32 @@ class SetFamily:
         orientation), so over range(L) the integer order is the order of the
         patterns as tuples.  The rows must be strictly ascending: a derived
         family reads a range, list or tuple whose last row is its first plus
-        its length minus 1 as one contiguous run."""
+        its length minus 1 as one contiguous run.
+
+        With a ``column_structure`` (j0, q), column j >= j0 + q repeats that
+        of its window slot j0 + (j - j0) % q, so j is folded onto its slot
+        and each (slot, rows) is read once per family: a range is its own
+        memo key and any other ``rows`` becomes a tuple.  A family without
+        one reads every j afresh and keeps no memo."""
+        fold = self._fold
+        if fold is None:
+            return self._pattern(j, rows)
+        j0, q, memo = fold
+        if j >= j0 + q:
+            j = j0 + (j - j0) % q
+        key = (j, rows if isinstance(rows, range) else tuple(rows))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._pattern(j, key[1])
+        return out
+
+    @cached_property
+    def _fold(self) -> tuple[int, int, dict[tuple[int, Any], int]] | None:
+        window = self.column_structure()
+        return None if window is None else (*window, {})
+
+    def _pattern(self, j: int, rows: Iterable[int]) -> int:
+        """``pattern`` of column j itself, unfolded and unmemoized."""
         out = 0
         for i in rows:
             out = out << 1 | (not self.member(i, j))
@@ -1154,25 +1185,12 @@ class _ListedRowsFamily(SetFamily):
 
     def __init__(self, listed: Sequence[RowPattern]):
         self._window = _joint_structure(listed)
-        self._patterns: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def row(self, n: int) -> RowPattern:
         raise NotImplementedError
 
     def member(self, n: int, j: int) -> bool:
         return self.row(n).member(j)
-
-    def pattern(self, j: int, rows: Iterable[int]) -> int:
-        # columns repeat over the joint window: read each slot once per rows
-        j0, q = self._window
-        key = (j if j < j0 + q else j0 + (j - j0) % q, tuple(rows))
-        out = self._patterns.get(key)
-        if out is None:
-            out = 0
-            for i in key[1]:
-                out = out << 1 | (not self.row(i).member(key[0]))
-            self._patterns[key] = out
-        return out
 
     def row_pattern(self, n: int) -> RowPattern:
         return self.row(n)
@@ -1306,7 +1324,8 @@ class DerivedFamily(SetFamily):
     [k/2^n, (k+1)/2^n] with k even — every boundary point qualifies, which is
     the known defect (e.g. both 0 and 1 land in every R_n).
 
-    ``pattern`` reads both from one term(j) = num/den: with x = num/m (m =
+    A column's ``pattern`` (folded onto the source's window by the base
+    class) reads both from one term(j) = num/den: with x = num/m (m =
     2·den corrected, den paper-literal) j ∉ R_i iff floor(x·2^i) is odd, and
     paper-literal also puts j in each row i with den | 2^i.  Rows a..b read
     the low b - a + 1 bits of floor(x·2^b) by one modular power.
@@ -1328,7 +1347,7 @@ class DerivedFamily(SetFamily):
     def member(self, n: int, j: int) -> bool:
         return self.pattern(j, (n,)) == 0
 
-    def pattern(self, j: int, rows: Iterable[int]) -> int:
+    def _pattern(self, j: int, rows: Iterable[int]) -> int:
         q = self.source.term(j)
         num, den = q.numerator, q.denominator
         literal = self.convention == "paper-literal"

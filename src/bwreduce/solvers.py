@@ -18,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -245,9 +246,11 @@ def build_strongly_cohesive(
     The settle points are all 0 — members of one cell never leave it.
 
     Jointly eventually periodic rows (prefix j0, period q) are decided by the
-    patterns of one lcm window j < j0 + q: y is the least of window[j0:], and
-    j is a member iff window[j if j < j0 else j0 + (j - j0) % q] == y, so the
-    search reads j0 + q patterns whatever the horizon.
+    patterns of one lcm window: y is the least pattern of the q period slots
+    j0 + r, the members past the prefix are ``range(j0 + r, horizon, q)`` for
+    each slot r whose pattern is y, and the prefix slots j < min(j0, horizon)
+    whose pattern is y join them, so the search reads min(j0, horizon) + q
+    patterns whatever the horizon.
     Otherwise y is the most populated pattern below the horizon."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
@@ -255,11 +258,11 @@ def build_strongly_cohesive(
     struct = family.periodic_structure(levels)
     if struct is not None:
         j0, q = struct
-        window = [family.pattern(j, rows) for j in range(j0 + q)]
-        y = min(window[j0:])
-        members = tuple(
-            j for j in range(budget.horizon) if window[j if j < j0 else j0 + (j - j0) % q] == y
-        )
+        period = [family.pattern(j0 + r, rows) for r in range(q)]
+        y = min(period)
+        head = [j for j in range(min(j0, budget.horizon)) if family.pattern(j, rows) == y]
+        tail = [range(j0 + r, budget.horizon, q) for r, pat in enumerate(period) if pat == y]
+        members = tuple(head + sorted(chain.from_iterable(tail)))
     else:
         patterns = [family.pattern(j, rows) for j in range(budget.horizon)]
         counts: dict[int, int] = {}
@@ -353,7 +356,7 @@ def thin_to_fast(
     m = len(f)
     if m == 0:
         raise HorizonTooSmallError("cannot thin an empty selector")
-    sufmax, sufmin = _suffix_extrema([x.term(f.value(t)) for t in range(m)])
+    sufmax, sufmin = _suffix_extrema([x.term(j) for j in f.values])
     positions: list[int] = []
     s = 0
     for n in range(budget.depth + 1):
@@ -384,7 +387,7 @@ def verify_cauchy(
     None on pass, least violating (n, v, w) otherwise."""
     f = certificate.selector
     m = len(f)
-    vals = [x.term(f.value(t)) for t in range(m)]
+    vals = [x.term(j) for j in f.values]
     sufmax, sufmin = _suffix_extrema(vals)
     # with den the largest denominator, two terms that differ do so by at
     # least 1/den² > 2^-cap, so every rate n >= cap asks, as cap does, only
@@ -410,24 +413,54 @@ def verify_cohesive(
 ) -> CohesiveViolation | None:
     """Check every settle triple over the selector's values; with
     ``strong_levels`` additionally require that rows 0..strong_levels-1 are
-    all covered (the strong form of cohesion)."""
+    all covered (the strong form of cohesion).
+
+    One sweep over the values decides pass or fail, reading one pattern per
+    value over the settled rows.  ``SetFamily.pattern`` folds a value past
+    the family's (j0, q) column window onto its slot, so a periodic family
+    costs at most one column read per slot however long the selector.  Only
+    a failure rescans triple by triple to name the least violation."""
     if strong_levels is not None:
         covered = {i for i, _, _ in witness.settle}
         for i in range(strong_levels):
             if i not in covered:
                 raise InvalidCertificateError(f"no settle entry for row {i}")
-    # one pattern per selected value over the distinct rows, read when first needed
-    rows = sorted({i for i, _, _ in witness.settle})
-    place = {i: len(rows) - 1 - k for k, i in enumerate(rows)}
+    rows: Sequence[int] = sorted({i for i, _, _ in witness.settle})
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
+        rows = range(rows[0], rows[-1] + 1)  # the memo key the finders read too
+    place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
+    # one sweep: each triple's row bit joins need_out or need_in once j
+    # passes its settle point, and j fails iff its pattern disagrees there
+    pending = sorted(witness.settle, key=itemgetter(1), reverse=True)
+    need_out = need_in = 0
+    for j in witness.selector.values:
+        while pending and pending[-1][1] <= j:
+            i, _, side = pending.pop()
+            if side == "out":
+                need_out |= place[i]
+            else:
+                need_in |= place[i]
+        if need_out | need_in:
+            pat = family.pattern(j, rows)
+            if need_out & ~pat | need_in & pat:
+                return _least_cohesive_violation(witness, family, rows, place)
+    return None
+
+
+def _least_cohesive_violation(
+    witness: CohesiveWitness, family: SetFamily, rows: Sequence[int], place: dict[int, int]
+) -> CohesiveViolation | None:
+    """The first settle triple, then its first selected value j >= s, on the
+    wrong side of its row: one pattern per value, read when first needed."""
     patterns: dict[int, int] = {}
     for i, s, side in witness.settle:
-        shift, want = place[i], side == "out"
+        bit, want = place[i], side == "out"
         for j in witness.selector.values:
             if j >= s:
                 pat = patterns.get(j)
                 if pat is None:
                     pat = patterns[j] = family.pattern(j, rows)
-                if pat >> shift & 1 != want:
+                if bool(pat & bit) != want:
                     return CohesiveViolation(i, j)
     return None
 

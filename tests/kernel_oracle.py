@@ -2,29 +2,35 @@
 plain ``Fraction`` arithmetic and linear scans.
 
 ``SetFamily.pattern`` reads the membership of j in many rows as one integer
-(one modular power per run of rows for a derived family, one read per window
-slot for listed rows), ``core.embed_point_exact`` computes in base-3
-integers, and ``solvers.build_strongly_cohesive`` lists the members of a
-periodic family from one lcm window.  ``solvers._suffix_extrema`` compares
-integer cross-products, and ``EmbeddedSequence.term`` folds an index past
-its (j0, q) window into the window.  ``DerivedTree.witness_count`` counts
-integer cell keys over a weighted window of terms, and
+(one modular power per run of rows for a derived family, one read per row
+for listed rows), folding a column past the family's (j0, q) window onto its
+slot and reading each slot once.  ``core.embed_point_exact`` computes in
+base-3 integers, and ``solvers.build_strongly_cohesive`` lists the members
+of a periodic family from one lcm window.  ``solvers._suffix_extrema``
+compares integer cross-products, and ``EmbeddedSequence.term`` folds an
+index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
+counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate.  ``reductions.exact_separator`` walks the
 limit tree once, and ``solvers.find_branch`` makes one leftmost depth-first
-descent.  This module keeps the direct forms they must agree with: the
-dyadic-cell parity of term(j)·2^n as a ``Fraction``; each listed row looked
-up and read at j; the cohesion verifier and back-translation that ask
-``member`` once per row and selected value; the geometric series summed term by term; the enumeration that
-evaluates the membership pattern of every j below the horizon; suffix
-extrema taken by ``max``/``min`` over ``Fraction``s; the embedded term read
-at its own index; the sorted list of every term j <= stage bisected at the
-cell's ``Fraction`` endpoints; the tree's cell key of a term as a
-``Fraction`` product; the walk term as a ``Fraction`` product; a rule
-predicate's overrides scanned in full for each lookup; the separator asked
-at every string code below 2^depth - 1; and the branch search that asks
-``has_extension`` from the root and again at every level.  It also keeps
+descent.  ``StageListTree.member_at_stage`` bisects the stages and a sorted
+snapshot, and ``core.format_bits`` writes a bit string as bytes in one step.
+This module keeps the direct forms they must agree with: the dyadic-cell
+parity of term(j)·2^n as a ``Fraction``; the derived column pattern read at
+j itself, unfolded and unmemoized; each listed row looked up and read at j;
+the cohesion verifier and back-translation that ask ``member`` once per row
+and selected value; the geometric series summed term by term; the
+enumeration that evaluates the membership pattern of every j below the
+horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s; the
+embedded term read at its own index; the sorted list of every term
+j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
+key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
+product; a rule predicate's overrides scanned in full for each lookup; the
+separator asked at every string code below 2^depth - 1; the branch search
+that asks ``has_extension`` from the root and again at every level; the
+stage-list membership that walks every stage and tests every node of the
+snapshot; and the bit string joined from one str per bit.  It also keeps
 two helpers that only tests use: half-open cell membership and the
 bit-by-bit equality of eventually periodic points.
 """
@@ -46,10 +52,12 @@ from bwreduce.core import (
     Bits,
     CantorPoint,
     DyadicInterval,
+    is_prefix,
     string_decode,
 )
 from bwreduce.errors import BudgetExhaustedError, EmptyTreeAtStageError
 from bwreduce.instances import (
+    DerivedFamily,
     EmbeddedSequence,
     PeriodicRowsFamily,
     RationalSequence,
@@ -57,6 +65,8 @@ from bwreduce.instances import (
     RulePredicate,
     SetFamily,
     SigmaTree,
+    StageListTree,
+    _runs,
 )
 from bwreduce.solvers import CohesiveViolation
 
@@ -69,6 +79,27 @@ def member(q: Fraction, n: int, convention: str) -> bool:
     t = q * 2**n
     whole, frac_num = divmod(t.numerator, t.denominator)
     return frac_num == 0 or whole % 2 == 0
+
+
+def derived_pattern(family: DerivedFamily, j: int, rows) -> int:
+    """``DerivedFamily.pattern`` of column j read at j itself: no fold onto
+    the window and no memo, with an embedded source's term embedded from its
+    own point too; one modular power per run of rows."""
+    x = family.source
+    q = embedded_term(x, j) if isinstance(x, EmbeddedSequence) else x.term(j)
+    num, den = q.numerator, q.denominator
+    literal = family.convention == "paper-literal"
+    m = den if literal else den << 1
+    # the rows from e on hold term(j)·2^i whole when den = 2^e
+    e = den.bit_length() - 1 if literal and den & (den - 1) == 0 else None
+    out = 0
+    for a, b in _runs(rows):
+        c = b - a + 1
+        bits = num * pow(2, b, m << c) % (m << c) // m
+        if e is not None and e <= b:
+            bits &= -1 << (b - max(a, e) + 1)
+        out = out << c | bits
+    return out
 
 
 def listed_row(family: SetFamily, n: int) -> RowPattern:
@@ -256,6 +287,23 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
                 bits = bits + (c,)
                 break
     return BranchPrefix(bits, stage)
+
+
+def stage_list_member(tree: StageListTree, bits: Bits, stage: int) -> bool:
+    """Membership at a stage: the latest snapshot at or below it found by a
+    walk over every mentioned stage, then every node of it tested as an
+    extension of ``bits``."""
+    nodes: frozenset[Bits] = frozenset()
+    for s in tree.stages:
+        if s > stage:
+            break
+        nodes = tree.snapshots[s]
+    return any(is_prefix(bits, node) for node in nodes)
+
+
+def format_bits(bits: Bits) -> str:
+    """One str per bit, joined."""
+    return "".join(str(b) for b in bits)
 
 
 def contains_halfopen(cell: DyadicInterval, q: Fraction) -> bool:

@@ -8,8 +8,10 @@ coding checked against an independent factorization oracle.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,8 @@ from bwreduce.core import (
     unpair,
 )
 from bwreduce.errors import ExactValueUnavailableError, SchemaViolationError
+from bwreduce.instances import parse_instance, serialize_instance
+from bwreduce.reductions import exact_separator
 
 # --- strategies ----------------------------------------------------------------
 
@@ -80,6 +84,29 @@ def test_bits_round_trip():
     assert format_bits((1, 0, 1)) == "101"
     with pytest.raises(SchemaViolationError):
         parse_bits("012")
+
+
+@given(st.lists(st.integers(0, 1), max_size=300).map(tuple))
+def test_format_bits_matches_the_per_bit_join(bits):
+    assert format_bits(bits) == kernel_oracle.format_bits(bits)
+    assert parse_bits(format_bits(bits)) == bits
+
+
+def test_serializing_a_deep_separator_stays_near_its_text_size():
+    """The depth-20 separator of ``union_cluster.json`` is 2^20 - 1 bits, about
+    1 MiB of text; writing it takes a few copies of that, not one str per
+    bit (59 MiB under the per-bit join)."""
+    tree = parse_instance((Path(__file__).parent / "data" / "union_cluster.json").read_bytes())
+    separator = exact_separator(tree, 20)
+    tracemalloc.start()
+    try:
+        text = serialize_instance(separator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2**20 < len(text) < 2**20 + 4096
+    assert peak < 6 * 2**20
+    assert format_bits(separator.bits) == kernel_oracle.format_bits(separator.bits)
 
 
 def test_is_prefix():

@@ -11,7 +11,7 @@ from dataclasses import replace
 from bwreduce import catalog
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
 from bwreduce.edges import EDGES, roundtrip
-from bwreduce.instances import DerivedFamily
+from bwreduce.instances import DerivedFamily, RationalSequence
 from bwreduce.solvers import CohesiveViolation
 
 
@@ -55,3 +55,34 @@ def test_full_row_note_reads_patterns_not_members(monkeypatch):
                 assert "R_i = N for i in {" + ", ".join(map(str, full)) + "}" in notes
             else:
                 assert not any(note.startswith("R_i") for note in notes)
+
+
+class _CountingSource(RationalSequence):
+    """A sequence that records every index whose term is evaluated."""
+
+    def __init__(self, inner: RationalSequence):
+        self.inner, self.calls = inner, []
+
+    def term(self, i: int):
+        self.calls.append(i)
+        return self.inner.term(i)
+
+    def periodic_structure(self):
+        return self.inner.periodic_structure()
+
+
+def test_bwweak_stcoh_solve_evaluates_each_window_term_once():
+    """The ``R_i = N`` note and the cohesive witness read the same window
+    columns, so a solve evaluates each term j < j0 + q exactly once."""
+    edge = EDGES["bwweak-stcoh"]
+    budget = Budget()
+    sources = {**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}
+    periodic = {k: x for k, x in sources.items() if x.periodic_structure() is not None}
+    assert len(periodic) >= 10
+    for name, x in sorted(periodic.items()):
+        for convention in DerivedFamily.conventions:
+            counting = _CountingSource(x)
+            family = edge.forward(counting, convention)
+            edge.solve(counting, family, budget, [])
+            j0, q = x.periodic_structure()
+            assert sorted(counting.calls) == list(range(j0 + q)), (name, convention)

@@ -519,6 +519,47 @@ def test_pattern_reads_a_huge_row_in_one_step():
     assert literal.pattern(0, [0, 1, 2, 2**70]) == 0b0010
 
 
+fold_sources = st.one_of(
+    st.builds(
+        PeriodicSequence,
+        st.lists(unit_fractions, max_size=4),
+        st.lists(unit_fractions, min_size=1, max_size=4),
+    ),
+    st.builds(
+        TableSequence, st.dictionaries(st.integers(0, 40), unit_fractions, max_size=4),
+        unit_fractions,
+    ),
+    listed_families.map(stcoh_to_bwweak),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fold_sources,
+    pattern_rows,
+    st.lists(st.one_of(st.integers(0, 60), st.integers(0, 10**18)), min_size=1, max_size=6),
+)
+def test_folded_pattern_matches_the_unfolded_column(x, rows, js):
+    """A column far past the (j0, q) window, folded onto its slot and read
+    from the memo, equals the column read at j itself, on periodic, table
+    and embedded sources in both conventions, also when asked again and
+    whether the rows come as a range or a list."""
+    for convention in DerivedFamily.conventions:
+        fam = DerivedFamily(x, convention)
+        for j in js + js:
+            want = kernel_oracle.derived_pattern(fam, j, rows)
+            assert fam.pattern(j, rows) == fam.pattern(j, list(rows)) == want, (convention, j)
+
+
+def test_pattern_keeps_no_memo_without_a_column_window():
+    """A source with no periodic structure has no window to fold onto: each
+    column is read afresh and nothing is kept per j."""
+    fam = DerivedFamily(HarmonicSequence())
+    for j in range(50):
+        assert fam.pattern(j, range(6)) == kernel_oracle.derived_pattern(fam, j, range(6))
+    assert fam._fold is None
+
+
 def _catalog_columns() -> list[tuple[str, EmbeddedSequence]]:
     """The embedded columns of every catalog family and of the derived
     families of the periodic catalog sequences, in both conventions."""

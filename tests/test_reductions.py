@@ -19,6 +19,7 @@ from bwreduce.edges import EDGES, roundtrip
 from bwreduce.errors import (
     BudgetExceededError,
     ExactValueUnavailableError,
+    NonMonotoneSelectorError,
     NotANodeError,
 )
 from bwreduce.instances import (
@@ -517,10 +518,62 @@ def test_cell_pattern_matches():
 
 def test_subsequence_from_cohesive_passthrough():
     assert Selector((1, 5, 9)).values == (1, 5, 9)
-    from bwreduce.errors import NonMonotoneSelectorError
-
     with pytest.raises(NonMonotoneSelectorError):
         Selector((3, 3))
+
+
+def _selector_error(values) -> str | None:
+    """The per-value checks the selector made in Python loops: any value
+    that is not an int (bools are ints) or is negative, then any pair out of
+    strict order."""
+    if any((not isinstance(v, int)) or v < 0 for v in values):
+        return "selector values must be naturals"
+    if any(a >= b for a, b in zip(values, values[1:])):
+        return "selector values must strictly increase"
+    return None
+
+
+def _selector_outcome(values) -> str | None:
+    try:
+        Selector(values)
+    except NonMonotoneSelectorError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ((), None),
+        ((True,), None),
+        ((False, True), None),
+        ((0, 2**70), None),
+        ((True, True), "strictly increase"),
+        ((2, 2), "strictly increase"),
+        ((3, 1), "strictly increase"),
+        ((-1,), "naturals"),
+        ((3, -1), "naturals"),
+        ((0, -1, 5), "naturals"),
+        ((5, 3, -1), "naturals"),
+        ((0, 1.5), "naturals"),
+        (("1",), "naturals"),
+        ((None,), "naturals"),
+        ((Fraction(1),), "naturals"),
+    ],
+)
+def test_selector_validation_errors_are_pinned(values, error):
+    got = _selector_outcome(values)
+    assert got == _selector_error(values)
+    assert (got is None) if error is None else got.endswith(error)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 40), st.booleans(), st.just(1.0), st.just("2")), max_size=8
+    ).map(tuple)
+)
+def test_selector_validation_matches_the_per_value_checks(values):
+    assert _selector_outcome(values) == _selector_error(values)
 
 
 def test_stcoh_to_bwweak_embeds_membership_columns():

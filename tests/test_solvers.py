@@ -8,6 +8,7 @@ with the least counterexample.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from bwreduce.instances import (
     SetFamily,
     SingleBranchTree,
     StageListTree,
+    parse_instance,
     serialize_instance,
 )
 from bwreduce.reductions import (
@@ -343,7 +345,8 @@ class _CountingConstant(ConstantSequence):
 
 @pytest.mark.parametrize("rows", [range(1), range(8), range(40), (0, 3, 2**70)])
 def test_verify_cohesive_evaluates_each_selected_term_once(rows):
-    """One source term per selected value, however many settle rows."""
+    """One source term per window slot, however many settle rows and
+    selected values: a constant's one slot is read once."""
     value = Fraction(5, 13)
     values = tuple(range(0, 90, 3))
     for convention in DerivedFamily.conventions:
@@ -352,7 +355,7 @@ def test_verify_cohesive_evaluates_each_selected_term_once(rows):
         settle = tuple((i, 0, "in" if plain.member(i, 0) else "out") for i in rows)
         witness = CohesiveWitness(Selector(values), settle)
         assert verify_cohesive(witness, DerivedFamily(x, convention)) is None
-        assert x.calls == list(values)
+        assert x.calls == [0]
 
 
 def test_stcoh_bwweak_round_trip_embeds_each_window_slot_once(monkeypatch):
@@ -441,19 +444,38 @@ class _CountingFamily(SetFamily):
 
 
 def test_periodic_enumeration_work_is_one_window():
-    """levels·(j0 + q) membership queries at most, whatever the horizon."""
+    """Exactly levels·(min(j0, horizon) + q) membership queries: the q period
+    slots and the prefix slots below the horizon, whatever the horizon."""
     x = catalog.PERIODIC_SEQUENCES["mixed-prefix"]
     families = [DerivedFamily(x, c) for c in DerivedFamily.conventions]
     for fam in families + [catalog.FAMILIES["prefix-noise"]]:
         for levels in (1, 6, 15):
             j0, q = fam.periodic_structure(levels)
-            counts = set()
-            for horizon in (0, 512, 4096):
+            for horizon in (0, 1, 512, 4096):
                 counting = _CountingFamily(fam)
                 build_strongly_cohesive(counting, levels, Budget(horizon=horizon))
-                counts.add(counting.calls)
-            assert len(counts) == 1
-            assert counts.pop() <= levels * (j0 + q)
+                assert counting.calls == levels * (min(j0, horizon) + q)
+
+
+FAR_TABLE_FILE = Path(__file__).parent / "data" / "table_far_entry.json"
+
+
+def test_slow_cauchy_on_a_far_table_entry_reads_below_the_horizon(monkeypatch):
+    """One table entry at index 10^12 gives a window of 10^12 + 1 columns;
+    the finder reads only the prefix columns below the horizon and the one
+    period column, so the work is bounded by the horizon, not the index."""
+    x = parse_instance(FAR_TABLE_FILE.read_bytes())
+    assert x.periodic_structure() == (10**12 + 1, 1)
+    reads = []
+    real = DerivedFamily.pattern
+    monkeypatch.setattr(
+        DerivedFamily, "pattern", lambda self, j, rows: reads.append(j) or real(self, j, rows)
+    )
+    budget = Budget()
+    cert = extract_slow_cauchy(x, budget)
+    assert len(reads) <= budget.horizon + 1
+    assert cert.selector.values == tuple(range(budget.horizon))
+    assert verify_cauchy(cert, x) is None
 
 
 # --- Cauchy extraction and thinning --------------------------------------------------

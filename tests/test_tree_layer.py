@@ -108,6 +108,24 @@ def test_branch_descent_matches_the_per_level_search(tree: SigmaTree, depth: int
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(stage_lists(), _bits(0, 13), st.integers(0, 45))
+def test_stage_list_membership_matches_the_snapshot_scan(tree, bits, stage):
+    """Bisecting the stages and the sorted snapshot gives what testing every
+    node of the latest snapshot gives, for members, non-members, the root and
+    stages before, between and past the mentioned ones."""
+    assert tree.member_at_stage(bits, stage) == kernel_oracle.stage_list_member(tree, bits, stage)
+
+
+def test_stage_list_membership_with_the_empty_node():
+    tree = StageListTree([(3, ()), (5, ()), (5, (1, 0))])
+    for stage in range(7):
+        for bits in ((), (0,), (1,), (1, 0), (1, 0, 0)):
+            assert tree.member_at_stage(bits, stage) == kernel_oracle.stage_list_member(
+                tree, bits, stage
+            ), (bits, stage)
+
+
 def test_separator_and_branch_match_the_oracles_on_the_catalog():
     for name, tree in sorted(catalog.TREES.items()):
         for depth in (1, 5, 10):
