@@ -11,7 +11,7 @@ canonical bytes.  The field readers ``_expect_nat``, ``_expect_array`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import lt
@@ -63,13 +63,7 @@ class Budget:
                 raise ValueError(f"budget field {name} must be a natural")
 
     def to_repr(self) -> dict[str, int]:
-        return {
-            "horizon": self.horizon,
-            "depth": self.depth,
-            "stage": self.stage,
-            "code_budget": self.code_budget,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,24 @@ def is_prefix(p: Bits, q: Bits) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
 
 
+def leftmost_descent(depth: int, ok: Callable[[Bits], bool], bits: Bits = ()) -> Bits | None:
+    """Leftmost ``depth``-bit extension of ``bits`` (len(bits) <= depth)
+    whose longer prefixes all pass ``ok``, or None.  An explicit stack, so
+    any depth is safe: ``ok`` is asked of each prefix as it is popped, the
+    0 child's subtree before the 1 child, which is the order of a recursive
+    depth-first search."""
+    if len(bits) == depth:
+        return bits
+    stack = [bits + (1,), bits + (0,)]
+    while stack:
+        node = stack.pop()
+        if ok(node):
+            if len(node) == depth:
+                return node
+            stack += (node + (1,), node + (0,))
+    return None
+
+
 def string_code(bits: Bits) -> int:
     """Level-lexicographic code of a finite binary string.
 

@@ -123,20 +123,24 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
 
 
 def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, notes):
+    """A witness over depth + 2 rows: a shared pattern over L rows confines
+    the terms to within 2^-(L-2), so that many rows back the slow moduli
+    (n, 0) for every n <= depth that ``back`` claims."""
     levels = budget.depth
     full = []
     struct = family.periodic_structure(levels)
     if struct is not None:
-        # a 1 digit marks a window slot outside that row (see SetFamily.pattern)
+        # a 1 digit marks a window slot outside that row (see SetFamily.pattern);
+        # rows < levels are read off the witness's own memoized patterns
         outside = 0
         for j in range(sum(struct)):
-            outside |= family.pattern(j, range(levels))
+            outside |= family.pattern(j, range(levels + 2)) >> 2
         full = [i for i in range(levels) if not outside >> (levels - 1 - i) & 1]
     if len(full) == levels:
         notes.append(f"R_i = N for all i < {levels}")
     elif full:
         notes.append("R_i = N for i in {" + ", ".join(map(str, full)) + "}")
-    return solvers.build_strongly_cohesive(family, levels, budget)
+    return solvers.build_strongly_cohesive(family, levels + 2, budget)
 
 
 def _slow_cauchy(family: SetFamily, x: RationalSequence, budget: Budget, notes):

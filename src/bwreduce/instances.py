@@ -54,6 +54,7 @@ from .core import (
     format_bits,
     format_rational,
     is_prefix,
+    leftmost_descent,
     parse_bits,
     parse_rational,
     string_decode,
@@ -330,20 +331,12 @@ class EmbeddedSequence(RationalSequence):
 
     def __init__(
         self,
-        points: Callable[[int], CantorPoint] | Sequence[CantorPoint],
+        points: Callable[[int], CantorPoint],
         provenance: Provenance | None = None,
         structure: tuple[int, int] | None = None,
         label: str = "embedded",
     ):
-        if callable(points):
-            self._points_fn = points
-        else:
-            seq = list(points)
-
-            def _points_fn(i: int, _seq=seq) -> CantorPoint:
-                return _seq[i]
-
-            self._points_fn = _points_fn
+        self._points_fn = points
         self.provenance = provenance
         self._structure = structure
         self.label = label
@@ -394,8 +387,9 @@ class SigmaTree:
     """A binary tree enumerated in stages.
 
     The denoted tree at stage s is the downward closure of the nodes
-    enumerated by stage s; enumeration is monotone in s.  ``member_at_stage``
-    and ``has_extension`` are total and decidable for every representation;
+    enumerated by stage s; enumeration is monotone in s.  Each representation
+    gives ``member_at_stage``, total and decidable, and ``has_extension`` is
+    the one leftmost descent over it for every representation;
     ``limit_heights`` is the ground-truth view (maximal length of a limit
     node extending each child, None meaning unbounded) and exists only for
     representations whose limit is decidable.
@@ -409,8 +403,15 @@ class SigmaTree:
 
     def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
         """Is some member of exactly ``length`` bits, extending ``bits``,
-        present at ``stage``?  (False whenever length < len(bits).)"""
-        raise NotImplementedError
+        present at ``stage``?  (False whenever length < len(bits).)  Members
+        are downward closed, so a descent over ``member_at_stage`` from
+        ``bits`` finds one iff there is one."""
+        return (
+            length >= len(bits)
+            and self.member_at_stage(bits, stage)
+            and leftmost_descent(length, lambda b: self.member_at_stage(b, stage), bits)
+            is not None
+        )
 
     def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
         """Ground truth per child c: the largest length of a limit node
@@ -427,9 +428,6 @@ class FullBinaryTree(SigmaTree):
 
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
         return True
-
-    def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
-        return length >= len(bits)
 
     def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
         return None, None
@@ -474,9 +472,6 @@ class BranchUnionTree(SigmaTree):
 
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
         return self._on_some_branch(bits)
-
-    def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
-        return length >= len(bits) and self._on_some_branch(bits)
 
     def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
         return tuple(
@@ -542,10 +537,6 @@ class StageListTree(SigmaTree):
                     f"is absent at stage {later}"
                 )
 
-    def snapshot(self, stage: int) -> frozenset[Bits]:
-        k = bisect_right(self.stages, stage)
-        return self.snapshots[self.stages[k - 1]] if k else frozenset()
-
     def member_at_stage(self, bits: Bits, stage: int) -> bool:
         """σ is a member iff the least node >= σ of the latest snapshot at or
         below ``stage`` starts with σ: the nodes extending σ sort right after
@@ -556,13 +547,6 @@ class StageListTree(SigmaTree):
         nodes = self._sorted[k - 1]
         at = bisect_left(nodes, bits)
         return at < len(nodes) and nodes[at][: len(bits)] == bits
-
-    def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
-        if length < len(bits):
-            return False
-        return any(
-            len(node) >= length and is_prefix(bits, node) for node in self.snapshot(stage)
-        )
 
     def _limit(self) -> frozenset[Bits]:
         return self.snapshots[self.stages[-1]] if self.stages else frozenset()
@@ -663,15 +647,6 @@ class DerivedTree(SigmaTree):
         if stage < 0:
             return False
         return self.witness_count(bits, stage) >= len(bits)
-
-    def has_extension(self, bits: Bits, length: int, stage: int) -> bool:
-        if length < len(bits) or not self.member_at_stage(bits, stage):
-            return False
-        if length == len(bits):
-            return True
-        return any(
-            self.has_extension(bits + (c,), length, stage) for c in (0, 1)
-        )
 
     def to_repr(self) -> dict[str, Any]:
         return self.provenance.to_repr()
@@ -795,30 +770,17 @@ class RulePredicate:
         object.__setattr__(self, "_pins", pins)  # not fields: ==, hash, repr skip them
         object.__setattr__(self, "_least_pin", least)
 
-    # -- raw evaluation ------------------------------------------------------
-
-    def _rule_holds(self, x: int, y: int, n: int) -> bool:
-        if self.rule == "never":
-            return False
-        if self.rule == "always":
-            return True
-        if self.rule == "y_eq_x":
-            return y == x
-        if self.rule == "y_eq_x_if":
-            return self.cond.holds(n) and y == x
-        if self.rule == "y_eq_const":
-            return self.cond.holds(n) and y == self.value
-        return x < self.bound and y == x  # y_eq_x_below
-
     def evaluate(self, x: int, y: int, n: int) -> bool:
         ov = self._pins.get((x, y, n))
-        return ov if ov is not None else self._rule_holds(x, y, n)
+        if ov is not None:
+            return ov
+        return self.rule == "always" or y == self._rule_witness(x, n)
 
     # -- exact witness structure ----------------------------------------------
 
     def _rule_witness(self, x: int, n: int) -> int | None:
-        """The unique rule witness y for (x, n), ignoring overrides
-        ("always" is handled separately)."""
+        """The unique rule witness y for (x, n), ignoring overrides: every
+        rule but "always" holds exactly at it, and "never" has none."""
         if self.rule == "never" or self.rule == "always":
             return None
         if self.rule == "y_eq_x":
@@ -841,16 +803,19 @@ class RulePredicate:
             return pinned
         return w if pinned is None else min(w, pinned)
 
+    def tail_start(self, n: int) -> int:
+        """An x past every override at n and the rule's bound: from it on
+        the minimal witness is the pure rule's, the same shape for every x."""
+        return 1 + max([ox for ox, _, on, _ in self.overrides if on == n] + [self.bound or 0])
+
     def first_failure(self, n: int) -> int | None:
         """Least x with no witness at all, or None when ∀x∃y B(x, y; n)."""
-        scan_end = max(
-            [ox for ox, _, on, _ in self.overrides if on == n] + [self.bound or 0]
-        ) + 1
-        for x in range(scan_end + 1):
+        for x in range(self.tail_start(n) + 1):
             if self.minimal_witness(x, n) is None:
                 return x
-        # x = scan_end is already in the pure-rule regime and has a witness;
-        # witness existence there is constant in x, so all larger x do too.
+        # x = tail_start is already in the pure-rule regime and has a
+        # witness; witness existence there is constant in x, so all larger x
+        # do too.
         return None
 
     def tail_shape(self, n: int) -> tuple[Any, ...] | None:

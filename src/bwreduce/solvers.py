@@ -31,7 +31,7 @@ from .certificates import (
     Selector,
     SeparatorSet,
 )
-from .core import Bits, CantorPoint, DyadicInterval, seq_code
+from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent, seq_code
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .instances import (
     DerivedTree,
-    EmbeddedSequence,
     RationalSequence,
     SeparationInstance,
     SetFamily,
@@ -115,21 +114,6 @@ def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
     return DyadicInterval(level, t.numerator // t.denominator)
 
 
-def _leftmost_descent(depth: int, ok: Callable[[Bits], bool], bits: Bits = ()) -> Bits | None:
-    """Leftmost ``depth``-bit extension of ``bits`` whose longer prefixes all
-    pass ``ok``, or None.  Not a self-calling closure: that is a reference
-    cycle, which keeps ``ok``'s data alive until the next collection."""
-    if len(bits) == depth:
-        return bits
-    for c in (0, 1):
-        child = bits + (c,)
-        if ok(child):
-            got = _leftmost_descent(depth, ok, child)
-            if got is not None:
-                return got
-    return None
-
-
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
     """Nested dyadic chain plus approximant for an accumulation point of x.
 
@@ -160,7 +144,7 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
             )
         return AccumulationResult(chain, approx, True)
 
-    best = _leftmost_descent(
+    best = leftmost_descent(
         budget.depth, lambda bits: cells.witness_count(bits, stage) >= budget.threshold
     )
     if best is None:
@@ -174,31 +158,18 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     return AccumulationResult(chain, chain[-1].lower, False)
 
 
-def _point_at(
-    h: EmbeddedSequence | Callable[[int], CantorPoint] | Sequence[CantorPoint], k: int
-) -> CantorPoint:
-    if isinstance(h, EmbeddedSequence):
-        return h.point(k)
-    if callable(h):
-        return h(k)
-    return h[k]
-
-
-def find_accumulation_cantor(
-    h: EmbeddedSequence | Callable[[int], CantorPoint] | Sequence[CantorPoint],
-    budget: Budget,
-) -> Bits:
+def find_accumulation_cantor(h: Callable[[int], CantorPoint], budget: Budget) -> Bits:
     """Lexicographically least depth-level bit prefix shared by at least
-    ``threshold`` of the first ``horizon`` points — accumulation realized
-    directly in Cantor space, no ternary decoding involved."""
+    ``threshold`` of the points h(0), ..., h(horizon - 1) — accumulation
+    realized directly in Cantor space, no ternary decoding involved."""
     if budget.depth < 1:
         raise ValueError("accumulation search needs depth >= 1")
-    pts = sorted(_point_at(h, k).bits(budget.depth) for k in range(budget.horizon))
+    pts = sorted(h(k).bits(budget.depth) for k in range(budget.horizon))
 
     def count(prefix: Bits) -> int:
         return bisect_left(pts, prefix + (2,)) - bisect_left(pts, prefix)
 
-    best = _leftmost_descent(budget.depth, lambda bits: count(bits) >= budget.threshold)
+    best = leftmost_descent(budget.depth, lambda bits: count(bits) >= budget.threshold)
     if best is None:
         raise BudgetExhaustedError(
             f"no depth-{budget.depth} bit prefix reaches threshold "
@@ -222,15 +193,10 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
         tree.member_at_stage((0,), stage) or tree.member_at_stage((1,), stage)
     ):
         raise EmptyTreeAtStageError(f"no length-1 member by stage {stage}")
-    stack: list[Bits] = [()]
-    while stack:
-        bits = stack.pop()
-        if not tree.member_at_stage(bits, stage):
-            continue
-        if len(bits) == budget.depth:
-            return BranchPrefix(bits, stage)
-        stack += (bits + (1,), bits + (0,))
-    raise BudgetExhaustedError(f"no member reaches depth {budget.depth} by stage {stage}")
+    bits = leftmost_descent(budget.depth, lambda b: tree.member_at_stage(b, stage))
+    if bits is None:
+        raise BudgetExhaustedError(f"no member reaches depth {budget.depth} by stage {stage}")
+    return BranchPrefix(bits, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +541,7 @@ def _choice_streams_equal(p: SeparationInstance, n: int) -> bool:
     r0, r1 = p.predicates  # rule predicates, guaranteed by the totality calls
     if r0.tail_shape(n) != r1.tail_shape(n):
         return False
-    scan = 1 + max(
-        [x for x, _, on, _ in r0.overrides + r1.overrides if on == n]
-        + [r0.bound or 0, r1.bound or 0]
-    )
+    scan = max(r0.tail_start(n), r1.tail_start(n))
     return all(
         r0.minimal_witness(x, n) == r1.minimal_witness(x, n) for x in range(scan + 1)
     )

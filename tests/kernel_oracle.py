@@ -12,10 +12,13 @@ index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
 counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
-dicts built once per predicate.  ``reductions.exact_separator`` walks the
-limit tree once, and ``solvers.find_branch`` makes one leftmost depth-first
-descent.  ``StageListTree.member_at_stage`` bisects the stages and a sorted
-snapshot, and ``core.format_bits`` writes a bit string as bytes in one step.
+dicts built once per predicate, and ``evaluate`` reads the rule's one
+witness.  ``reductions.exact_separator`` walks the limit tree once, and
+``solvers.find_branch`` makes one leftmost depth-first descent.
+``SigmaTree.has_extension`` is one descent over ``member_at_stage`` for
+every tree form, and ``core.leftmost_descent`` keeps its own stack.
+``StageListTree.member_at_stage`` bisects the stages and a sorted snapshot,
+and ``core.format_bits`` writes a bit string as bytes in one step.
 This module keeps the direct forms they must agree with: the dyadic-cell
 parity of term(j)·2^n as a ``Fraction``; the derived column pattern read at
 j itself, unfolded and unmemoized; each listed row looked up and read at j;
@@ -26,11 +29,13 @@ horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s; the
 embedded term read at its own index; the sorted list of every term
 j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
 key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
-product; a rule predicate's overrides scanned in full for each lookup; the
-separator asked at every string code below 2^depth - 1; the branch search
-that asks ``has_extension`` from the root and again at every level; the
-stage-list membership that walks every stage and tests every node of the
-snapshot; and the bit string joined from one str per bit.  It also keeps
+product; a rule predicate's overrides scanned in full for each lookup and
+its rule menu, one case per rule; the separator asked at every string code
+below 2^depth - 1; the branch search that asks ``has_extension`` from the
+root and again at every level; ``has_extension`` with one body per tree
+form; the self-calling leftmost descent; the stage-list membership that
+walks every stage and tests every node of the snapshot; and the bit string
+joined from one str per bit.  It also keeps
 two helpers that only tests use: half-open cell membership and the
 bit-by-bit equality of eventually periodic points.
 """
@@ -57,8 +62,11 @@ from bwreduce.core import (
 )
 from bwreduce.errors import BudgetExhaustedError, EmptyTreeAtStageError
 from bwreduce.instances import (
+    BranchUnionTree,
     DerivedFamily,
+    DerivedTree,
     EmbeddedSequence,
+    FullBinaryTree,
     PeriodicRowsFamily,
     RationalSequence,
     RowPattern,
@@ -222,9 +230,24 @@ def rule_override(pred: RulePredicate, x: int, y: int, n: int) -> bool | None:
     return None
 
 
+def rule_holds(pred: RulePredicate, x: int, y: int, n: int) -> bool:
+    """The rule menu itself, one case per rule, overrides ignored."""
+    if pred.rule == "never":
+        return False
+    if pred.rule == "always":
+        return True
+    if pred.rule == "y_eq_x":
+        return y == x
+    if pred.rule == "y_eq_x_if":
+        return pred.cond.holds(n) and y == x
+    if pred.rule == "y_eq_const":
+        return pred.cond.holds(n) and y == pred.value
+    return x < pred.bound and y == x  # y_eq_x_below
+
+
 def rule_evaluate(pred: RulePredicate, x: int, y: int, n: int) -> bool:
     ov = rule_override(pred, x, y, n)
-    return ov if ov is not None else pred._rule_holds(x, y, n)
+    return ov if ov is not None else rule_holds(pred, x, y, n)
 
 
 def rule_minimal_witness(pred: RulePredicate, x: int, n: int) -> int | None:
@@ -268,6 +291,43 @@ def exact_separator(y: SigmaTree, depth: int) -> SeparatorSet:
     return SeparatorSet(tuple(bits))
 
 
+def leftmost_descent(depth: int, ok, bits: Bits = ()) -> Bits | None:
+    """``core.leftmost_descent`` as a self-calling search."""
+    if len(bits) == depth:
+        return bits
+    for c in (0, 1):
+        child = bits + (c,)
+        if ok(child):
+            got = leftmost_descent(depth, ok, child)
+            if got is not None:
+                return got
+    return None
+
+
+def has_extension(tree: SigmaTree, bits: Bits, length: int, stage: int) -> bool:
+    """Is some length-``length`` member extending ``bits`` present at
+    ``stage``?  One body per form: the full tree's length test, a branch
+    union's test of ``bits`` against each branch, every node of a stage
+    list's snapshot tested as a long enough extension, and a derived tree's
+    self-calling search over ``member_at_stage``."""
+    if length < len(bits):
+        return False
+    if isinstance(tree, FullBinaryTree):
+        return True
+    if isinstance(tree, BranchUnionTree):
+        return any(all(b == pt.bit(i) for i, b in enumerate(bits)) for pt in tree.points)
+    if isinstance(tree, StageListTree):
+        k = bisect_right(tree.stages, stage)
+        nodes = tree.snapshots[tree.stages[k - 1]] if k else frozenset()
+        return any(len(node) >= length and is_prefix(bits, node) for node in nodes)
+    assert isinstance(tree, DerivedTree), "one body per tree form"
+    if not tree.member_at_stage(bits, stage):
+        return False
+    return len(bits) == length or any(
+        has_extension(tree, bits + (c,), length, stage) for c in (0, 1)
+    )
+
+
 def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
     """The leftmost depth-level member, found by asking ``has_extension``
     from the root and then again for each child at every level."""
@@ -276,14 +336,14 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
         tree.member_at_stage((0,), stage) or tree.member_at_stage((1,), stage)
     ):
         raise EmptyTreeAtStageError(f"no length-1 member by stage {stage}")
-    if not tree.has_extension((), budget.depth, stage):
+    if not has_extension(tree, (), budget.depth, stage):
         raise BudgetExhaustedError(
             f"no member reaches depth {budget.depth} by stage {stage}"
         )
     bits: Bits = ()
     for _ in range(budget.depth):
         for c in (0, 1):
-            if tree.has_extension(bits + (c,), budget.depth, stage):
+            if has_extension(tree, bits + (c,), budget.depth, stage):
                 bits = bits + (c,)
                 break
     return BranchPrefix(bits, stage)

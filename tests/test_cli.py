@@ -152,6 +152,22 @@ def test_solve_accumulation(harmonic_file, tmp_path, capsys):
     assert acc.approx == 0 and not acc.exact
 
 
+WALK_THIRD = str(Path(__file__).parent / "data" / "walk_third.json")
+
+
+def test_walk_third_file_is_the_catalog_sequence():
+    assert Path(WALK_THIRD).read_bytes() == serialize_instance(catalog.SEQUENCES["walk-third"])
+
+
+def test_solve_accumulation_past_the_recursion_limit(capsys):
+    """A 1100-level descent: the search keeps its own stack, so a depth past
+    the interpreter's recursion limit is no internal error."""
+    argv = ["solve", "--problem", "accumulation", "-i", WALK_THIRD,
+            "--depth", "1100", "--horizon", "4", "--threshold", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "approx 0/1\n"
+
+
 def test_solve_branch(tmp_path, capsys):
     src = _write(tmp_path, "full.json", catalog.TREES["full"])
     assert main(["solve", "--problem", "branch", "-i", src]) == 0
@@ -427,9 +443,9 @@ _FROZEN_REPORTS = [
     ("separation-bw", catalog.SEPARATIONS, "odds-vs-evens", "corrected", 0,
      "5715c376a23c913efe4ec633d621f65b496e94b9eac8812ed4efd427a5522fc8"),
     ("bwweak-stcoh", catalog.SEQUENCES, "alternating-ends", "corrected", 0,
-     "557f122553638f6773f6cf6924e7fcd693db6a07e3ec65e53bf2abcc012e83cd"),
+     "4c084d1808055926588d81d3b229bb52918c0506ac5047a93e1a1c8f2ef7629d"),
     ("bwweak-stcoh", catalog.SEQUENCES, "alternating-ends", "paper-literal", 1,
-     "cc6dac8984a25cd1d3ce6f17a8a595bcff9237477932d8db9c5102861a6be514"),
+     "4e6f57ff9cab3a41b175eeb87e6787ec63585d3204f3962177aca08b32f2c7d5"),
     ("stcoh-bwweak", catalog.FAMILIES, "stripes", "corrected", 0,
      "7e29af450a895d82a2e58abecd59df66d7b240aa759cf6b4df5693c118d81397"),
 ]

@@ -86,3 +86,18 @@ def test_bwweak_stcoh_solve_evaluates_each_window_term_once():
             edge.solve(counting, family, budget, [])
             j0, q = x.periodic_structure()
             assert sorted(counting.calls) == list(range(j0 + q)), (name, convention)
+
+
+def test_bwweak_stcoh_round_trips_every_catalog_sequence():
+    """In the corrected convention the witness settles two rows more than
+    the slow moduli claim, so the translated Cauchy certificate holds on
+    every catalog sequence, binary walks and the harmonic sequence included,
+    and the witness itself is strong for rows below the depth."""
+    edge = EDGES["bwweak-stcoh"]
+    budget = Budget()
+    assert len(catalog.SEQUENCES) == 20
+    for name, x in sorted(catalog.SEQUENCES.items()):
+        family = edge.forward(x, "corrected")
+        witness = edge.solve(x, family, budget, [])
+        assert [i for i, _, _ in witness.settle] == list(range(budget.depth + 2)), name
+        assert roundtrip(edge, x, budget, [], "corrected")[1] is None, name

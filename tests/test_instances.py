@@ -120,7 +120,7 @@ def test_terms_must_lie_in_unit_interval():
 
 def test_embedded_sequence_exact_and_approximate():
     pts = [CantorPoint.constant(0), CantorPoint.periodic((1,), (0,))]
-    x = EmbeddedSequence(pts, label="two-points")
+    x = EmbeddedSequence(pts.__getitem__, label="two-points")
     assert x.term(0) == 0
     assert x.term(1) == Fraction(2, 3)
     approx, err = x.term_approx(1, 4)
@@ -779,6 +779,42 @@ def test_override_index_matches_the_linear_scan(p):
     assert "_pins" not in repr(p) and "_least_pin" not in repr(p)
     assert twin._pins == p._pins and twin._least_pin == p._least_pin
     assert RulePredicate.from_repr(p.to_repr(), "$").to_repr() == p.to_repr()
+
+
+_MENU_CONDS = (
+    Cond("always"), Cond("never"), Cond("even"), Cond("odd"),
+    Cond("mod", modulus=3, residues=(1,)), Cond("lt", bound=3), Cond("ge", bound=3),
+    Cond("in", values=(1, 3)), Cond("not_in", values=(1, 3)),
+)
+
+
+def test_rule_evaluation_matches_the_rule_menu():
+    """``evaluate`` without pins is "always", or y equal to the rule's one
+    witness: the menu, one case per rule, on every x, y, n < 8."""
+    menu = [RulePredicate(rule) for rule in ("never", "always", "y_eq_x")]
+    menu += [RulePredicate("y_eq_x_if", cond=c) for c in _MENU_CONDS]
+    menu += [RulePredicate("y_eq_const", cond=c, value=v) for c in _MENU_CONDS for v in (0, 5)]
+    menu += [RulePredicate("y_eq_x_below", bound=b) for b in (0, 4, 9)]
+    for p in menu:
+        for x in range(8):
+            for y in range(8):
+                for n in range(8):
+                    assert p.evaluate(x, y, n) == kernel_oracle.rule_holds(p, x, y, n), (p, x, y, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_rule_predicates(), pinned_rule_predicates())
+def test_choice_streams_are_compared_through_the_tail_start(p0, p1):
+    """Past ``tail_start`` each stream is its rule's tail, so comparing the
+    tail shapes and the witnesses below both tail starts decides equality:
+    the same as comparing the witnesses far past every pin and bound."""
+    inst = SeparationInstance(p0, p1)
+    for n in range(5):
+        assert max(p0.tail_start(n), p1.tail_start(n)) < 20
+        same = p0.tail_shape(n) == p1.tail_shape(n) and all(
+            p0.minimal_witness(x, n) == p1.minimal_witness(x, n) for x in range(20)
+        )
+        assert solvers._choice_streams_equal(inst, n) == same
 
 
 def test_separation_unique_has_at_most_one_witness():

@@ -193,16 +193,16 @@ def test_accumulation_exact_and_heuristic_chains_agree(prefix, period, depth):
 
 def test_accumulation_cantor_prefix():
     pts = [CantorPoint.periodic((), (0, 1))] * 10 + [CantorPoint.constant(1)] * 2
-    got = find_accumulation_cantor(pts, Budget(horizon=12, depth=6, threshold=8))
+    got = find_accumulation_cantor(pts.__getitem__, Budget(horizon=12, depth=6, threshold=8))
     assert got == (0, 1, 0, 1, 0, 1)
 
 
 def test_accumulation_cantor_threshold_failure():
     pts = [CantorPoint.constant(0)] * 7 + [CantorPoint.constant(1)] * 7
     with pytest.raises(BudgetExhaustedError):
-        find_accumulation_cantor(pts, Budget(horizon=14, depth=3, threshold=8))
+        find_accumulation_cantor(pts.__getitem__, Budget(horizon=14, depth=3, threshold=8))
     # lowering the bar makes the leftmost cluster win
-    got = find_accumulation_cantor(pts, Budget(horizon=14, depth=3, threshold=7))
+    got = find_accumulation_cantor(pts.__getitem__, Budget(horizon=14, depth=3, threshold=7))
     assert got == (0, 0, 0)
 
 

@@ -4,7 +4,10 @@
 ``solvers.find_branch`` makes one leftmost depth-first descent; both must
 give what the brute-force separator and the ``has_extension``-per-level
 search give, errors included, on branch unions, stage lists, the full tree
-and derived trees of generated sequences.
+and derived trees of generated sequences.  ``SigmaTree.has_extension`` is
+one descent over ``member_at_stage`` for every form and must agree with the
+per-form bodies, and ``core.leftmost_descent`` must ask what the recursive
+search asks, in the same order.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from hypothesis import strategies as st
 import kernel_oracle
 from bwreduce import catalog
 from bwreduce.certificates import Budget
-from bwreduce.core import CantorPoint
+from bwreduce.core import CantorPoint, leftmost_descent
 from bwreduce.instances import (
     BinaryWalkSequence,
     BranchUnionTree,
+    ConstantSequence,
     DerivedTree,
     FullBinaryTree,
     HarmonicSequence,
@@ -106,6 +110,45 @@ def test_branch_descent_matches_the_per_level_search(tree: SigmaTree, depth: int
     assert _outcome(find_branch, tree, budget) == _outcome(
         kernel_oracle.find_branch, tree, budget
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, _bits(0, 8), st.integers(0, 14), stages)
+def test_has_extension_matches_the_per_form_bodies(tree: SigmaTree, bits, length: int, stage: int):
+    assert tree.has_extension(bits, length, stage) == kernel_oracle.has_extension(
+        tree, bits, length, stage
+    )
+
+
+@st.composite
+def descents(draw):
+    """(depth, start, ok): ``ok`` passes exactly the drawn nodes, or every
+    node but the drawn ones, so searches both fail and backtrack."""
+    depth = draw(st.integers(0, 8))
+    start = draw(_bits(0, depth))
+    nodes = frozenset(draw(st.lists(_bits(1, 8), max_size=40)))
+    if draw(st.booleans()):
+        return depth, start, nodes.__contains__
+    return depth, start, lambda b: b not in nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(descents())
+def test_leftmost_descent_matches_the_recursive_search(case):
+    depth, start, ok = case
+    logs: tuple[list, list] = ([], [])
+
+    def logged(log):
+        return lambda b: log.append(b) or ok(b)
+
+    got = leftmost_descent(depth, logged(logs[0]), start)
+    assert got == kernel_oracle.leftmost_descent(depth, logged(logs[1]), start)
+    assert logs[0] == logs[1]
+
+
+def test_has_extension_past_the_recursion_limit():
+    """A 1500-level descent keeps its own stack: no ``RecursionError``."""
+    assert DerivedTree(ConstantSequence(0)).has_extension((), 1500, 1500)
 
 
 @settings(max_examples=300, deadline=None)
