@@ -105,7 +105,10 @@ class Selector:
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "Selector":
         obj = _expect_object(obj, "selector must be an object", path)
         raw = _expect_array(obj.get("values"), "selector.values must be an array", f"{path}.values")
-        values = tuple(_expect_nat(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
+        if set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
+            values = tuple(raw)  # every value a natural, checked in C-level passes
+        else:  # names the first bad value and its path
+            values = tuple(_expect_nat(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         step = obj.get("extension_step")
         if step is not None:
             step = _expect_nat(step, f"{path}.extension_step")

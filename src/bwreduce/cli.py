@@ -143,7 +143,7 @@ def _summary(result: Any) -> str:
         return f"approx {format_rational(result.approx)}"
     if isinstance(result, BranchPrefix):
         return format_bits(result.bits)
-    return "selector " + " ".join(str(v) for v in result.selector.values)
+    return "selector " + " ".join(map(str, result.selector.values))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

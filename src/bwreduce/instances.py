@@ -30,8 +30,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
+from operator import add, mod, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .certificates import (
@@ -61,6 +63,7 @@ from .core import (
     unpair,
 )
 from .errors import (
+    BudgetExceededError,
     ExactValueUnavailableError,
     InvariantViolationError,
     MalformedSyntaxError,
@@ -1108,6 +1111,21 @@ class SetFamily:
             out = memo[key] = self._pattern(j, key[1])
         return out
 
+    def patterns(self, values: Sequence[int], rows: Iterable[int]) -> set[int]:
+        """The distinct ``pattern``s of the ascending ``values`` over ``rows``.
+
+        With a ``column_structure`` (j0, q), the values below j0 are read one
+        by one and the rest are folded onto their window slots by C-level
+        maps, so each distinct slot is read once, through the memo of
+        ``pattern``.  A family without one reads every value."""
+        fold = self._fold
+        if fold is None:
+            return {self._pattern(j, rows) for j in values}
+        j0, q, _ = fold
+        cut = bisect_left(values, j0)
+        slots = set(map(add, map(mod, map(sub, values[cut:], repeat(j0)), repeat(q)), repeat(j0)))
+        return {self.pattern(j, rows) for j in chain(values[:cut], slots)}
+
     @cached_property
     def _fold(self) -> tuple[int, int, dict[tuple[int, Any], int]] | None:
         window = self.column_structure()
@@ -1244,13 +1262,20 @@ class TableRowsFamily(_ListedRowsFamily):
         )
 
 
+# the digit walk of _binary_digit_point takes as many steps as the
+# multiplicative order of 2 modulo the odd part of the denominator, which a
+# denominator of a few dozen digits puts out of reach; a longer walk is refused
+MAX_DIGIT_WALK = 1 << 16
+
+
 def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
     """Eventually periodic membership stream from binary-digit parities.
 
     Corrected convention (r = x/2 < 1): bit(n) = 1 iff floor(r·2^n) is even,
     which for n >= 1 is 1 - (n-th binary digit of r); bit(0) = 1.
     Paper-literal (r = x <= 1): bit(n) = 1 iff r·2^n is an integer or
-    floor(r·2^n) is even.
+    floor(r·2^n) is even.  Digits that do not repeat within
+    ``MAX_DIGIT_WALK`` steps are an exceeded budget.
     """
     if r == 1:  # only reachable in the paper-literal mode
         return CantorPoint.constant(1)
@@ -1258,6 +1283,12 @@ def _binary_digit_point(r: Fraction, paper_literal: bool) -> CantorPoint:
     seen: dict[int, int] = {}
     num, den = r.numerator, r.denominator  # frac(r·2^n) = num/den
     while num not in seen:
+        if len(bits) > MAX_DIGIT_WALK:
+            raise BudgetExceededError(
+                f"the binary digits of a term with a {den.bit_length()}-bit "
+                f"denominator do not repeat within {MAX_DIGIT_WALK} steps, "
+                f"the limit"
+            )
         seen[num] = len(bits)
         digit, num = divmod(num << 1, den)
         bits.append(1 if digit == 0 or (paper_literal and num == 0) else 0)

@@ -7,7 +7,8 @@ guessing.  Verifiers re-check finished certificates exhaustively with exact
 arithmetic; a verifier returns None on pass and a small violation record on
 fail, and shares nothing with the finders beyond the numeric kernel, of
 which ``SetFamily.pattern`` (the membership of one j in many rows as one
-integer) is part.
+integer) and ``SetFamily.patterns`` (the distinct patterns of many j, each
+window slot read once) are part.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
 from .certificates import (
@@ -287,20 +288,42 @@ def witness_from_selector(
 # ---------------------------------------------------------------------------
 
 
-def _suffix_extrema(vals: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(max(vals[t:]), min(vals[t:])) for every t, as two lists, compared
-    by integer cross-products of (numerator, denominator)."""
-    sufmax, sufmin = list(vals), list(vals)
-    pairs = [(v.numerator, v.denominator) for v in vals]
-    hi = lo = len(vals) - 1
-    for t in range(len(vals) - 2, -1, -1):
-        n, d = pairs[t]
-        if n * pairs[hi][1] > pairs[hi][0] * d:
-            hi = t
-        if n * pairs[lo][1] < pairs[lo][0] * d:
-            lo = t
-        sufmax[t], sufmin[t] = vals[hi], vals[lo]
-    return sufmax, sufmin
+def _suffix_extrema(
+    vals: list[Fraction],
+) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """The extrema of every suffix of ``vals`` as a step function.
+
+    Step k is (end, high, low): ``end`` ascends through the last position of
+    each distinct value, and ``high``, ``low`` are the max and min of
+    ``vals[s:]`` as exact (numerator, denominator) pairs for every s past the
+    previous step's end up to this one's: those suffixes hold the same
+    distinct values.  A map, zip and dict pass, with no Python loop, keys
+    each value's pair to its last position; the walk that compares integer
+    cross-products visits each distinct value once."""
+    pairs = map(methodcaller("as_integer_ratio"), vals)
+    last = dict(zip(pairs, range(len(vals))))
+    steps = []
+    hi = lo = None
+    for pair, t in sorted(last.items(), key=itemgetter(1), reverse=True):
+        n, d = pair
+        if hi is None or n * hi[1] > hi[0] * d:
+            hi = pair
+        if lo is None or n * lo[1] < lo[0] * d:
+            lo = pair
+        steps.append((t, hi, lo))
+    steps.reverse()
+    return steps
+
+
+def _diameter_below(hi: tuple[int, int], lo: tuple[int, int], n: int) -> bool:
+    """Is hi - lo < 2^-n, for exact (numerator, denominator) pairs?
+
+    Two values that differ do so by at least 1/(hd·ld) > 2^-c with c the bit
+    length of hd·ld, so a rate n >= c asks, as c does, only that they be
+    equal; c keeps an absurd n from shifting by 2^n."""
+    (hn, hd), (ln, ld) = hi, lo
+    den = hd * ld
+    return (hn * ld - ln * hd) << min(n, den.bit_length()) < den
 
 
 def thin_to_fast(
@@ -312,6 +335,9 @@ def thin_to_fast(
     the remaining selected terms stay within 2^-n of each other (the finite
     shadow of the jump query "are there v, w >= s at distance >= 2^-n?");
     taking one position per n, strictly increasing, gives the fast selector.
+    The suffix diameter is a step function of the position (see
+    ``_suffix_extrema``), so the search steps from one distinct value's last
+    position to the next rather than position by position.
     """
     bad = verify_cauchy(certificate, x)
     if bad is not None:
@@ -322,13 +348,15 @@ def thin_to_fast(
     m = len(f)
     if m == 0:
         raise HorizonTooSmallError("cannot thin an empty selector")
-    sufmax, sufmin = _suffix_extrema([x.term(j) for j in f.values])
+    steps = iter(_suffix_extrema(list(map(x.term, f.values))))
+    end, hi, lo = next(steps)
     positions: list[int] = []
     s = 0
     for n in range(budget.depth + 1):
-        eps = Fraction(1, 2**n)
-        while sufmax[s] - sufmin[s] >= eps:
-            s += 1  # always terminates: a one-point suffix has diameter 0
+        # always terminates: the last step is a one-point suffix, diameter 0
+        while not _diameter_below(hi, lo, n):
+            s = end + 1  # the diameter is constant up to the step's end
+            end, hi, lo = next(steps)
         p = s if not positions else max(s, positions[-1] + 1)
         if p >= m:
             raise HorizonTooSmallError(
@@ -350,21 +378,29 @@ def verify_cauchy(
     certificate: CauchyCertificate, x: RationalSequence
 ) -> CauchyViolation | None:
     """Exhaustively re-check every recorded modulus with exact arithmetic;
-    None on pass, least violating (n, v, w) otherwise."""
+    None on pass, least violating (n, v, w) otherwise.
+
+    Every selected term is evaluated; a modulus (n, s) passes iff the
+    diameter of the terms from position s on is below 2^-n, read off the
+    step function of ``_suffix_extrema`` by bisecting its last positions.
+    Only a failure compares the terms pair by pair to name the least
+    violation."""
     f = certificate.selector
     m = len(f)
-    vals = [x.term(j) for j in f.values]
-    sufmax, sufmin = _suffix_extrema(vals)
-    # with den the largest denominator, two terms that differ do so by at
-    # least 1/den² > 2^-cap, so every rate n >= cap asks, as cap does, only
-    # that they be equal; cap keeps an absurd n from building 2^n
-    cap = 2 * max((v.denominator for v in vals), default=1).bit_length()
+    vals = list(map(x.term, f.values))
+    steps = _suffix_extrema(vals)
     for n, s in certificate.moduli:
         if s >= m:
             continue  # no two positions to compare
-        eps = Fraction(1, 2 ** min(n, cap))
-        if sufmax[s] - sufmin[s] < eps:
+        _, hi, lo = steps[bisect_left(steps, s, key=itemgetter(0))]
+        if _diameter_below(hi, lo, n):
             continue
+        # with den the largest denominator, two terms that differ do so by
+        # at least 1/den² > 2^-cap, so every rate n >= cap asks, as cap
+        # does, only that they be equal; cap keeps an absurd n from
+        # building 2^n
+        cap = 2 * max(v.denominator for v in vals).bit_length()
+        eps = Fraction(1, 2 ** min(n, cap))
         for v in range(s, m):
             for w in range(v + 1, m):
                 if abs(vals[v] - vals[w]) >= eps:
@@ -381,11 +417,12 @@ def verify_cohesive(
     ``strong_levels`` additionally require that rows 0..strong_levels-1 are
     all covered (the strong form of cohesion).
 
-    One sweep over the values decides pass or fail, reading one pattern per
-    value over the settled rows.  ``SetFamily.pattern`` folds a value past
-    the family's (j0, q) column window onto its slot, so a periodic family
-    costs at most one column read per slot however long the selector.  Only
-    a failure rescans triple by triple to name the least violation."""
+    The distinct settle points cut the selector into segments, each found
+    by bisection, over which the same rows are settled.  A segment passes
+    iff each of its distinct patterns (``SetFamily.patterns``) agrees with
+    the settled sides, so a periodic family costs at most one column read
+    per window slot however long the selector.  Only a failure rescans
+    triple by triple to name the least violation."""
     if strong_levels is not None:
         covered = {i for i, _, _ in witness.settle}
         for i in range(strong_levels):
@@ -395,19 +432,21 @@ def verify_cohesive(
     if rows and rows[-1] - rows[0] == len(rows) - 1:
         rows = range(rows[0], rows[-1] + 1)  # the memo key the finders read too
     place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
-    # one sweep: each triple's row bit joins need_out or need_in once j
-    # passes its settle point, and j fails iff its pattern disagrees there
+    values = witness.selector.values
+    # each triple's row bit joins need_out or need_in from its settle point
+    # on, and a value fails iff its pattern disagrees there; the values from
+    # one settle point to the next share both masks (an empty segment when
+    # the points are equal)
     pending = sorted(witness.settle, key=itemgetter(1), reverse=True)
     need_out = need_in = 0
-    for j in witness.selector.values:
-        while pending and pending[-1][1] <= j:
-            i, _, side = pending.pop()
-            if side == "out":
-                need_out |= place[i]
-            else:
-                need_in |= place[i]
-        if need_out | need_in:
-            pat = family.pattern(j, rows)
+    while pending:
+        i, s, side = pending.pop()
+        if side == "out":
+            need_out |= place[i]
+        else:
+            need_in |= place[i]
+        end = bisect_left(values, pending[-1][1]) if pending else len(values)
+        for pat in family.patterns(values[bisect_left(values, s):end], rows):
             if need_out & ~pat | need_in & pat:
                 return _least_cohesive_violation(witness, family, rows, place)
     return None

@@ -7,7 +7,12 @@ for listed rows), folding a column past the family's (j0, q) window onto its
 slot and reading each slot once.  ``core.embed_point_exact`` computes in
 base-3 integers, and ``solvers.build_strongly_cohesive`` lists the members
 of a periodic family from one lcm window.  ``solvers._suffix_extrema``
-compares integer cross-products, and ``EmbeddedSequence.term`` folds an
+gives the suffix extrema as a step function over the last positions of
+distinct terms, compared by integer cross-products, and ``verify_cauchy``
+and ``thin_to_fast`` read a step per modulus or rate.
+``SetFamily.patterns`` reads the distinct patterns of many values, each
+window slot once, and ``verify_cohesive`` checks them per segment between
+settle points.  ``EmbeddedSequence.term`` folds an
 index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
 counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
@@ -25,7 +30,10 @@ j itself, unfolded and unmemoized; each listed row looked up and read at j;
 the cohesion verifier and back-translation that ask ``member`` once per row
 and selected value; the geometric series summed term by term; the
 enumeration that evaluates the membership pattern of every j below the
-horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s; the
+horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s, and
+the Cauchy verifier and thinning that read one entry of them per position;
+one pattern per value, read at the value itself; the cohesion verdict of
+one sweep over the selected values; the
 embedded term read at its own index; the sorted list of every term
 j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
 key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
@@ -49,6 +57,7 @@ from math import lcm
 from bwreduce.certificates import (
     BranchPrefix,
     Budget,
+    CauchyCertificate,
     CohesiveWitness,
     Selector,
     SeparatorSet,
@@ -60,7 +69,12 @@ from bwreduce.core import (
     is_prefix,
     string_decode,
 )
-from bwreduce.errors import BudgetExhaustedError, EmptyTreeAtStageError
+from bwreduce.errors import (
+    BudgetExhaustedError,
+    EmptyTreeAtStageError,
+    HorizonTooSmallError,
+    InvalidCertificateError,
+)
 from bwreduce.instances import (
     BranchUnionTree,
     DerivedFamily,
@@ -76,7 +90,7 @@ from bwreduce.instances import (
     StageListTree,
     _runs,
 )
-from bwreduce.solvers import CohesiveViolation
+from bwreduce.solvers import CauchyViolation, CohesiveViolation
 
 
 def member(q: Fraction, n: int, convention: str) -> bool:
@@ -155,6 +169,98 @@ def suffix_extrema(vals: list[Fraction]) -> tuple[list[Fraction], list[Fraction]
         sufmax[t] = max(sufmax[t], sufmax[t + 1])
         sufmin[t] = min(sufmin[t], sufmin[t + 1])
     return sufmax, sufmin
+
+
+def verify_cauchy(certificate: CauchyCertificate, x: RationalSequence) -> CauchyViolation | None:
+    """Every modulus (n, s) decided by the ``Fraction`` diameter of the
+    suffix from position s, read off one suffix-extrema entry per position;
+    a failure compares the terms pair by pair."""
+    f = certificate.selector
+    m = len(f)
+    vals = [x.term(j) for j in f.values]
+    sufmax, sufmin = suffix_extrema(vals)
+    cap = 2 * max((v.denominator for v in vals), default=1).bit_length()
+    for n, s in certificate.moduli:
+        if s >= m:
+            continue
+        eps = Fraction(1, 2 ** min(n, cap))
+        if sufmax[s] - sufmin[s] < eps:
+            continue
+        for v in range(s, m):
+            for w in range(v + 1, m):
+                if abs(vals[v] - vals[w]) >= eps:
+                    return CauchyViolation(n, v, w)
+    return None
+
+
+def thin_to_fast(
+    certificate: CauchyCertificate, x: RationalSequence, budget: Budget
+) -> CauchyCertificate:
+    """The fast selector found by advancing the settle position one
+    selected term at a time until the suffix's ``Fraction`` diameter is
+    below 2^-n."""
+    bad = verify_cauchy(certificate, x)
+    if bad is not None:
+        raise InvalidCertificateError(
+            f"input certificate fails at n={bad.n}, v={bad.v}, w={bad.w}"
+        )
+    f = certificate.selector
+    m = len(f)
+    if m == 0:
+        raise HorizonTooSmallError("cannot thin an empty selector")
+    sufmax, sufmin = suffix_extrema([x.term(j) for j in f.values])
+    positions: list[int] = []
+    s = 0
+    for n in range(budget.depth + 1):
+        while sufmax[s] - sufmin[s] >= Fraction(1, 2**n):
+            s += 1
+        p = s if not positions else max(s, positions[-1] + 1)
+        if p >= m:
+            raise HorizonTooSmallError(
+                f"selector of length {m} has no settle position left for "
+                f"rate 2^-{n}"
+            )
+        positions.append(p)
+    values = tuple(f.value(p) for p in positions)
+    moduli = tuple((n, n) for n in range(budget.depth + 1))
+    return CauchyCertificate(Selector(values), moduli, "fast")
+
+
+def patterns(family: SetFamily, values, rows) -> set[int]:
+    """The ``pattern`` of every value read at the value itself: the derived
+    column by ``derived_pattern``, a listed family's rows looked up one by
+    one."""
+    if isinstance(family, DerivedFamily):
+        return {derived_pattern(family, j, rows) for j in values}
+    out = set()
+    for j in values:
+        pat = 0
+        for i in rows:
+            pat = pat << 1 | (not listed_row(family, i).member(j))
+        out.add(pat)
+    return out
+
+
+def cohesive_sweep(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
+    """The cohesion verdict from one sweep over the selected values, each
+    value's pattern read by ``patterns`` once it passes the least settle
+    point; a failure is named by ``verify_cohesive``."""
+    rows = sorted({i for i, _, _ in witness.settle})
+    place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
+    pending = sorted(witness.settle, key=lambda t: t[1], reverse=True)
+    need_out = need_in = 0
+    for j in witness.selector.values:
+        while pending and pending[-1][1] <= j:
+            i, _, side = pending.pop()
+            if side == "out":
+                need_out |= place[i]
+            else:
+                need_in |= place[i]
+        if need_out | need_in:
+            (pat,) = patterns(family, (j,), rows)
+            if need_out & ~pat | need_in & pat:
+                return verify_cohesive(witness, family)
+    return None
 
 
 def embedded_term(x: EmbeddedSequence, i: int) -> Fraction:

@@ -159,6 +159,11 @@ def test_walk_third_file_is_the_catalog_sequence():
     assert Path(WALK_THIRD).read_bytes() == serialize_instance(catalog.SEQUENCES["walk-third"])
 
 
+def test_mixed_table_file_is_the_catalog_family():
+    path = Path(__file__).parent / "data" / "mixed_table.json"
+    assert path.read_bytes() == serialize_instance(catalog.FAMILIES["mixed-table"])
+
+
 def test_solve_accumulation_past_the_recursion_limit(capsys):
     """A 1100-level descent: the search keeps its own stack, so a depth past
     the interpreter's recursion limit is no internal error."""
@@ -487,6 +492,27 @@ def test_roundtrip_separation_bw_budget_covers_the_finder_window(capsys, budget,
         )
     else:
         assert "verdict    pass" in captured.out
+
+
+LONG_DIGIT_PERIOD = str(Path(__file__).parent / "data" / "long_digit_period.json")
+
+
+def test_long_digit_period_file_is_the_derived_constant():
+    x = parse_instance(b'{"kind":"rational_sequence","repr":{"form":"constant",'
+                       b'"value":"1/1000000000000000009"}}')
+    assert Path(LONG_DIGIT_PERIOD).read_bytes() == serialize_instance(
+        reductions.bwweak_to_stcoh(x, "corrected")
+    )
+
+
+def test_roundtrip_on_a_long_digit_period_is_a_budget_exit(capsys):
+    """The column's binary digits of 1/(10^18 + 9) repeat only after the
+    multiplicative order of 2, far past the walk's limit: exit 2, not an
+    unbounded walk."""
+    assert main(["roundtrip", "--pair", "stcoh-bwweak", "-i", LONG_DIGIT_PERIOD]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["kind"] == "BudgetExceededError"
+    assert "within 65536 steps" in payload["reason"]
 
 
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import kernel_oracle
 from scan_oracle import unique_minimal
-from bwreduce import catalog, solvers
+from bwreduce import catalog, instances, solvers
 from bwreduce.certificates import Budget
 from bwreduce.core import CantorPoint, DyadicInterval, format_rational
 from bwreduce.errors import (
+    BudgetExceededError,
     ExactValueUnavailableError,
     InvariantViolationError,
     MalformedSyntaxError,
@@ -427,6 +428,26 @@ def test_family_column_digits_match_the_fraction_formula(q, n):
     for convention in DerivedFamily.conventions:
         bit = DerivedFamily(x, convention).column_point(0).bit(n)
         assert bit == kernel_oracle.member(q, n, convention), convention
+
+
+@pytest.mark.parametrize("convention", DerivedFamily.conventions)
+def test_column_digit_walk_is_bounded(monkeypatch, convention):
+    """The walk takes as many steps as its digits take to repeat: exactly
+    that many are allowed, one fewer is an exceeded budget, and a period
+    near 10^18 is refused at the module limit."""
+    pt = DerivedFamily(ConstantSequence(Fraction(5, 88)), convention).column_point(0)
+    steps = len(pt.prefix) + len(pt.period) - 1  # bit 0 is no step
+    monkeypatch.setattr(instances, "MAX_DIGIT_WALK", steps)
+    again = DerivedFamily(ConstantSequence(Fraction(5, 88)), convention).column_point(0)
+    assert (again.prefix, again.period) == (pt.prefix, pt.period)
+    monkeypatch.setattr(instances, "MAX_DIGIT_WALK", steps - 1)
+    with pytest.raises(BudgetExceededError):
+        DerivedFamily(ConstantSequence(Fraction(5, 88)), convention).column_point(0)
+    monkeypatch.undo()
+    far = DerivedFamily(ConstantSequence(Fraction(1, 10**18 + 9)), convention)
+    with pytest.raises(BudgetExceededError) as exc:
+        far.column_point(0)
+    assert str(exc.value).endswith("do not repeat within 65536 steps, the limit")
 
 
 @given(unit_fractions, st.integers(0, 20))
@@ -903,6 +924,25 @@ def test_parse_error_locations():
     assert exc.value.location == "$.repr.value"
     with pytest.raises(MalformedSyntaxError):
         parse_instance(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (-1, "-1"), (2.0, "2.0"), ("7", "'7'")])
+@pytest.mark.parametrize("at", [0, 4000])
+@pytest.mark.parametrize("last", [4001, "later"])
+def test_selector_values_name_the_first_bad_value(bad, shown, at, last):
+    """A long selector is read in C-level passes, but a bad value is still
+    named, with its path, as the first one of the array."""
+    values = list(range(4002))
+    values[at] = bad
+    values[4001] = last
+    doc = {
+        "kind": "cohesive_witness",
+        "repr": {"selector": {"values": values, "extension_step": None}, "settle": []},
+    }
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_instance(json.dumps(doc).encode())
+    assert exc.value.location == f"$.repr.selector.values[{at}]"
+    assert exc.value.reason == f"expected a natural, got {shown}"
 
 
 def test_parse_rejects_duplicate_table_indices():

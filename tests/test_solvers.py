@@ -7,6 +7,7 @@ with the least counterexample.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from bwreduce.certificates import (
 from bwreduce.core import CantorPoint, DyadicInterval
 from bwreduce.errors import (
     BudgetExceededError,
+    BwreduceError,
     BudgetExhaustedError,
     EmptyTreeAtStageError,
     HorizonTooSmallError,
@@ -380,8 +382,131 @@ _mixed = st.one_of(
 
 @given(st.lists(_mixed, max_size=40))
 def test_suffix_extrema_match_the_fraction_body(vals):
-    """Integer cross-products pick the same suffix extrema as Fraction max/min."""
-    assert _suffix_extrema(vals) == kernel_oracle.suffix_extrema(vals)
+    """At every position s, the step of the step function that holds s
+    gives, as exact pairs, the suffix extrema of Fraction max/min."""
+    steps = _suffix_extrema(vals)
+    ends = [end for end, _, _ in steps]
+    sufmax, sufmin = kernel_oracle.suffix_extrema(vals)
+    assert ends == sorted(set(ends)) and ends[-1:] == ([len(vals) - 1] if vals else [])
+    for s in range(len(vals)):
+        _, hi, lo = steps[bisect_left(ends, s)]
+        assert hi == sufmax[s].as_integer_ratio()
+        assert lo == sufmin[s].as_integer_ratio()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BwreduceError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_mixed, max_size=30),
+    st.lists(_mixed, min_size=1, max_size=4),
+    st.sets(st.integers(0, 60), max_size=40),
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 24), st.just(2**70)), st.integers(0, 45)),
+        max_size=12,
+    ),
+    st.integers(0, 12),
+)
+def test_cauchy_kernels_match_the_fraction_bodies(prefix, period, values, moduli, depth):
+    """Verdict, least violation and thinned selector, or the error raised,
+    are those of the Fraction bodies that step one position at a time, on
+    passing and failing certificates with many distinct settle points."""
+    x = PeriodicSequence(prefix, period)
+    selector = Selector(tuple(sorted(values)))
+    budget = Budget(depth=depth)
+    for cert in (
+        CauchyCertificate(selector, tuple(moduli), "slow"),
+        CauchyCertificate(selector, (), "slow"),
+    ):
+        assert verify_cauchy(cert, x) == kernel_oracle.verify_cauchy(cert, x)
+        assert _outcome(thin_to_fast, cert, x, budget) == _outcome(
+            kernel_oracle.thin_to_fast, cert, x, budget
+        )
+
+
+# the cohesion families plus derived families without a column window
+_PATTERN_FAMILIES = _COHESION_FAMILIES + [
+    DerivedFamily(HarmonicSequence(), c) for c in DerivedFamily.conventions
+]
+
+_rows = st.one_of(
+    st.builds(range, st.integers(0, 6), st.integers(0, 14)),
+    st.sets(st.integers(0, 14), max_size=6).map(sorted),
+    st.sets(st.integers(0, 14), max_size=6).map(lambda r: tuple(sorted(r))),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(range(len(_PATTERN_FAMILIES))),
+    st.sets(st.one_of(st.integers(0, 40), st.integers(0, 3000)), max_size=40),
+    _rows,
+)
+def test_patterns_match_one_read_per_value(k, values, rows):
+    """The distinct patterns of a selector's values, slots folded or not,
+    are those of reading every value at itself."""
+    fam = _PATTERN_FAMILIES[k]
+    values = tuple(sorted(values))
+    assert fam.patterns(values, rows) == kernel_oracle.patterns(fam, values, rows)
+    assert fam.patterns(values, rows) == {fam.pattern(j, rows) for j in values}
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(range(len(_COHESION_FAMILIES))),
+    st.sets(st.integers(0, 200), max_size=40).map(lambda v: Selector(tuple(sorted(v)))),
+    st.integers(1, 10),
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 200), st.sampled_from(["in", "out"])),
+        max_size=3,
+    ),
+)
+def test_verify_cohesive_matches_the_one_sweep(k, selector, levels, extra):
+    """Segment by segment between distinct settle points, the verdict and
+    least violation are those of one sweep over the values: on the
+    back-translated witness, which passes with a settle point per row, and
+    on it with a few triples added, which may fail."""
+    fam = _COHESION_FAMILIES[k]
+    passing = kernel_oracle.witness_from_selector(selector, fam, levels)
+    assert verify_cohesive(passing, fam) is None
+    assert kernel_oracle.cohesive_sweep(passing, fam) is None
+    tampered = CohesiveWitness(selector, passing.settle + tuple(extra))
+    assert verify_cohesive(tampered, fam) == kernel_oracle.cohesive_sweep(tampered, fam)
+
+
+def test_verify_cohesive_reads_each_window_slot_once(monkeypatch):
+    """A 4096-value selector over a periodic family with a (j0, q) column
+    window reads at most j0 + q column patterns, whatever its settle points:
+    here one per row, 500 apart."""
+    families = [
+        parse_instance(serialize_instance(fam)) for _, fam in sorted(catalog.FAMILIES.items())
+    ] + [
+        DerivedFamily(catalog.PERIODIC_SEQUENCES[name], c)
+        for name in ("mixed-prefix", "three-cluster") for c in DerivedFamily.conventions
+    ]
+    for fam in families:
+        # found on a copy, so that the verifier starts from an empty memo
+        found = build_strongly_cohesive(parse_instance(serialize_instance(fam)), 6,
+                                        Budget(horizon=2**16))
+        witness = CohesiveWitness(
+            Selector(found.selector.values[:4096]),
+            tuple((i, 500 * i, side) for i, _, side in found.settle),
+        )
+        assert len(witness.selector) == 4096
+        reads = []
+        real = type(fam)._pattern
+        monkeypatch.setattr(
+            type(fam), "_pattern", lambda self, j, rows: reads.append(j) or real(self, j, rows)
+        )
+        assert verify_cohesive(witness, fam, strong_levels=6) is None
+        j0, q = fam.column_structure()
+        assert 0 < len(reads) <= j0 + q, fam.form
+        monkeypatch.undo()
 
 
 def test_build_strongly_cohesive_verifies_on_catalog():
