@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable
 
 from . import reductions, solvers
@@ -59,7 +60,7 @@ class Edge:
     solve: Callable[[Any, Any, Budget, list[str]], Any]
     back: Callable[[Any, Any, Any, Budget], Any] | None
 
-    @property
+    @cached_property
     def params(self) -> tuple[str, ...]:
         """Names of the parameters ``forward`` takes after the source."""
         return tuple(inspect.signature(self.forward).parameters)[1:]
@@ -98,8 +99,10 @@ def _branch_to_cauchy(x: RationalSequence, tree: SigmaTree, br: BranchPrefix, bu
 
 
 def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget, notes):
-    """The accumulation prefix of the h-stream past its stabilization bound,
-    which already is a separator of p."""
+    """The first depth bits of h at its stabilization bound k*, which already
+    are a separator of p: past k* every bit that one side's failure
+    constrains is final, and a bit with both sides total lies in neither
+    limit set, so either value separates there."""
     rng = budget.depth
     if rng < 1:
         raise ValueError("separator search needs depth >= 1")
@@ -108,18 +111,21 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
     )
     notes.append(f"stabilization bound {kstar}")
     window = max(budget.threshold, 1)
-    if kstar + window > budget.code_budget:  # the finder reads h up to k* + window
+    if kstar + window > budget.code_budget:  # the check reads h at k* + window
         raise BudgetExceededError(
             f"stabilization bound {kstar} plus finder window {window} "
             f"exceeds code budget {budget.code_budget}"
         )
-    finder_budget = replace(budget, horizon=window, threshold=window)
-    bits = solvers.find_accumulation_cantor(
-        lambda k: x.point(kstar + k), finder_budget
-    )
-    if tuple(x.point(kstar).bits(rng)) != tuple(x.point(kstar + window).bits(rng)):
+    bits = x.point(kstar).bits(rng)
+    later = x.point(kstar + window).bits(rng)
+    # only a constrained bit, where exactly one side is total, must stay put;
+    # a free one may still flip
+    if any(
+        b != c and p.totality(0, n) != p.totality(1, n)
+        for n, (b, c) in enumerate(zip(bits, later))
+    ):
         notes.append("stabilization check failed")  # unreachable for ground truth
-    return SeparatorSet(tuple(bits))
+    return SeparatorSet(bits)
 
 
 def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, notes):

@@ -806,29 +806,14 @@ class RulePredicate:
             return pinned
         return w if pinned is None else min(w, pinned)
 
-    def tail_start(self, n: int) -> int:
-        """An x past every override at n and the rule's bound: from it on
-        the minimal witness is the pure rule's, the same shape for every x."""
-        return 1 + max([ox for ox, _, on, _ in self.overrides if on == n] + [self.bound or 0])
-
     def first_failure(self, n: int) -> int | None:
         """Least x with no witness at all, or None when ∀x∃y B(x, y; n)."""
-        for x in range(self.tail_start(n) + 1):
+        # past every override at n and the rule's bound the minimal witness
+        # is the pure rule's, so witness existence is constant from tail on
+        tail = 1 + max([ox for ox, _, on, _ in self.overrides if on == n] + [self.bound or 0])
+        for x in range(tail + 1):
             if self.minimal_witness(x, n) is None:
                 return x
-        # x = tail_start is already in the pure-rule regime and has a
-        # witness; witness existence there is constant in x, so all larger x
-        # do too.
-        return None
-
-    def tail_shape(self, n: int) -> tuple[Any, ...] | None:
-        """Shape of the minimal witness beyond all overrides (total rules)."""
-        if self.rule == "always":
-            return ("const", 0)
-        if self.rule == "y_eq_x" or (self.rule == "y_eq_x_if" and self.cond.holds(n)):
-            return ("ident",)
-        if self.rule == "y_eq_const" and self.cond.holds(n):
-            return ("const", self.value)
         return None
 
     def to_repr(self) -> dict[str, Any]:

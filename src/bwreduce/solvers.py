@@ -337,26 +337,30 @@ def thin_to_fast(
     taking one position per n, strictly increasing, gives the fast selector.
     The suffix diameter is a step function of the position (see
     ``_suffix_extrema``), so the search steps from one distinct value's last
-    position to the next rather than position by position.
+    position to the next rather than position by position.  The input check
+    and the search share one read of each selected term and one step
+    function.
     """
-    bad = verify_cauchy(certificate, x)
+    f = certificate.selector
+    vals = list(map(x.term, f.values))
+    steps = _suffix_extrema(vals)
+    bad = _cauchy_violation(certificate.moduli, vals, steps)
     if bad is not None:
         raise InvalidCertificateError(
             f"input certificate fails at n={bad.n}, v={bad.v}, w={bad.w}"
         )
-    f = certificate.selector
     m = len(f)
     if m == 0:
         raise HorizonTooSmallError("cannot thin an empty selector")
-    steps = iter(_suffix_extrema(list(map(x.term, f.values))))
-    end, hi, lo = next(steps)
+    rest = iter(steps)
+    end, hi, lo = next(rest)
     positions: list[int] = []
     s = 0
     for n in range(budget.depth + 1):
         # always terminates: the last step is a one-point suffix, diameter 0
         while not _diameter_below(hi, lo, n):
             s = end + 1  # the diameter is constant up to the step's end
-            end, hi, lo = next(steps)
+            end, hi, lo = next(rest)
         p = s if not positions else max(s, positions[-1] + 1)
         if p >= m:
             raise HorizonTooSmallError(
@@ -385,11 +389,20 @@ def verify_cauchy(
     step function of ``_suffix_extrema`` by bisecting its last positions.
     Only a failure compares the terms pair by pair to name the least
     violation."""
-    f = certificate.selector
-    m = len(f)
-    vals = list(map(x.term, f.values))
-    steps = _suffix_extrema(vals)
-    for n, s in certificate.moduli:
+    vals = list(map(x.term, certificate.selector.values))
+    return _cauchy_violation(certificate.moduli, vals, _suffix_extrema(vals))
+
+
+def _cauchy_violation(
+    moduli: Sequence[tuple[int, int]],
+    vals: list[Fraction],
+    steps: list[tuple[int, tuple[int, int], tuple[int, int]]],
+) -> CauchyViolation | None:
+    """The body of ``verify_cauchy`` over the selected terms and their
+    suffix extrema, which ``thin_to_fast`` reads once for both the check
+    and its own search."""
+    m = len(vals)
+    for n, s in moduli:
         if s >= m:
             continue  # no two positions to compare
         _, hi, lo = steps[bisect_left(steps, s, key=itemgetter(0))]
@@ -540,22 +553,19 @@ def stabilization_bound(
     p: SeparationInstance, n: int, code_budget: int = 10**6
 ) -> int:
     """Least cutoff k* (up to overshoot) past which h_bit(p, k, n, ·) is
-    constant, computed from the ground-truth witness structure.
+    constant wherever the separator's bit at n is constrained, computed
+    from the ground-truth witness structure.
 
     When exactly one side is total, the other side's valid-prefix lengths
     cap at its first failure point L, and the total side's course-of-values
     code for length L (or L+1, when the total side must win) bounds the last
-    flip.  Both sides total with identical minimal-witness streams tie
-    forever (h stuck at 0, bound 0); different streams have no finite bound.
+    flip.  When both sides are total, n lies in neither limit set and either
+    bit separates: n is free, bound 0, whether or not h settles there.
     """
     t0 = p.totality(0, n)
     t1 = p.totality(1, n)
     if t0 and t1:
-        if _choice_streams_equal(p, n):
-            return 0
-        raise NotGroundTruthError(
-            "both sides total with different choice streams: h oscillates"
-        )
+        return 0
     if not t0 and not t1:
         raise NotGroundTruthError(
             "both sides fail totality: the disjointness promise is violated"
@@ -573,14 +583,3 @@ def stabilization_bound(
             f"stabilization bound {kstar} exceeds code budget {code_budget}"
         )
     return kstar
-
-
-def _choice_streams_equal(p: SeparationInstance, n: int) -> bool:
-    """Do both total sides produce the same minimal-witness stream?"""
-    r0, r1 = p.predicates  # rule predicates, guaranteed by the totality calls
-    if r0.tail_shape(n) != r1.tail_shape(n):
-        return False
-    scan = max(r0.tail_start(n), r1.tail_start(n))
-    return all(
-        r0.minimal_witness(x, n) == r1.minimal_witness(x, n) for x in range(scan + 1)
-    )

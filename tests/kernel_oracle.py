@@ -18,8 +18,10 @@ counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate, and ``evaluate`` reads the rule's one
-witness.  ``reductions.exact_separator`` walks the limit tree once, and
-``solvers.find_branch`` makes one leftmost depth-first descent.
+witness.  ``separation-bw`` reads its separator off h at the
+stabilization bound k*.  ``reductions.exact_separator`` walks the limit
+tree once, and ``solvers.find_branch`` makes one leftmost depth-first
+descent.
 ``SigmaTree.has_extension`` is one descent over ``member_at_stage`` for
 every tree form, and ``core.leftmost_descent`` keeps its own stack.
 ``StageListTree.member_at_stage`` bisects the stages and a sorted snapshot,
@@ -38,22 +40,27 @@ embedded term read at its own index; the sorted list of every term
 j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
 key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
 product; a rule predicate's overrides scanned in full for each lookup and
-its rule menu, one case per rule; the separator asked at every string code
-below 2^depth - 1; the branch search that asks ``has_extension`` from the
-root and again at every level; ``has_extension`` with one body per tree
-form; the self-calling leftmost descent; the stage-list membership that
+its rule menu, one case per rule; the window finder over the h-points
+k* .. k* + window - 1 that the ``separation-bw`` separator replaced; the
+separator asked at every string code below 2^depth - 1; the branch search
+that asks ``has_extension`` from the root and again at every level;
+``has_extension`` with one body per tree form; the self-calling leftmost
+descent; the stage-list membership that
 walks every stage and tests every node of the snapshot; and the bit string
 joined from one str per bit.  It also keeps
-two helpers that only tests use: half-open cell membership and the
-bit-by-bit equality of eventually periodic points.
+three helpers that only tests use: half-open cell membership, the
+bit-by-bit equality of eventually periodic points, and the equality of
+both sides' least-witness streams, compared past every pin and bound.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
+from bwreduce import solvers
 from bwreduce.certificates import (
     BranchPrefix,
     Budget,
@@ -70,6 +77,7 @@ from bwreduce.core import (
     string_decode,
 )
 from bwreduce.errors import (
+    BudgetExceededError,
     BudgetExhaustedError,
     EmptyTreeAtStageError,
     HorizonTooSmallError,
@@ -85,6 +93,7 @@ from bwreduce.instances import (
     RationalSequence,
     RowPattern,
     RulePredicate,
+    SeparationInstance,
     SetFamily,
     SigmaTree,
     StageListTree,
@@ -381,6 +390,51 @@ def rule_first_failure(pred: RulePredicate, n: int) -> int | None:
         if rule_minimal_witness(pred, x, n) is None:
             return x
     return None
+
+
+def choice_streams_equal(p: SeparationInstance, n: int) -> bool:
+    """Do both sides' least-witness streams at n agree at every x?  Past
+    every pin at n and each rule's bound a stream is its pure rule's, a
+    constant or x itself, and two such tails that agree at two x agree at
+    every x."""
+    b0, b1 = p.predicates
+    tail = 1 + max(
+        [ox for b in (b0, b1) for ox, _, on, _ in b.overrides if on == n]
+        + [b0.bound or 0, b1.bound or 0]
+    )
+    return all(
+        rule_minimal_witness(b0, x, n) == rule_minimal_witness(b1, x, n)
+        for x in range(tail + 2)
+    )
+
+
+def stable_separator(
+    p: SeparationInstance, x: RationalSequence, budget: Budget, notes: list[str]
+) -> SeparatorSet:
+    """The separator of ``separation-bw`` as the window finder read it: the
+    leftmost depth-bit prefix that all ``threshold`` points h(k*), ...,
+    h(k* + window - 1) share, found by the Cantor accumulation finder, with
+    the stabilization check taken over every n below the depth."""
+    rng = budget.depth
+    if rng < 1:
+        raise ValueError("separator search needs depth >= 1")
+    kstar = max(
+        solvers.stabilization_bound(p, n, budget.code_budget) for n in range(rng)
+    )
+    notes.append(f"stabilization bound {kstar}")
+    window = max(budget.threshold, 1)
+    if kstar + window > budget.code_budget:
+        raise BudgetExceededError(
+            f"stabilization bound {kstar} plus finder window {window} "
+            f"exceeds code budget {budget.code_budget}"
+        )
+    finder_budget = replace(budget, horizon=window, threshold=window)
+    bits = solvers.find_accumulation_cantor(
+        lambda k: x.point(kstar + k), finder_budget
+    )
+    if tuple(x.point(kstar).bits(rng)) != tuple(x.point(kstar + window).bits(rng)):
+        notes.append("stabilization check failed")
+    return SeparatorSet(tuple(bits))
 
 
 def exact_separator(y: SigmaTree, depth: int) -> SeparatorSet:

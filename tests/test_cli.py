@@ -478,8 +478,10 @@ LATE_MILLION = str(Path(__file__).parent / "data" / "late_million.json")
 
 @pytest.mark.parametrize("budget, code", [(810005, 2), (810009, 0)])
 def test_roundtrip_separation_bw_budget_covers_the_finder_window(capsys, budget, code):
-    """k* = 810001 at n = 5 and the finder reads h up to k* + 8, so 810008
-    is the least budget that holds the window."""
+    """k* = 810001 at n = 5.  The separator is h at k*, and the
+    stabilization check reads h again at k* + 8 = 810009, so 810009 is the
+    least code budget that passes; a smaller one exits 2 with a reason that
+    names k*, the window and the budget."""
     argv = ["roundtrip", "--pair", "separation-bw", "-i", LATE_MILLION,
             "--code-budget", str(budget)]
     assert main(argv) == code

@@ -1,4 +1,5 @@
-"""The one round-trip loop of ``bwreduce.edges``: which checks it runs.
+"""The one round-trip loop of ``bwreduce.edges``: which checks it runs,
+and what its steps read.
 
 The catalog round trips pass both checks, so a loop that skipped one would
 still pass them; this test hands the loop a wrong solution instead.
@@ -6,12 +7,28 @@ still pass them; this test hands the loop a wrong solution instead.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from pathlib import Path
 
-from bwreduce import catalog
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import kernel_oracle
+from bwreduce import catalog, reductions
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
 from bwreduce.edges import EDGES, roundtrip
-from bwreduce.instances import DerivedFamily, RationalSequence
+from bwreduce.errors import BudgetError, BwreduceError
+from bwreduce.instances import (
+    Cond,
+    DerivedFamily,
+    RationalSequence,
+    RulePredicate,
+    SeparationInstance,
+    parse_instance,
+    serialize_instance,
+)
 from bwreduce.solvers import CohesiveViolation
 
 
@@ -101,3 +118,151 @@ def test_bwweak_stcoh_round_trips_every_catalog_sequence():
         witness = edge.solve(x, family, budget, [])
         assert [i for i, _, _ in witness.settle] == list(range(budget.depth + 2)), name
         assert roundtrip(edge, x, budget, [], "corrected")[1] is None, name
+
+
+# --- separation-bw: the separator is h at the stabilization bound ---------------
+
+_RULES = ("never", "always", "y_eq_x", "y_eq_x_if", "y_eq_const", "y_eq_x_below")
+_CONDS = (
+    Cond("always"), Cond("never"), Cond("even"), Cond("odd"),
+    Cond("mod", modulus=3, residues=(1,)), Cond("lt", bound=3), Cond("ge", bound=3),
+    Cond("in", values=(1, 3)), Cond("not_in", values=(1, 3)),
+)
+
+
+def _rule_predicate(rng: random.Random) -> RulePredicate:
+    """A menu rule with up to four random pins at x < 4, y < 6, n < 8."""
+    pins = {}
+    for _ in range(rng.randint(0, 4)):
+        pins[rng.randrange(4), rng.randrange(6), rng.randrange(8)] = rng.random() < 0.5
+    return RulePredicate(
+        rng.choice(_RULES),
+        cond=rng.choice(_CONDS),
+        value=rng.randint(0, 4),
+        bound=rng.randint(0, 4),
+        overrides=tuple((x, y, n, v) for (x, y, n), v in pins.items()),
+    )
+
+
+def _promise_keeping_pair(rng: random.Random, depth: int = 8) -> SeparationInstance:
+    """Random rule pairs, drawn until one side is total at every n < depth."""
+    while True:
+        p = SeparationInstance(_rule_predicate(rng), _rule_predicate(rng))
+        if all(p.totality(0, n) or p.totality(1, n) for n in range(depth)):
+            return p
+
+
+def _free(p: SeparationInstance, depth: int) -> list[int]:
+    """The n < depth with both sides total, whose separator bit is free."""
+    return [n for n in range(depth) if p.totality(0, n) and p.totality(1, n)]
+
+
+def _separator_outcome(solve, p: SeparationInstance, budget: Budget):
+    x = reductions.separation_to_bw(p, budget.code_budget)
+    notes: list[str] = []
+    try:
+        return serialize_instance(solve(p, x, budget, notes)), notes
+    except BwreduceError as e:
+        return type(e), str(e), notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_separator_at_kstar_matches_the_window_finder(seed):
+    """Where every free n has equal least-witness streams, h ties at 0 there
+    at every cutoff, so the window finder's points past k* are all h(k*):
+    the same separator bytes and notes, or the same budget error."""
+    p = _promise_keeping_pair(random.Random(seed))
+    assume(all(kernel_oracle.choice_streams_equal(p, n) for n in _free(p, 8)))
+    budget = Budget(code_budget=10**40)
+    assert _separator_outcome(EDGES["separation-bw"].solve, p, budget) == (
+        _separator_outcome(kernel_oracle.stable_separator, p, budget)
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8, 12])
+def test_catalog_separator_at_kstar_matches_the_window_finder(depth):
+    budget = Budget(depth=depth)
+    for name, p in sorted(catalog.SEPARATIONS.items()):
+        got = _separator_outcome(EDGES["separation-bw"].solve, p, budget)
+        assert isinstance(got[0], bytes), (name, got)
+        assert got == _separator_outcome(kernel_oracle.stable_separator, p, budget), name
+
+
+def test_promise_keeping_separations_pass_or_name_a_budget():
+    """300 seeded rule pairs that keep the disjointness promise below depth
+    8, at a code budget of 10^40: every round trip passes with no failed
+    stabilization check, or is an exceeded budget that names the code
+    budget (exit 2).  None stops at a free bit (exit 4), although some of
+    them have both sides total with different streams at some n."""
+    rng = random.Random(0)
+    budget = Budget(code_budget=10**40)
+    unequal = 0
+    for _ in range(300):
+        p = _promise_keeping_pair(rng)
+        unequal += not all(kernel_oracle.choice_streams_equal(p, n) for n in _free(p, 8))
+        notes: list[str] = []
+        try:
+            _, bad = roundtrip(EDGES["separation-bw"], p, budget, notes, "corrected")
+        except BudgetError as e:
+            assert "code budget" in e.reason, e.reason
+            continue
+        assert bad is None, p.to_repr()
+        assert "stabilization check failed" not in notes, p.to_repr()
+    assert unequal > 0
+
+
+FREE_BIT = Path(__file__).parent / "data" / "free_bit.json"
+
+
+def test_free_bit_file_is_the_both_total_pair():
+    """Both sides are total at every n, so every separator bit is free: bit
+    0 of h is 0 at k* = 0 and 1 at k* + 8, yet no check note follows."""
+    p = parse_instance(FREE_BIT.read_bytes())
+    assert serialize_instance(p) == serialize_instance(
+        SeparationInstance(RulePredicate("y_eq_x"), RulePredicate("always"))
+    )
+    assert [reductions.h_bit(p, k, 0, 10**6) for k in (0, 8)] == [0, 1]
+    notes: list[str] = []
+    _, bad = roundtrip(EDGES["separation-bw"], p, Budget(), notes, "corrected")
+    assert bad is None
+    assert notes == ["stabilization bound 0"]
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8, 12])
+def test_separation_bw_reads_h_once_per_bit(monkeypatch, depth):
+    """h at k* gives every bit, and the stabilization check reads h once
+    more at k* + window: 2·depth ``h_bit`` calls per round trip, where the
+    window finder made (window + 2)·depth."""
+    calls = []
+    h_bit = reductions.h_bit
+
+    def counted(p, k, n, code_budget):
+        calls.append((k, n))
+        return h_bit(p, k, n, code_budget)
+
+    monkeypatch.setattr(reductions, "h_bit", counted)
+    late = parse_instance((Path(__file__).parent / "data" / "late_million.json").read_bytes())
+    budget = Budget(depth=depth)
+    for name, p in [*sorted(catalog.SEPARATIONS.items()), ("late-million", late)]:
+        calls.clear()
+        _, bad = roundtrip(EDGES["separation-bw"], p, budget, [], "corrected")
+        assert bad is None, name
+        assert len(calls) == 2 * depth, name
+
+
+def test_edge_params_are_read_once(monkeypatch):
+    """Each edge reads its ``forward`` signature once, not on every call."""
+    from bwreduce import edges
+
+    calls = []
+    signature = edges.inspect.signature
+    monkeypatch.setattr(
+        edges.inspect, "signature", lambda fn: calls.append(fn) or signature(fn)
+    )
+    edge = replace(EDGES["separation-bw"])  # a copy that has not read it yet
+    p = catalog.SEPARATIONS["odds-vs-evens"]
+    for _ in range(3):
+        assert edge.params == ("code_budget",)
+        assert roundtrip(edge, p, Budget(), [], "corrected")[1] is None
+    assert calls == [edge.forward]

@@ -676,8 +676,6 @@ def test_rule_predicate_witness_structure():
     assert p.minimal_witness(5, 3) is None
     assert p.first_failure(2) is None
     assert p.first_failure(3) == 0
-    assert p.tail_shape(2) == ("ident",)
-    assert p.tail_shape(3) is None
 
 
 def test_rule_predicate_overrides_shift_minimal_witness():
@@ -821,21 +819,6 @@ def test_rule_evaluation_matches_the_rule_menu():
             for y in range(8):
                 for n in range(8):
                     assert p.evaluate(x, y, n) == kernel_oracle.rule_holds(p, x, y, n), (p, x, y, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(pinned_rule_predicates(), pinned_rule_predicates())
-def test_choice_streams_are_compared_through_the_tail_start(p0, p1):
-    """Past ``tail_start`` each stream is its rule's tail, so comparing the
-    tail shapes and the witnesses below both tail starts decides equality:
-    the same as comparing the witnesses far past every pin and bound."""
-    inst = SeparationInstance(p0, p1)
-    for n in range(5):
-        assert max(p0.tail_start(n), p1.tail_start(n)) < 20
-        same = p0.tail_shape(n) == p1.tail_shape(n) and all(
-            p0.minimal_witness(x, n) == p1.minimal_witness(x, n) for x in range(20)
-        )
-        assert solvers._choice_streams_equal(inst, n) == same
 
 
 def test_separation_unique_has_at_most_one_witness():

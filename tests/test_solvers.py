@@ -637,6 +637,34 @@ def test_thin_to_fast_on_harmonic_via_heuristic_cohesion():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class _CountingTerms(RationalSequence):
+    """A sequence that records every index whose term is evaluated."""
+
+    def __init__(self, inner: RationalSequence):
+        self.inner, self.calls = inner, []
+
+    def term(self, i: int) -> Fraction:
+        self.calls.append(i)
+        return self.inner.term(i)
+
+    def periodic_structure(self):
+        return self.inner.periodic_structure()
+
+
+def test_thin_to_fast_reads_each_selected_term_once():
+    """The input check and the thinning share one read of each selected
+    term: one ``term`` call per selected position."""
+    for x in (
+        AlternatingSequence(Fraction(0), Fraction(1)),
+        HarmonicSequence(),
+        PeriodicSequence([Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 4)]),
+    ):
+        slow = extract_slow_cauchy(x, Budget())
+        counting = _CountingTerms(x)
+        thin_to_fast(slow, counting, Budget())
+        assert counting.calls == list(slow.selector.values)
+
+
 def test_thin_to_fast_rejects_bad_input():
     x = AlternatingSequence(Fraction(0), Fraction(1))
     lying = CauchyCertificate(Selector((0, 1)), ((1, 0),), "slow")
@@ -737,9 +765,9 @@ def test_stabilization_bound_failures():
     neither = SeparationInstance(RulePredicate("never"), RulePredicate("never"))
     with pytest.raises(NotGroundTruthError):
         stabilization_bound(neither, 0)
-    oscillating = SeparationInstance(RulePredicate("y_eq_x"), RulePredicate("always"))
-    with pytest.raises(NotGroundTruthError):
-        stabilization_bound(oscillating, 0)
+    # both sides total: n lies in neither limit set, so its bit is free
+    free = SeparationInstance(RulePredicate("y_eq_x"), RulePredicate("always"))
+    assert stabilization_bound(free, 0) == 0
     with pytest.raises(BudgetExceededError):
         stabilization_bound(catalog.SEPARATIONS["late-cutoff"], 0, code_budget=100)
 
