@@ -5,8 +5,9 @@ representation (``kind`` + ``to_repr``/``from_repr``).  The envelope reader
 in :mod:`bwreduce.instances` dispatches on ``kind`` through the same table
 as the instance forms and attaches the envelope's ``meta``.  Construction
 normalizes (sorts, dedupes) so that serialize ∘ parse is the identity on
-canonical bytes.  The field readers ``_expect_nat``, ``_expect_array`` and
-``_expect_object`` are shared with the instance forms.
+canonical bytes.  The field readers ``_expect_nat``, ``_expect_array``,
+``_expect_object`` and ``_expect_records`` are shared with the instance
+forms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import lt
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import Bits, DyadicInterval, format_bits, format_rational, parse_bits, parse_rational
 from .errors import NonMonotoneSelectorError, SchemaViolationError
@@ -37,6 +38,17 @@ def _expect_object(value: Any, message: str, path: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise SchemaViolationError(message, path)
     return value
+
+
+def _expect_records(
+    obj: Mapping[str, Any], key: str, noun: str, path: str, default: Any = None
+) -> Iterator[tuple[Mapping[str, Any], str]]:
+    """(entry, location) for each entry of the array ``obj[key]``, every
+    entry an object (a ``noun``) at ``path.key[i]``."""
+    path = f"{path}.{key}"
+    raw = _expect_array(obj.get(key, default), f"{key} must be an array", path)
+    for i, entry in enumerate(raw):
+        yield _expect_object(entry, f"{noun} must be an object", f"{path}[{i}]"), f"{path}[{i}]"
 
 
 @dataclass(frozen=True)
@@ -149,16 +161,10 @@ class CauchyCertificate:
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "CauchyCertificate":
         sel = Selector.from_repr(obj.get("selector", {}), f"{path}.selector")
-        raw = _expect_array(obj.get("moduli"), "moduli must be an array", f"{path}.moduli")
-        moduli = []
-        for i, entry in enumerate(raw):
-            entry = _expect_object(entry, "modulus must be an object", f"{path}.moduli[{i}]")
-            moduli.append(
-                (
-                    _expect_nat(entry.get("n"), f"{path}.moduli[{i}].n"),
-                    _expect_nat(entry.get("s"), f"{path}.moduli[{i}].s"),
-                )
-            )
+        moduli = [
+            (_expect_nat(entry.get("n"), f"{at}.n"), _expect_nat(entry.get("s"), f"{at}.s"))
+            for entry, at in _expect_records(obj, "moduli", "modulus", path)
+        ]
         rate = obj.get("rate")
         if rate not in ("slow", "fast"):
             raise SchemaViolationError(f"rate must be slow|fast, got {rate!r}", f"{path}.rate")
@@ -197,22 +203,13 @@ class CohesiveWitness:
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "CohesiveWitness":
         sel = Selector.from_repr(obj.get("selector", {}), f"{path}.selector")
-        raw = _expect_array(obj.get("settle"), "settle must be an array", f"{path}.settle")
         settle = []
-        for i, entry in enumerate(raw):
-            entry = _expect_object(entry, "settle entry must be an object", f"{path}.settle[{i}]")
+        for entry, at in _expect_records(obj, "settle", "settle entry", path):
             side = entry.get("side")
             if side not in ("in", "out"):
-                raise SchemaViolationError(
-                    f"side must be in|out, got {side!r}", f"{path}.settle[{i}].side"
-                )
-            settle.append(
-                (
-                    _expect_nat(entry.get("level"), f"{path}.settle[{i}].level"),
-                    _expect_nat(entry.get("s"), f"{path}.settle[{i}].s"),
-                    side,
-                )
-            )
+                raise SchemaViolationError(f"side must be in|out, got {side!r}", f"{at}.side")
+            level = _expect_nat(entry.get("level"), f"{at}.level")
+            settle.append((level, _expect_nat(entry.get("s"), f"{at}.s"), side))
         return CohesiveWitness(sel, tuple(settle))
 
 
@@ -304,16 +301,13 @@ class AccumulationResult:
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "AccumulationResult":
-        raw = _expect_array(obj.get("chain"), "chain must be an array", f"{path}.chain")
-        chain = []
-        for i, entry in enumerate(raw):
-            entry = _expect_object(entry, "chain entry must be an object", f"{path}.chain[{i}]")
-            chain.append(
-                DyadicInterval(
-                    _expect_nat(entry.get("level"), f"{path}.chain[{i}].level"),
-                    _expect_nat(entry.get("index"), f"{path}.chain[{i}].index"),
-                )
+        chain = [
+            DyadicInterval(
+                _expect_nat(entry.get("level"), f"{at}.level"),
+                _expect_nat(entry.get("index"), f"{at}.index"),
             )
+            for entry, at in _expect_records(obj, "chain", "chain entry", path)
+        ]
         approx = parse_rational(obj.get("approx"), location=f"{path}.approx")
         exact = obj.get("exact")
         if not isinstance(exact, bool):

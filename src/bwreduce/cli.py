@@ -47,6 +47,7 @@ from .errors import (
     WitnessExhaustedError,
 )
 from .instances import (
+    DERIVED_PARAMS,
     DerivedFamily,
     RationalSequence,
     SetFamily,
@@ -114,10 +115,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             f"no reduction from {args.src} to {args.dst}; supported: "
             + ", ".join(sorted(EDGES))
         )
+    _budget(args)  # the budget flags are naturals, as in every command
     obj = _require(_load(args.input), edge.source, f"--from {args.src}")
     # the --code-budget and --convention flags share their names with the
-    # forward parameters
-    out = edge.forward(obj, **{name: getattr(args, name) for name in edge.params})
+    # forward parameters, and are read as a derived file reads them back
+    out = edge.forward(obj, **{
+        name: DERIVED_PARAMS[name][0](getattr(args, name), "--" + name.replace("_", "-"))
+        for name in edge.params
+    })
     _emit(args.output, serialize_instance(out))
     return 0
 

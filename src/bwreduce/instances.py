@@ -46,6 +46,7 @@ from .certificates import (
     _expect_array,
     _expect_nat,
     _expect_object,
+    _expect_records,
 )
 from .core import (
     Bits,
@@ -486,8 +487,7 @@ class BranchUnionTree(SigmaTree):
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "BranchUnionTree":
-        raw = _expect_array(obj.get("points"), "points must be an array", f"{path}.points")
-        points = [_point_from_repr(p, f"{path}.points[{i}]") for i, p in enumerate(raw)]
+        points = [_point_from_repr(p, at) for p, at in _expect_records(obj, "points", "point", path)]
         try:
             return BranchUnionTree(points)
         except ValueError as e:
@@ -575,17 +575,13 @@ class StageListTree(SigmaTree):
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "StageListTree":
-        raw = _expect_array(obj.get("entries"), "entries must be an array", f"{path}.entries")
-        entries = []
-        for i, entry in enumerate(raw):
-            at = f"{path}.entries[{i}]"
-            entry = _expect_object(entry, "stage entry must be an object", at)
-            entries.append(
-                (
-                    _expect_nat(entry.get("stage"), f"{at}.stage"),
-                    parse_bits(entry.get("node", None), location=f"{at}.node"),
-                )
+        entries = [
+            (
+                _expect_nat(entry.get("stage"), f"{at}.stage"),
+                parse_bits(entry.get("node", None), location=f"{at}.node"),
             )
+            for entry, at in _expect_records(obj, "entries", "stage entry", path)
+        ]
         try:
             return StageListTree(entries)
         except ValueError as e:
@@ -838,12 +834,7 @@ class RulePredicate:
         if "cond" in obj:
             cond = Cond.from_repr(obj["cond"], f"{path}.cond")
         overrides = []
-        raw = _expect_array(
-            obj.get("overrides", []), "overrides must be an array", f"{path}.overrides"
-        )
-        for i, entry in enumerate(raw):
-            at = f"{path}.overrides[{i}]"
-            entry = _expect_object(entry, "override must be an object", at)
+        for entry, at in _expect_records(obj, "overrides", "override", path, []):
             if not isinstance(entry.get("value"), bool):
                 raise SchemaViolationError("override value must be a boolean", f"{at}.value")
             xyn = (_expect_nat(entry.get(c), f"{at}.{c}") for c in "xyn")
@@ -945,9 +936,7 @@ class SeparationInstance:
         self.disjointness_promise = bool(disjointness_promise)
         self.provenance = provenance
         self._prefixes: dict[tuple[int, int], WitnessPrefix] = {}
-
-    def evaluate(self, i: int, x: int, y: int, n: int) -> bool:
-        return self.predicates[i].evaluate(x, y, n)
+        self._failures: dict[tuple[int, int], int | None] = {}
 
     def witness_prefix(self, i: int, n: int) -> WitnessPrefix:
         """Side i's least-witness prefixes at n, built once on first use and
@@ -972,10 +961,14 @@ class SeparationInstance:
 
     def totality(self, i: int, n: int) -> bool:
         """Ground truth for ∀x∃y B_i(x, y; n) (iff rng(g_i(n, ·)) = ℕ)."""
-        return self._rule(i).first_failure(n) is None
+        return self.first_failure(i, n) is None
 
     def first_failure(self, i: int, n: int) -> int | None:
-        return self._rule(i).first_failure(n)
+        """Side i's least x with no witness at n, asked of its rule once."""
+        key = (i, n)
+        if key not in self._failures:
+            self._failures[key] = self._rule(i).first_failure(n)
+        return self._failures[key]
 
     def choice_values(self, i: int, n: int, count: int) -> list[int]:
         """Minimal witnesses for x < count (requires totality through count)."""
@@ -1037,10 +1030,6 @@ class RowPattern:
         if j < len(self.prefix):
             return self.prefix[j] == 1
         return self.period[(j - len(self.prefix)) % len(self.period)] == 1
-
-    def is_full(self) -> bool:
-        """Does this pattern denote all of ℕ?"""
-        return all(b == 1 for b in self.prefix + self.period)
 
     def to_repr(self) -> dict[str, str]:
         return {"prefix": format_bits(self.prefix), "period": format_bits(self.period)}
@@ -1123,17 +1112,10 @@ class SetFamily:
             out = out << 1 | (not self.member(i, j))
         return out
 
-    def row_pattern(self, n: int) -> RowPattern | None:
-        """Eventually periodic view of row n when available."""
-        return None
-
     def periodic_structure(self, levels: int) -> tuple[int, int] | None:
         """(J0, Q) such that, jointly for rows n < levels, membership of j is
         periodic in j with period Q beyond J0; None when unknown."""
-        rows = [self.row_pattern(n) for n in range(levels)]
-        if any(r is None for r in rows):
-            return None
-        return _joint_structure(rows)
+        return None
 
     def column_point(self, i: int) -> CantorPoint:
         """The Cantor point n -> [i ∈ R_n]."""
@@ -1160,8 +1142,8 @@ class _ListedRowsFamily(SetFamily):
     def member(self, n: int, j: int) -> bool:
         return self.row(n).member(j)
 
-    def row_pattern(self, n: int) -> RowPattern:
-        return self.row(n)
+    def periodic_structure(self, levels: int) -> tuple[int, int]:
+        return _joint_structure([self.row(n) for n in range(levels)])
 
     def column_structure(self) -> tuple[int, int]:
         return self._window
@@ -1344,14 +1326,6 @@ class DerivedFamily(SetFamily):
             out = out << c | bits
         return out
 
-    def row_pattern(self, n: int) -> RowPattern | None:
-        struct = self.source.periodic_structure()
-        if struct is None:
-            return None
-        j0, q = struct
-        bits = tuple(1 if self.member(n, j) else 0 for j in range(j0 + q))
-        return RowPattern(bits[:j0], bits[j0:])
-
     def periodic_structure(self, levels: int) -> tuple[int, int] | None:
         return self.source.periodic_structure()
 
@@ -1435,11 +1409,8 @@ def _table_entries(
 ) -> Iterator[tuple[int, Mapping[str, Any], str]]:
     """(index, entry, location) for each entry of a table's ``entries`` array;
     every index is a natural, listed once."""
-    raw = _expect_array(repr_obj.get("entries"), "entries must be an array", f"{path}.entries")
     seen: set[int] = set()
-    for i, entry in enumerate(raw):
-        at = f"{path}.entries[{i}]"
-        entry = _expect_object(entry, f"{what} entry must be an object", at)
+    for entry, at in _expect_records(repr_obj, "entries", f"{what} entry", path):
         idx = _expect_nat(entry.get("index"), f"{at}.index")
         if idx in seen:
             raise InvariantViolationError(f"duplicate {what} index {idx}", at)
@@ -1452,26 +1423,22 @@ def _table_entries(
 MAX_PROVENANCE_DEPTH = 64
 
 
-def _derived_code_budget(repr_obj: Mapping[str, Any], path: str) -> int:
-    budget = _expect_nat(repr_obj.get("code_budget", 10**6), f"{path}.code_budget")
-    if budget < 1:
-        raise SchemaViolationError(
-            "code_budget must be a positive integer", f"{path}.code_budget"
-        )
-    return budget
+def _code_budget(value: Any, path: str) -> int:
+    if _expect_nat(value, path) < 1:
+        raise SchemaViolationError("code_budget must be a positive integer", path)
+    return value
 
 
-def _derived_convention(repr_obj: Mapping[str, Any], path: str) -> str:
-    convention = repr_obj.get("convention", "corrected")
-    if convention not in DerivedFamily.conventions:
-        raise SchemaViolationError(
-            f"unknown convention {convention!r}", f"{path}.convention"
-        )
-    return convention
+def _convention(value: Any, path: str) -> str:
+    if value not in DerivedFamily.conventions:
+        raise SchemaViolationError(f"unknown convention {value!r}", path)
+    return value
 
 
-# the parameters a derivation may record, by name (see edges.Edge.params)
-_DERIVED_PARAMS = {"code_budget": _derived_code_budget, "convention": _derived_convention}
+# the parameters a derivation may record, by name (see edges.Edge.params):
+# each one's reader and its value when a file leaves it out; the CLI's
+# ``reduce`` checks its flags with the same readers, so what it writes reads back
+DERIVED_PARAMS = {"code_budget": (_code_budget, 10**6), "convention": (_convention, "corrected")}
 
 
 def _parse_derived(repr_obj: Mapping[str, Any], path: str, expected_kind: str) -> Any:
@@ -1500,9 +1467,11 @@ def _parse_derived(repr_obj: Mapping[str, Any], path: str, expected_kind: str) -
             f"{derived_by} needs a {edge.source.kind} source, got {source.kind}",
             f"{path}.source.kind",
         )
-    return edge.forward(
-        source, **{name: _DERIVED_PARAMS[name](repr_obj, path) for name in edge.params}
-    )
+    params = {name: DERIVED_PARAMS[name] for name in edge.params}
+    return edge.forward(source, **{
+        name: read(repr_obj.get(name, default), f"{path}.{name}")
+        for name, (read, default) in params.items()
+    })
 
 
 # (kind, form) -> the class whose from_repr reads that form; a certificate

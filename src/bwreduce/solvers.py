@@ -32,7 +32,7 @@ from .certificates import (
     Selector,
     SeparatorSet,
 )
-from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent, seq_code
+from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -559,8 +559,9 @@ def stabilization_bound(
     When exactly one side is total, the other side's valid-prefix lengths
     cap at its first failure point L, and the total side's course-of-values
     code for length L (or L+1, when the total side must win) bounds the last
-    flip.  When both sides are total, n lies in neither limit set and either
-    bit separates: n is free, bound 0, whether or not h settles there.
+    flip; it is read off ``p.witness_prefix``, which the h reads share.  When
+    both sides are total, n lies in neither limit set and either bit
+    separates: n is free, bound 0, whether or not h settles there.
     """
     t0 = p.totality(0, n)
     t1 = p.totality(1, n)
@@ -576,10 +577,7 @@ def stabilization_bound(
     target = cap + 1 if winner == 1 else cap
     if target == 0:
         return 0
-    code = seq_code(p.choice_values(winner, n, target))
-    kstar = code + 1
-    if kstar > code_budget:
-        raise BudgetExceededError(
-            f"stabilization bound {kstar} exceeds code budget {code_budget}"
-        )
-    return kstar
+    prefix = p.witness_prefix(winner, n)  # builds no code at or past the budget
+    if prefix.length_below(code_budget) < target:
+        raise BudgetExceededError(f"stabilization bound exceeds code budget {code_budget}")
+    return prefix.codes[target] + 1

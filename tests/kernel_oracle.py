@@ -18,7 +18,8 @@ counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate, and ``evaluate`` reads the rule's one
-witness.  ``separation-bw`` reads its separator off h at the
+witness.  ``solvers.stabilization_bound`` reads k* off the shared
+least-witness prefix, which builds no code past the code budget.  ``separation-bw`` reads its separator off h at the
 stabilization bound k*.  ``reductions.exact_separator`` walks the limit
 tree once, and ``solvers.find_branch`` makes one leftmost depth-first
 descent.
@@ -40,7 +41,8 @@ embedded term read at its own index; the sorted list of every term
 j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
 key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
 product; a rule predicate's overrides scanned in full for each lookup and
-its rule menu, one case per rule; the window finder over the h-points
+its rule menu, one case per rule; the stabilization bound whose code is
+built in full before it meets the code budget; the window finder over the h-points
 k* .. k* + window - 1 that the ``separation-bw`` separator replaced; the
 separator asked at every string code below 2^depth - 1; the branch search
 that asks ``has_extension`` from the root and again at every level;
@@ -48,9 +50,10 @@ that asks ``has_extension`` from the root and again at every level;
 descent; the stage-list membership that
 walks every stage and tests every node of the snapshot; and the bit string
 joined from one str per bit.  It also keeps
-three helpers that only tests use: half-open cell membership, the
-bit-by-bit equality of eventually periodic points, and the equality of
-both sides' least-witness streams, compared past every pin and bound.
+four helpers that only tests use: half-open cell membership, the
+bit-by-bit equality of eventually periodic points, the equality of both
+sides' least-witness streams, compared past every pin and bound, and a
+derived row read as full by ``member`` over its source's window.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from bwreduce.core import (
     CantorPoint,
     DyadicInterval,
     is_prefix,
+    seq_code,
     string_decode,
 )
 from bwreduce.errors import (
@@ -82,6 +86,7 @@ from bwreduce.errors import (
     EmptyTreeAtStageError,
     HorizonTooSmallError,
     InvalidCertificateError,
+    NotGroundTruthError,
 )
 from bwreduce.instances import (
     BranchUnionTree,
@@ -140,6 +145,13 @@ def listed_row(family: SetFamily, n: int) -> RowPattern:
             return family.row_prefix[n]
         return family.row_period[(n - len(family.row_prefix)) % len(family.row_period)]
     return family.entries.get(n, family.default)
+
+
+def row_is_full(family: DerivedFamily, n: int) -> bool:
+    """Is row n of a derived family all of ℕ?  Asks ``member`` at every j
+    of the source's (j0, q) window, past which columns repeat."""
+    j0, q = family.source.periodic_structure()
+    return all(family.member(n, j) for j in range(j0 + q))
 
 
 def verify_cohesive(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
@@ -406,6 +418,32 @@ def choice_streams_equal(p: SeparationInstance, n: int) -> bool:
         rule_minimal_witness(b0, x, n) == rule_minimal_witness(b1, x, n)
         for x in range(tail + 2)
     )
+
+
+def stabilization_bound(p: SeparationInstance, n: int, code_budget: int = 10**6) -> int:
+    """``solvers.stabilization_bound`` with the winner's course-of-values
+    code built in full by ``seq_code`` from its minimal witnesses, and only
+    then compared with the code budget."""
+    t0 = p.totality(0, n)
+    t1 = p.totality(1, n)
+    if t0 and t1:
+        return 0
+    if not t0 and not t1:
+        raise NotGroundTruthError(
+            "both sides fail totality: the disjointness promise is violated"
+        )
+    winner = 0 if t0 else 1
+    cap = p.first_failure(1 - winner, n)
+    assert cap is not None
+    target = cap + 1 if winner == 1 else cap
+    if target == 0:
+        return 0
+    kstar = seq_code(p.choice_values(winner, n, target)) + 1
+    if kstar > code_budget:
+        raise BudgetExceededError(
+            f"stabilization bound {kstar} exceeds code budget {code_budget}"
+        )
+    return kstar
 
 
 def stable_separator(

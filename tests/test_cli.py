@@ -37,7 +37,13 @@ from bwreduce.certificates import (
 from bwreduce.cli import PROBLEMS, main
 from bwreduce.core import DyadicInterval
 from bwreduce.edges import EDGES
-from bwreduce.instances import MAX_PROVENANCE_DEPTH, parse_instance, serialize_instance
+from bwreduce.instances import (
+    MAX_PROVENANCE_DEPTH,
+    RulePredicate,
+    SeparationInstance,
+    parse_instance,
+    serialize_instance,
+)
 from bwreduce.reductions import (
     MAX_SEPARATOR_DEPTH,
     bw_to_swkl,
@@ -521,6 +527,58 @@ def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):
     src = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
     assert main(["roundtrip", "--pair", "separation-bw", "-i", src, "--depth", "0"]) == 3
     assert capsys.readouterr().err == "error: separator search needs depth >= 1\n"
+
+
+WIDE_BOUND = str(Path(__file__).parent / "data" / "wide_bound.json")
+
+
+def test_wide_bound_file_is_the_bound_3000_pair():
+    assert Path(WIDE_BOUND).read_bytes() == serialize_instance(
+        SeparationInstance(RulePredicate("y_eq_x_below", bound=3000), RulePredicate("y_eq_x"))
+    )
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (RulePredicate("y_eq_x_below", bound=100), RulePredicate("y_eq_x")),
+        None,  # the bound-3000 pair of WIDE_BOUND
+        (RulePredicate("y_eq_const", value=3 * 10**7), RulePredicate("y_eq_x_below", bound=2)),
+    ],
+    ids=["bound-100", "bound-3000", "value-3e7"],
+)
+def test_stabilization_code_past_the_budget_is_exit_2(tmp_path, capsys, pair):
+    """Each k* here is a code of 12,703 to 23 million digits.  The
+    least-witness prefix stops at the code budget, so the round trip exits 2
+    at once, without writing that code down."""
+    src = WIDE_BOUND if pair is None else _write(tmp_path, "sep.json", SeparationInstance(*pair))
+    assert main(["roundtrip", "--pair", "separation-bw", "-i", src]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["kind"] == "BudgetExceededError"
+    assert payload["reason"] == "stabilization bound exceeds code budget 1000000"
+
+
+FREE_BIT = str(Path(__file__).parent / "data" / "free_bit.json")
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--code-budget", "0"], "--code-budget: code_budget must be a positive integer"),
+        (["--code-budget", "-3"], "budget field code_budget must be a natural"),
+        (["--depth", "-1"], "budget field depth must be a natural"),
+    ],
+    ids=["code-budget-0", "code-budget-negative", "depth-negative"],
+)
+def test_reduce_checks_its_budget_flags_and_writes_nothing(tmp_path, capsys, flags, err):
+    """A code budget below 1 would be written into a file that no command
+    reads back, so reduce refuses it as every other command refuses a
+    negative budget flag."""
+    out = tmp_path / "hstream.json"
+    argv = ["reduce", "--from", "separation", "--to", "bw", "-i", FREE_BIT, "-o", str(out)]
+    assert main(argv + flags) == 3
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
 
 
 def test_roundtrip_convention_changes_the_verdict(tmp_path, capsys):

@@ -51,15 +51,15 @@ def test_roundtrip_checks_the_target_solution():
 
 
 def test_full_row_note_reads_patterns_not_members(monkeypatch):
-    """The ``R_i = N`` note of bwweak-stcoh lists the rows that
-    ``row_pattern`` reads as full, in both conventions, while the round
-    trip asks ``member`` of the family not once."""
+    """The ``R_i = N`` note of bwweak-stcoh lists the rows that ``member``
+    reads as full over the source's window, in both conventions, while the
+    round trip asks ``member`` of the family not once."""
     edge = EDGES["bwweak-stcoh"]
     budget = Budget()
     for x in catalog.PERIODIC_SEQUENCES.values():
         for convention in DerivedFamily.conventions:
             family = edge.forward(x, convention)
-            full = [i for i in range(budget.depth) if family.row_pattern(i).is_full()]
+            full = [i for i in range(budget.depth) if kernel_oracle.row_is_full(family, i)]
             calls = []
             monkeypatch.setattr(DerivedFamily, "member", lambda *a: calls.append(a))
             notes: list[str] = []
@@ -249,6 +249,27 @@ def test_separation_bw_reads_h_once_per_bit(monkeypatch, depth):
         _, bad = roundtrip(EDGES["separation-bw"], p, budget, [], "corrected")
         assert bad is None, name
         assert len(calls) == 2 * depth, name
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8, 12])
+def test_separation_bw_asks_each_first_failure_once(monkeypatch, depth):
+    """Each side's first failure at each n < depth is asked of its rule once,
+    and the stabilization bound, its check and the verifier share it: at
+    most 2·depth ``RulePredicate.first_failure`` calls per round trip."""
+    calls = []
+    first_failure = RulePredicate.first_failure
+    monkeypatch.setattr(
+        RulePredicate, "first_failure", lambda pred, n: calls.append(n) or first_failure(pred, n)
+    )
+    data = Path(__file__).parent / "data"
+    files = {name: serialize_instance(p) for name, p in catalog.SEPARATIONS.items()}
+    files.update({f: (data / f).read_bytes() for f in ("late_million.json", "free_bit.json")})
+    for name, raw in sorted(files.items()):
+        p = parse_instance(raw)  # a fresh instance, with nothing memoized
+        calls.clear()
+        _, bad = roundtrip(EDGES["separation-bw"], p, Budget(depth=depth), [], "corrected")
+        assert bad is None, name
+        assert len(calls) <= 2 * depth, (name, len(calls))
 
 
 def test_edge_params_are_read_once(monkeypatch):

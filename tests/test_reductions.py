@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
 import scan_oracle
 from bwreduce import catalog
 from bwreduce.certificates import Budget, Selector, SeparatorSet
@@ -146,7 +147,7 @@ def test_tree_side_predicates_on_full_tree():
     for n in range(7):
         for x in range(6):
             for i in (0, 1):
-                assert any(p.evaluate(i, x, y, n) for y in range(4))
+                assert any(p.predicates[i].evaluate(x, y, n) for y in range(4))
 
 
 def test_exact_separator_walks_to_the_true_branch():
@@ -497,7 +498,7 @@ def test_closed_cells_cannot_separate_endpoints():
     for n in range(10):
         for j in range(10):
             assert literal.member(n, j)
-        assert literal.row_pattern(n).is_full()
+        assert kernel_oracle.row_is_full(literal, n)
 
 
 def test_halfopen_scaled_cells_do_separate_endpoints():

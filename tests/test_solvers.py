@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
@@ -38,6 +38,7 @@ from bwreduce.errors import (
 )
 from bwreduce.instances import (
     AlternatingSequence,
+    Cond,
     ConstantSequence,
     DerivedFamily,
     HarmonicSequence,
@@ -770,6 +771,48 @@ def test_stabilization_bound_failures():
     assert stabilization_bound(free, 0) == 0
     with pytest.raises(BudgetExceededError):
         stabilization_bound(catalog.SEPARATIONS["late-cutoff"], 0, code_budget=100)
+
+
+_small_rules = st.builds(
+    RulePredicate,
+    rule=st.sampled_from(
+        ("never", "always", "y_eq_x", "y_eq_x_if", "y_eq_const", "y_eq_x_below")
+    ),
+    cond=st.sampled_from((Cond("always"), Cond("even"), Cond("lt", bound=3))),
+    value=st.integers(0, 20),
+    bound=st.integers(0, 20),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 8), st.integers(0, 3), st.booleans()),
+        max_size=4,
+        unique_by=lambda t: t[:3],
+    ).map(tuple),
+)
+
+
+def _bound_or_error(bound, p: SeparationInstance, n: int, code_budget: int):
+    try:
+        return bound(p, n, code_budget)
+    except BwreduceError as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_rules, _small_rules, st.integers(0, 3))
+def test_stabilization_bound_matches_the_full_code_oracle(b0, b1, n):
+    """k* read off the shared least-witness prefix equals the full
+    course-of-values code plus one wherever that fits the code budget, and
+    both refuse the same pairs with the same error.  A k* found at 10^40 is
+    also tried as the budget and one below it, where the refusal starts."""
+    p = SeparationInstance(b0, b1)
+    assume(p.totality(0, n) or p.totality(1, n))
+    kstar = _bound_or_error(kernel_oracle.stabilization_bound, p, n, 10**40)
+    edge = (kstar, kstar - 1) if isinstance(kstar, int) and kstar > 1 else ()
+    for code_budget in (10, 10**3, 10**6, 10**40, *edge):
+        got = _bound_or_error(stabilization_bound, p, n, code_budget)
+        want = _bound_or_error(
+            kernel_oracle.stabilization_bound, SeparationInstance(b0, b1), n, code_budget
+        )
+        assert got == want, (p.to_repr(), n, code_budget)
 
 
 def test_h_bit_is_constant_past_the_stabilization_bound():
