@@ -85,21 +85,15 @@ SEQUENCES: dict[str, RationalSequence] = {
 }
 
 PERIODIC_SEQUENCES: dict[str, RationalSequence] = {
-    "constant-zero": ConstantSequence(F(0)),
-    "constant-one": ConstantSequence(F(1)),
-    "constant-third": ConstantSequence(F(1, 3)),
-    "alternating-ends": AlternatingSequence(F(0), F(1)),
-    "alternating-thirds": AlternatingSequence(F(1, 3), F(2, 3)),
-    "period-three": PeriodicSequence((), (F(1, 5), F(2, 5), F(4, 5))),
-    "period-with-prefix": PeriodicSequence((F(1, 2),), (F(1, 3), F(2, 3))),
-    "two-cluster": PeriodicSequence((), (F(1, 8), F(7, 8), F(1, 8), F(3, 4))),
-    "three-cluster": PeriodicSequence((F(0), F(1)), (F(1, 2), F(1, 4), F(3, 4))),
-    "ninths": PeriodicSequence((), (F(1, 9), F(4, 9), F(7, 9))),
-    "sixteenths": PeriodicSequence((), (F(1, 16), F(5, 16), F(9, 16), F(13, 16))),
-    "mixed-prefix": PeriodicSequence((F(1), F(0), F(1, 2)), (F(5, 8), F(3, 8))),
-    "walk-half": BinaryWalkSequence(F(1, 2)),
-    "table-spike": TableSequence({0: F(1), 5: F(3, 4)}, F(1, 4)),
-    "table-tail-third": TableSequence({0: F(9, 10), 1: F(1, 10)}, F(1, 3)),
+    **{
+        name: SEQUENCES[name]
+        for name in (
+            "constant-zero", "constant-one", "constant-third", "alternating-ends",
+            "alternating-thirds", "period-three", "period-with-prefix", "two-cluster",
+            "three-cluster", "ninths", "sixteenths", "mixed-prefix", "walk-half",
+            "table-spike", "table-tail-third",
+        )
+    },
     "eighth-grid": PeriodicSequence((), (F(0), F(1, 4), F(1, 2), F(3, 4))),
     "fifths": PeriodicSequence((), (F(1, 5), F(2, 5), F(3, 5), F(4, 5))),
     "sevenths": PeriodicSequence((), (F(1, 7), F(3, 7), F(6, 7))),

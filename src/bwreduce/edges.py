@@ -151,9 +151,7 @@ def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, n
 
 def _slow_cauchy(family: SetFamily, x: RationalSequence, budget: Budget, notes):
     levels = budget.depth
-    cauchy_depth = 0
-    while 2**cauchy_depth <= 3**levels:
-        cauchy_depth += 1
+    cauchy_depth = (3**levels).bit_length()  # the least d with 2^d > 3^levels
     notes.append(f"slow-cauchy depth {cauchy_depth} for {levels} levels")
     return solvers.extract_slow_cauchy(x, replace(budget, depth=cauchy_depth))
 

@@ -803,14 +803,22 @@ class RulePredicate:
         return w if pinned is None else min(w, pinned)
 
     def first_failure(self, n: int) -> int | None:
-        """Least x with no witness at all, or None when ∀x∃y B(x, y; n)."""
-        # past every override at n and the rule's bound the minimal witness
-        # is the pure rule's, so witness existence is constant from tail on
-        tail = 1 + max([ox for ox, _, on, _ in self.overrides if on == n] + [self.bound or 0])
-        for x in range(tail + 1):
-            if self.minimal_witness(x, n) is None:
-                return x
-        return None
+        """Least x with no witness at all, or None when ∀x∃y B(x, y; n).
+
+        An x with no override at n has a witness iff the rule gives it one,
+        and the rule leaves none, every x, or every x >= its bound without
+        one; so the answer is the least of the pinned x without a witness
+        and the least unpinned x of that tail."""
+        if self.rule == "always":
+            return None  # finitely many false pins leave some y
+        pinned = {ox for ox, _, on, _ in self.overrides if on == n}
+        bad = [x for x in pinned if self.minimal_witness(x, n) is None]
+        x = self.bound if self.rule == "y_eq_x_below" else 0
+        if self._rule_witness(x, n) is None:
+            while x in pinned:
+                x += 1
+            bad.append(x)
+        return min(bad, default=None)
 
     def to_repr(self) -> dict[str, Any]:
         out: dict[str, Any] = {"rule": self.rule}
@@ -1205,6 +1213,11 @@ class TableRowsFamily(_ListedRowsFamily):
 
     def column_point(self, i: int) -> CantorPoint:
         bound = max(self.entries) + 1 if self.entries else 0
+        if bound > MAX_DIGIT_WALK:
+            raise BudgetExceededError(
+                f"a column of a table with a row listed at {bound - 1} has "
+                f"{bound} prefix bits, past the limit of {MAX_DIGIT_WALK}"
+            )
         prefix = tuple(1 if self.row(n).member(i) else 0 for n in range(bound))
         period = (1 if self.default.member(i) else 0,)
         return CantorPoint.periodic(prefix, period)
@@ -1231,7 +1244,8 @@ class TableRowsFamily(_ListedRowsFamily):
 
 # the digit walk of _binary_digit_point takes as many steps as the
 # multiplicative order of 2 modulo the odd part of the denominator, which a
-# denominator of a few dozen digits puts out of reach; a longer walk is refused
+# denominator of a few dozen digits puts out of reach; a longer walk is
+# refused, and so is a table_rows column prefix longer than this
 MAX_DIGIT_WALK = 1 << 16
 
 

@@ -386,9 +386,7 @@ def verify_cauchy(
 
     Every selected term is evaluated; a modulus (n, s) passes iff the
     diameter of the terms from position s on is below 2^-n, read off the
-    step function of ``_suffix_extrema`` by bisecting its last positions.
-    Only a failure compares the terms pair by pair to name the least
-    violation."""
+    step function of ``_suffix_extrema`` by bisecting its last positions."""
     vals = list(map(x.term, certificate.selector.values))
     return _cauchy_violation(certificate.moduli, vals, _suffix_extrema(vals))
 
@@ -400,7 +398,13 @@ def _cauchy_violation(
 ) -> CauchyViolation | None:
     """The body of ``verify_cauchy`` over the selected terms and their
     suffix extrema, which ``thin_to_fast`` reads once for both the check
-    and its own search."""
+    and its own search.
+
+    A failing modulus names v by one walk from s: a position before the
+    least v lies within 2^-n of every term after it, and so of every term
+    from s on, so v is the least position whose term lies 2^-n or more
+    from the max or min of those terms, the extrema that decided the
+    modulus.  w is the least later position that far from v."""
     m = len(vals)
     for n, s in moduli:
         if s >= m:
@@ -408,17 +412,17 @@ def _cauchy_violation(
         _, hi, lo = steps[bisect_left(steps, s, key=itemgetter(0))]
         if _diameter_below(hi, lo, n):
             continue
-        # with den the largest denominator, two terms that differ do so by
-        # at least 1/den² > 2^-cap, so every rate n >= cap asks, as cap
-        # does, only that they be equal; cap keeps an absurd n from
-        # building 2^n
-        cap = 2 * max(v.denominator for v in vals).bit_length()
-        eps = Fraction(1, 2 ** min(n, cap))
-        for v in range(s, m):
-            for w in range(v + 1, m):
-                if abs(vals[v] - vals[w]) >= eps:
-                    return CauchyViolation(n, v, w)
+        v = next(v for v in range(s, m) if _far(vals[v], hi, lo, n))
+        a = vals[v].as_integer_ratio()
+        w = next(w for w in range(v + 1, m) if _far(vals[w], a, a, n))
+        return CauchyViolation(n, v, w)
     return None
+
+
+def _far(t: Fraction, hi: tuple[int, int], lo: tuple[int, int], n: int) -> bool:
+    """Does t lie 2^-n or more below hi or above lo?"""
+    pair = t.as_integer_ratio()
+    return not (_diameter_below(hi, pair, n) and _diameter_below(pair, lo, n))
 
 
 def verify_cohesive(
@@ -431,11 +435,12 @@ def verify_cohesive(
     all covered (the strong form of cohesion).
 
     The distinct settle points cut the selector into segments, each found
-    by bisection, over which the same rows are settled.  A segment passes
-    iff each of its distinct patterns (``SetFamily.patterns``) agrees with
-    the settled sides, so a periodic family costs at most one column read
-    per window slot however long the selector.  Only a failure rescans
-    triple by triple to name the least violation."""
+    by bisection and read once by ``SetFamily.patterns``, so a periodic
+    family costs at most one column read per window slot however long the
+    selector.  One pass from the last point back gives the distinct
+    patterns of the values from each point on; the first triple that one
+    of them contradicts is the least violation, and its first wrong value
+    is found by one ``pattern`` scan of that tail."""
     if strong_levels is not None:
         covered = {i for i, _, _ in witness.settle}
         for i in range(strong_levels):
@@ -446,39 +451,17 @@ def verify_cohesive(
         rows = range(rows[0], rows[-1] + 1)  # the memo key the finders read too
     place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
     values = witness.selector.values
-    # each triple's row bit joins need_out or need_in from its settle point
-    # on, and a value fails iff its pattern disagrees there; the values from
-    # one settle point to the next share both masks (an empty segment when
-    # the points are equal)
-    pending = sorted(witness.settle, key=itemgetter(1), reverse=True)
-    need_out = need_in = 0
-    while pending:
-        i, s, side = pending.pop()
-        if side == "out":
-            need_out |= place[i]
-        else:
-            need_in |= place[i]
-        end = bisect_left(values, pending[-1][1]) if pending else len(values)
-        for pat in family.patterns(values[bisect_left(values, s):end], rows):
-            if need_out & ~pat | need_in & pat:
-                return _least_cohesive_violation(witness, family, rows, place)
-    return None
-
-
-def _least_cohesive_violation(
-    witness: CohesiveWitness, family: SetFamily, rows: Sequence[int], place: dict[int, int]
-) -> CohesiveViolation | None:
-    """The first settle triple, then its first selected value j >= s, on the
-    wrong side of its row: one pattern per value, read when first needed."""
-    patterns: dict[int, int] = {}
-    for i, s, side in witness.settle:
+    tails: dict[int, frozenset[int]] = {}
+    end, tail = len(values), frozenset()
+    for s in sorted({s for _, s, _ in witness.settle}, reverse=True):
+        start = bisect_left(values, s)
+        tail = tails[s] = tail | family.patterns(values[start:end], rows)
+        end = start
+    for i, s, side in witness.settle:  # sorted: the least violation first
         bit, want = place[i], side == "out"
-        for j in witness.selector.values:
-            if j >= s:
-                pat = patterns.get(j)
-                if pat is None:
-                    pat = patterns[j] = family.pattern(j, rows)
-                if bool(pat & bit) != want:
+        if any(bool(pat & bit) != want for pat in tails[s]):
+            for j in values[bisect_left(values, s):]:
+                if bool(family.pattern(j, rows) & bit) != want:
                     return CohesiveViolation(i, j)
     return None
 

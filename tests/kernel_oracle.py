@@ -9,16 +9,19 @@ base-3 integers, and ``solvers.build_strongly_cohesive`` lists the members
 of a periodic family from one lcm window.  ``solvers._suffix_extrema``
 gives the suffix extrema as a step function over the last positions of
 distinct terms, compared by integer cross-products, and ``verify_cauchy``
-and ``thin_to_fast`` read a step per modulus or rate.
+and ``thin_to_fast`` read a step per modulus or rate; a failing modulus
+names its least (v, w) by one walk against the extrema that decided it.
 ``SetFamily.patterns`` reads the distinct patterns of many values, each
-window slot once, and ``verify_cohesive`` checks them per segment between
-settle points.  ``EmbeddedSequence.term`` folds an
+window slot once, and ``verify_cohesive`` gives its verdict and least
+violation from the patterns of each settle point's tail, in one pass.
+``EmbeddedSequence.term`` folds an
 index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
 counts integer cell keys over a weighted window of terms, and
 ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
-dicts built once per predicate, and ``evaluate`` reads the rule's one
-witness.  ``solvers.stabilization_bound`` reads k* off the shared
+dicts built once per predicate, ``evaluate`` reads the rule's one
+witness, and ``first_failure`` reads the least failure off the pins at n
+and the rule's tail.  ``solvers.stabilization_bound`` reads k* off the shared
 least-witness prefix, which builds no code past the code budget.  ``separation-bw`` reads its separator off h at the
 stabilization bound k*.  ``reductions.exact_separator`` walks the limit
 tree once, and ``solvers.find_branch`` makes one leftmost depth-first
@@ -34,15 +37,17 @@ the cohesion verifier and back-translation that ask ``member`` once per row
 and selected value; the geometric series summed term by term; the
 enumeration that evaluates the membership pattern of every j below the
 horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s, and
-the Cauchy verifier and thinning that read one entry of them per position;
-one pattern per value, read at the value itself; the cohesion verdict of
-one sweep over the selected values; the
-embedded term read at its own index; the sorted list of every term
-j <= stage bisected at the cell's ``Fraction`` endpoints; the tree's cell
-key of a term as a ``Fraction`` product; the walk term as a ``Fraction``
+the Cauchy verifier and thinning that read one entry of them per position,
+the verifier comparing the terms pair by pair on failure; one pattern per
+value, read at the value itself; the cohesion verdict of one sweep over the
+selected values, named on failure by asking ``member``; the embedded term
+read at its own index; the sorted list of every term j <= stage bisected
+at the cell's ``Fraction`` endpoints; the tree's cell key of a term as a
+``Fraction`` product; the walk term as a ``Fraction``
 product; a rule predicate's overrides scanned in full for each lookup and
-its rule menu, one case per rule; the stabilization bound whose code is
-built in full before it meets the code budget; the window finder over the h-points
+its rule menu, one case per rule, and its first failure found by a scan
+of every x up to one past its last pin and bound; the stabilization bound
+whose code is built in full before it meets the code budget; the window finder over the h-points
 k* .. k* + window - 1 that the ``separation-bw`` separator replaced; the
 separator asked at every string code below 2^depth - 1; the branch search
 that asks ``has_extension`` from the root and again at every level;

@@ -41,6 +41,7 @@ from bwreduce.instances import (
     MAX_PROVENANCE_DEPTH,
     RulePredicate,
     SeparationInstance,
+    TableRowsFamily,
     parse_instance,
     serialize_instance,
 )
@@ -521,6 +522,27 @@ def test_roundtrip_on_a_long_digit_period_is_a_budget_exit(capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["kind"] == "BudgetExceededError"
     assert "within 65536 steps" in payload["reason"]
+
+
+FAR_ROWS = str(Path(__file__).parent / "data" / "far_rows.json")
+
+
+def test_far_rows_file_is_mixed_table_with_a_row_moved_far():
+    family = catalog.FAMILIES["mixed-table"]
+    far = TableRowsFamily({0: family.entries[0], 10**12: family.entries[3]}, family.default)
+    assert Path(FAR_ROWS).read_bytes() == serialize_instance(far)
+
+
+def test_roundtrip_on_a_far_listed_row_is_a_budget_exit(capsys):
+    """A column of a table with a row listed at 10^12 has 10^12 + 1 prefix
+    bits, past the digit walk's limit: exit 2, not an unbounded build."""
+    assert main(["roundtrip", "--pair", "stcoh-bwweak", "-i", FAR_ROWS]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["kind"] == "BudgetExceededError"
+    assert payload["reason"] == (
+        "a column of a table with a row listed at 1000000000000 has "
+        "1000000000001 prefix bits, past the limit of 65536"
+    )
 
 
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):

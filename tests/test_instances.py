@@ -697,6 +697,26 @@ def test_rule_predicate_bounded_rule():
     assert p.minimal_witness(2, 7) is None
 
 
+def test_first_failure_past_a_far_bound_asks_only_the_pins(monkeypatch):
+    """A bound of 10^7 is read, not stepped up to: ``minimal_witness`` is
+    asked once per x pinned at n and never for an unpinned x."""
+    calls = []
+    real = RulePredicate.minimal_witness
+    monkeypatch.setattr(
+        RulePredicate, "minimal_witness",
+        lambda self, x, n: calls.append(x) or real(self, x, n),
+    )
+    far = RulePredicate("y_eq_x_below", bound=10**7)
+    assert far.first_failure(0) == 10**7
+    pinned = RulePredicate(
+        "y_eq_x_below", bound=10**7,
+        overrides=((10**7, 3, 0, True), (10**7 + 1, 0, 1, True), (5, 5, 0, False)),
+    )
+    assert pinned.first_failure(0) == 5
+    assert pinned.first_failure(1) == 10**7
+    assert sorted(calls) == [5, 10**7, 10**7 + 1]
+
+
 def test_rule_predicate_rejects_conflicting_overrides():
     with pytest.raises(ValueError):
         RulePredicate("y_eq_x", overrides=((0, 0, 0, True), (0, 0, 0, False)))
@@ -748,22 +768,29 @@ def test_first_failure_scans_to_the_rule_tail(p, n):
 
 
 _RULES = ("never", "always", "y_eq_x", "y_eq_x_if", "y_eq_const", "y_eq_x_below")
-_PIN_CONDS = (Cond("always"), Cond("even"), Cond("in", values=(1, 3)))
+_pin_conds = st.one_of(
+    st.sampled_from([Cond("always"), Cond("never"), Cond("even"), Cond("odd")]),
+    st.builds(lambda m, r: Cond("mod", modulus=m, residues=tuple(r)),
+              st.integers(1, 4), st.sets(st.integers(0, 3), max_size=3)),
+    st.builds(lambda t, b: Cond(t, bound=b), st.sampled_from(["lt", "ge"]), st.integers(0, 5)),
+    st.builds(lambda t, v: Cond(t, values=tuple(v)),
+              st.sampled_from(["in", "not_in"]), st.sets(st.integers(0, 5), max_size=3)),
+)
 
 
 @st.composite
 def pinned_rule_predicates(draw):
-    """Random rule predicates with random pins, false pins on the rule's own
-    witness (a run of them from y = 0 for ``always``) and several true pins
-    on one (x, n)."""
+    """Random rule predicates over every condition test, with random pins
+    (some past the bound), false pins on the rule's own witness (a run of
+    them from y = 0 for ``always``) and several true pins on one (x, n)."""
     rule = draw(st.sampled_from(_RULES))
     fields = dict(
-        cond=draw(st.sampled_from(_PIN_CONDS)),
+        cond=draw(_pin_conds),
         value=draw(st.integers(0, 6)),
         bound=draw(st.integers(0, 5)),
     )
     bare = RulePredicate(rule, **fields)
-    xyn = st.tuples(st.integers(0, 5), st.integers(0, 8), st.integers(0, 4))
+    xyn = st.tuples(st.integers(0, 12), st.integers(0, 8), st.integers(0, 4))
     pins = dict(draw(st.lists(st.tuples(xyn, st.booleans()), max_size=8)))
     for x, n in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=3)):
         if rule == "always":

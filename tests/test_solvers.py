@@ -51,6 +51,7 @@ from bwreduce.instances import (
     SetFamily,
     SingleBranchTree,
     StageListTree,
+    TableSequence,
     parse_instance,
     serialize_instance,
 )
@@ -510,6 +511,44 @@ def test_verify_cohesive_reads_each_window_slot_once(monkeypatch):
         monkeypatch.undo()
 
 
+MIXED_TABLE_FILE = Path(__file__).parent / "data" / "mixed_table.json"
+
+
+def test_failing_cohesive_certificate_reads_what_its_pass_reads(monkeypatch):
+    """The ``mixed-table`` certificate of a million-index horizon (333,333
+    values, eight triples) with its last triple flipped fails at (7, 2),
+    the first selected value.  Naming it costs the pass plus one scan of
+    the failing triple's tail, which stops at that value: one more
+    ``pattern`` call, served by the memo, and no column read beyond the
+    pass's."""
+    family = parse_instance(MIXED_TABLE_FILE.read_bytes())
+    found = build_strongly_cohesive(family, 8, Budget(horizon=10**6))
+    i, s, side = found.settle[-1]
+    flipped = CohesiveWitness(
+        found.selector, found.settle[:-1] + ((i, s, "in" if side == "out" else "out"),)
+    )
+    calls, reads = [], []
+    pattern, read = SetFamily.pattern, type(family)._pattern
+    monkeypatch.setattr(
+        SetFamily, "pattern", lambda self, j, rows: calls.append(j) or pattern(self, j, rows)
+    )
+    monkeypatch.setattr(
+        type(family), "_pattern", lambda self, j, rows: reads.append(j) or read(self, j, rows)
+    )
+    outcomes = []
+    for witness in (found, flipped):
+        calls.clear()
+        reads.clear()
+        fresh = parse_instance(MIXED_TABLE_FILE.read_bytes())
+        outcomes.append((verify_cohesive(witness, fresh), len(calls), sorted(reads)))
+    (passed, pass_calls, pass_reads), (failed, fail_calls, fail_reads) = outcomes
+    assert len(found.selector) == 333_333 and found.selector.values[0] == 2
+    assert passed is None
+    assert failed == CohesiveViolation(7, 2)
+    assert fail_calls == pass_calls + 1
+    assert fail_reads == pass_reads
+
+
 def test_build_strongly_cohesive_verifies_on_catalog():
     budget = Budget()
     for name, fam in sorted(catalog.FAMILIES.items()):
@@ -694,16 +733,28 @@ def test_verify_cauchy_least_counterexample():
     assert verify_cauchy(vacuous, x) is None  # settle point beyond the list
 
 
-@given(
-    periods,
-    st.integers(1, 6),
-    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 6)), max_size=4),
+_cauchy_sources = st.one_of(
+    periods.map(lambda period: PeriodicSequence((), period)),
+    st.builds(
+        TableSequence,
+        st.dictionaries(st.integers(0, 59), periods.map(lambda p: p[0]), max_size=12),
+        periods.map(lambda p: p[0]),
+    ),
 )
-def test_verify_cauchy_agrees_with_every_rate_built_as_written(period, m, moduli):
+
+
+@settings(max_examples=300)
+@given(
+    _cauchy_sources,
+    st.integers(1, 60),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 60)), max_size=4),
+)
+def test_verify_cauchy_agrees_with_every_rate_built_as_written(x, m, moduli):
     """Rates past the finest gap between the terms (2^-10 for denominators
     up to 16) are read as equality; verdict and counterexample stay those
-    of checking every pair against 2^-n."""
-    x = PeriodicSequence((), period)
+    of checking every pair against 2^-n.  Periodic and table sources repeat
+    their values across selectors of up to 60 terms, so the walk that names
+    a failing modulus's least pair passes many values, repeated and not."""
     cert = CauchyCertificate(Selector(tuple(range(m))), tuple(moduli), "slow")
     vals = [x.term(t) for t in range(m)]
     literal = next(
@@ -717,6 +768,19 @@ def test_verify_cauchy_agrees_with_every_rate_built_as_written(period, m, moduli
         None,
     )
     assert verify_cauchy(cert, x) == literal
+
+
+def test_verify_cauchy_names_a_late_violation_in_one_walk():
+    """20,000 terms of 1/2, then 2/5 and 3/5: the modulus (3, 0) fails
+    only at the last pair, which comparing every pair reaches after 2·10^8
+    comparisons.  One walk against the suffix extrema names it, and
+    the thinning's input check names the same pair."""
+    m = 20_000
+    x = TableSequence({m: Fraction(2, 5), m + 1: Fraction(3, 5)}, Fraction(1, 2))
+    cert = CauchyCertificate(Selector(tuple(range(m + 2))), ((3, 0),), "slow")
+    assert verify_cauchy(cert, x) == CauchyViolation(3, m, m + 1)
+    with pytest.raises(InvalidCertificateError, match=f"n=3, v={m}, w={m + 1}"):
+        thin_to_fast(cert, x, Budget())
 
 
 # --- separator verification -----------------------------------------------------------
