@@ -21,7 +21,6 @@ from .core import (
     CantorPoint,
     DyadicInterval,
     cantor_dist_exact,
-    embed_point,
     embed_point_exact,
     format_bits,
     format_rational,
@@ -30,7 +29,6 @@ from .core import (
     parse_rational,
     seq_code,
     seq_decode,
-    seq_len,
     string_code,
     string_decode,
     unpair,

@@ -286,7 +286,7 @@ def _build_parser() -> _Parser:
     reduce_p.add_argument("-i", "--input", required=True)
     reduce_p.add_argument("-o", "--output")
     reduce_p.add_argument(
-        "--convention", choices=DerivedFamily.conventions, default="corrected"
+        "--convention", choices=DerivedFamily.conventions, default=DerivedFamily.conventions[0]
     )
     _add_budget_flags(reduce_p)
     reduce_p.set_defaults(fn=cmd_reduce)
@@ -313,7 +313,7 @@ def _build_parser() -> _Parser:
     rt_p.add_argument("-i", "--input", required=True)
     rt_p.add_argument("--report")
     rt_p.add_argument(
-        "--convention", choices=DerivedFamily.conventions, default="corrected"
+        "--convention", choices=DerivedFamily.conventions, default=DerivedFamily.conventions[0]
     )
     _add_budget_flags(rt_p)
     rt_p.set_defaults(fn=cmd_roundtrip)

@@ -62,11 +62,6 @@ def format_bits(bits: Bits) -> str:
     return bytes(bits).translate(_BIT_DIGITS).decode("ascii")
 
 
-def is_prefix(p: Bits, q: Bits) -> bool:
-    """True when ``p`` is an initial segment of ``q`` (including p == q)."""
-    return len(p) <= len(q) and q[: len(p)] == p
-
-
 def leftmost_descent(depth: int, ok: Callable[[Bits], bool], bits: Bits = ()) -> Bits | None:
     """Leftmost ``depth``-bit extension of ``bits`` (len(bits) <= depth)
     whose longer prefixes all pass ``ok``, or None.  An explicit stack, so
@@ -152,9 +147,6 @@ class DyadicInterval:
     def contains(self, q: Fraction) -> bool:
         """Closed membership: lower <= q <= upper."""
         return self.lower <= q <= self.upper
-
-    def child(self, b: int) -> "DyadicInterval":
-        return DyadicInterval(self.level + 1, 2 * self.index + b)
 
     @staticmethod
     def from_bits(bits: Bits) -> "DyadicInterval":
@@ -262,21 +254,6 @@ def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
 # attains 3^-(n+1) exactly).
 
 
-def embed_point(x: CantorPoint, precision: int) -> tuple[Fraction, Fraction]:
-    """Partial sum of h(x) over the first ``precision`` bits, with error bound.
-
-    Returns (approx, err) with |h(x) - approx| <= err = 3^-precision; approx
-    underestimates (tail bits only add).
-    """
-    if precision < 0:
-        raise ValueError("precision must be a natural")
-    acc = Fraction(0)
-    for i in range(precision):
-        if x.bit(i):
-            acc += Fraction(2, 3 ** (i + 1))
-    return acc, Fraction(1, 3**precision)
-
-
 def embed_point_exact(x: CantorPoint) -> Fraction:
     """Exact h(x) for an eventually periodic point (geometric series).
 
@@ -350,9 +327,3 @@ def seq_decode(n: int) -> tuple[int, ...] | None:
         out.append(e - 1)
         x += 1
     return tuple(out)
-
-
-def seq_len(n: int) -> int | None:
-    """Length of the sequence coded by ``n`` (None when invalid)."""
-    s = seq_decode(n)
-    return None if s is None else len(s)

@@ -20,6 +20,7 @@ import hashlib
 import inspect
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable
 
 from . import reductions, solvers
@@ -136,10 +137,13 @@ def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, n
     full = []
     struct = family.periodic_structure(levels)
     if struct is not None:
-        # a 1 digit marks a window slot outside that row (see SetFamily.pattern);
-        # rows < levels are read off the witness's own memoized patterns
+        # a 1 digit marks a column outside that row (see SetFamily.pattern);
+        # rows < levels are read off the witness's own memoized patterns.  A
+        # column depends only on its term, and the prefix indices that x
+        # names and the period slots hold every term, so they read every column
+        j0, q = struct
         outside = 0
-        for j in range(sum(struct)):
+        for j in chain(x.prefix_indices(j0), range(j0, j0 + q)):
             outside |= family.pattern(j, range(levels + 2)) >> 2
         full = [i for i in range(levels) if not outside >> (levels - 1 - i) & 1]
     if len(full) == levels:

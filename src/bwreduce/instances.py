@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .certificates import (
     AccumulationResult,
     BranchPrefix,
+    Budget,
     CauchyCertificate,
     CohesiveWitness,
     Selector,
@@ -52,11 +53,9 @@ from .core import (
     Bits,
     CantorPoint,
     _prime,
-    embed_point,
     embed_point_exact,
     format_bits,
     format_rational,
-    is_prefix,
     leftmost_descent,
     parse_bits,
     parse_rational,
@@ -109,9 +108,8 @@ class Provenance:
 class RationalSequence:
     """Base class: a total map i -> exact rational in [0, 1].
 
-    ``term`` is exact; representations that can only be approximated (embedded
-    sequences over rule-backed points) raise ExactValueUnavailableError from
-    ``term`` and support ``term_approx`` instead.
+    ``term`` is exact; an embedded sequence over rule-backed points has no
+    exact terms and raises ExactValueUnavailableError from ``term``.
     """
 
     kind = "rational_sequence"
@@ -120,14 +118,15 @@ class RationalSequence:
     def term(self, i: int) -> Fraction:
         raise NotImplementedError
 
-    def term_approx(self, i: int, precision: int) -> tuple[Fraction, Fraction]:
-        """(value, error-bound); exact representations return error 0."""
-        return self.term(i), Fraction(0)
-
     def periodic_structure(self) -> tuple[int, int] | None:
         """(prefix length, period length) when i -> term(i) is eventually
         periodic by construction, else None."""
         return None
+
+    def prefix_indices(self, j0: int) -> Iterable[int]:
+        """Indices below j0 whose terms, with those of the period from j0 on,
+        take every value of the sequence."""
+        return range(j0)
 
     def cell_structure(self, level: int) -> tuple[int, int] | None:
         """(j0, q) such that term(j) and term(j + q) lie in the same closed
@@ -304,6 +303,9 @@ class TableSequence(RationalSequence):
         bound = max(self.entries) + 1 if self.entries else 0
         return bound, 1
 
+    def prefix_indices(self, j0: int) -> Iterable[int]:
+        return self.entries  # an unlisted index holds the default, the period term
+
     def to_repr(self) -> dict[str, Any]:
         return {
             "form": "table",
@@ -328,7 +330,7 @@ class EmbeddedSequence(RationalSequence):
     """Image of a sequence of Cantor points under the middle-third embedding.
 
     term(i) is exact whenever the i-th point is eventually periodic; points
-    are produced lazily and memoized (the memo behaves as if absent).
+    are produced lazily by ``point`` and each exact term is memoized.
     """
 
     form = "embedded"
@@ -340,19 +342,11 @@ class EmbeddedSequence(RationalSequence):
         structure: tuple[int, int] | None = None,
         label: str = "embedded",
     ):
-        self._points_fn = points
+        self.point = points
         self.provenance = provenance
         self._structure = structure
         self.label = label
-        self._memo: dict[int, CantorPoint] = {}
         self._values: dict[int, Fraction] = {}
-
-    def point(self, i: int) -> CantorPoint:
-        pt = self._memo.get(i)
-        if pt is None:
-            pt = self._points_fn(i)
-            self._memo[i] = pt
-        return pt
 
     def term(self, i: int) -> Fraction:
         if self._structure is not None:
@@ -363,15 +357,10 @@ class EmbeddedSequence(RationalSequence):
         if value is None:
             pt = self.point(i)
             if not pt.is_periodic:
-                raise ExactValueUnavailableError(
-                    f"term {i} of {self.label} is rule-backed; use term_approx"
-                )
+                raise ExactValueUnavailableError(f"term {i} of {self.label} is rule-backed")
             value = embed_point_exact(pt)
             self._values[i] = value
         return value
-
-    def term_approx(self, i: int, precision: int) -> tuple[Fraction, Fraction]:
-        return embed_point(self.point(i), precision)
 
     def periodic_structure(self) -> tuple[int, int] | None:
         return self._structure
@@ -502,10 +491,9 @@ class SingleBranchTree(BranchUnionTree):
 
     def __init__(self, point: CantorPoint):
         super().__init__((point,))
-        self.point = point
 
     def to_repr(self) -> dict[str, Any]:
-        return {"form": "single_branch", "point": _point_repr(self.point)}
+        return {"form": "single_branch", "point": _point_repr(self.points[0])}
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "SingleBranchTree":
@@ -517,7 +505,8 @@ class StageListTree(SigmaTree):
 
     Entries (stage, node) list the full snapshot at each mentioned stage;
     snapshots must be inclusion-increasing, membership between mentioned
-    stages uses the latest one at or below the query.
+    stages uses the latest one at or below the query.  ``nodes[k]`` is the
+    snapshot of ``stages[k]`` as one sorted list.
     """
 
     form = "stage_list"
@@ -529,10 +518,9 @@ class StageListTree(SigmaTree):
                 raise ValueError("stages are naturals")
             snapshots.setdefault(stage, set()).add(tuple(node))
         self.stages = tuple(sorted(snapshots))
-        self.snapshots = {s: frozenset(snapshots[s]) for s in self.stages}
-        self._sorted = [sorted(snapshots[s]) for s in self.stages]
+        self.nodes = [sorted(snapshots[s]) for s in self.stages]
         for earlier, later in zip(self.stages, self.stages[1:]):
-            missing = self.snapshots[earlier] - self.snapshots[later]
+            missing = snapshots[earlier] - snapshots[later]
             if missing:
                 node = min(missing)
                 raise ValueError(
@@ -547,29 +535,25 @@ class StageListTree(SigmaTree):
         k = bisect_right(self.stages, stage)
         if not k:
             return False
-        nodes = self._sorted[k - 1]
+        nodes = self.nodes[k - 1]
         at = bisect_left(nodes, bits)
         return at < len(nodes) and nodes[at][: len(bits)] == bits
 
-    def _limit(self) -> frozenset[Bits]:
-        return self.snapshots[self.stages[-1]] if self.stages else frozenset()
-
     def limit_heights(self, bits: Bits) -> tuple[int | None, int | None]:
-        out: list[int | None] = []
-        for c in (0, 1):
-            child = bits + (c,)
-            best = len(bits)
-            for node in self._limit():
-                if is_prefix(child, node):
-                    best = max(best, len(node))
-            out.append(best)
-        return out[0], out[1]
+        """The longest node of the last snapshot in the run that starts with
+        each child: the run sorts from the child up to child⌢2."""
+        nodes = self.nodes[-1] if self.nodes else []
+        heights = []
+        for child in (bits + (0,), bits + (1,)):
+            run = nodes[bisect_left(nodes, child) : bisect_left(nodes, child + (2,))]
+            heights.append(max(map(len, run), default=len(bits)))
+        return heights[0], heights[1]
 
     def to_repr(self) -> dict[str, Any]:
         entries = [
             {"stage": s, "node": format_bits(node)}
-            for s in self.stages
-            for node in sorted(self.snapshots[s])
+            for s, nodes in zip(self.stages, self.nodes)
+            for node in nodes
         ]
         return {"form": "stage_list", "entries": entries}
 
@@ -1309,9 +1293,9 @@ class DerivedFamily(SetFamily):
     """
 
     form = "derived"
-    conventions = ("corrected", "paper-literal")
+    conventions = ("corrected", "paper-literal")  # the first is the default
 
-    def __init__(self, source: RationalSequence, convention: str = "corrected"):
+    def __init__(self, source: RationalSequence, convention: str = conventions[0]):
         if convention not in self.conventions:
             raise ValueError(f"unknown convention {convention!r}")
         self.source = source
@@ -1319,7 +1303,6 @@ class DerivedFamily(SetFamily):
         self.provenance = Provenance(
             "bwweak_to_stcoh", source, (("convention", convention),)
         )
-        self._columns: dict[int, CantorPoint] = {}
 
     def member(self, n: int, j: int) -> bool:
         return self.pattern(j, (n,)) == 0
@@ -1347,15 +1330,10 @@ class DerivedFamily(SetFamily):
         return self.source.periodic_structure()
 
     def column_point(self, i: int) -> CantorPoint:
-        pt = self._columns.get(i)
-        if pt is None:
-            q = self.source.term(i)
-            if self.convention == "corrected":
-                pt = _binary_digit_point(q / 2, paper_literal=False)
-            else:
-                pt = _binary_digit_point(q, paper_literal=True)
-            self._columns[i] = pt
-        return pt
+        q = self.source.term(i)
+        if self.convention == "corrected":
+            return _binary_digit_point(q / 2, paper_literal=False)
+        return _binary_digit_point(q, paper_literal=True)
 
     def to_repr(self) -> dict[str, Any]:
         return self.provenance.to_repr()
@@ -1452,7 +1430,10 @@ def _convention(value: Any, path: str) -> str:
 # the parameters a derivation may record, by name (see edges.Edge.params):
 # each one's reader and its value when a file leaves it out; the CLI's
 # ``reduce`` checks its flags with the same readers, so what it writes reads back
-DERIVED_PARAMS = {"code_budget": (_code_budget, 10**6), "convention": (_convention, "corrected")}
+DERIVED_PARAMS = {
+    "code_budget": (_code_budget, Budget.code_budget),
+    "convention": (_convention, DerivedFamily.conventions[0]),
+}
 
 
 def _parse_derived(repr_obj: Mapping[str, Any], path: str, expected_kind: str) -> Any:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certificates import Selector, SeparatorSet
+from .certificates import Budget, Selector, SeparatorSet
 from .core import (
     Bits,
     CantorPoint,
@@ -196,7 +196,7 @@ def h_bit(p: SeparationInstance, k: int, n: int, code_budget: int) -> int:
 
 
 def separation_to_bw(
-    p: SeparationInstance, code_budget: int = 10**6
+    p: SeparationInstance, code_budget: int = Budget.code_budget
 ) -> EmbeddedSequence:
     """The sequence of embedded h_k points; the bits of an accumulation point
     of it, read as a SeparatorSet, separate the two limit sets.  Lazy: budget
@@ -220,7 +220,9 @@ def separation_to_bw(
 # ---------------------------------------------------------------------------
 
 
-def bwweak_to_stcoh(x: RationalSequence, convention: str = "corrected") -> SetFamily:
+def bwweak_to_stcoh(
+    x: RationalSequence, convention: str = DerivedFamily.conventions[0]
+) -> SetFamily:
     """Dyadic-cell membership family of the sequence (see DerivedFamily for
     the two cell conventions)."""
     return DerivedFamily(x, convention)

@@ -107,14 +107,6 @@ class BranchViolation:
 # ---------------------------------------------------------------------------
 
 
-def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
-    """The leftmost closed level-``level`` cell containing ``value``."""
-    t = value * 2**level
-    if t.denominator == 1:  # boundary point: prefer the cell on the left
-        return DyadicInterval(level, max(t.numerator - 1, 0))
-    return DyadicInterval(level, t.numerator // t.denominator)
-
-
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
     """Nested dyadic chain plus approximant for an accumulation point of x.
 
@@ -132,31 +124,35 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     if struct is not None:
         j0, q = struct
         approx = min(x.term(j) for j in range(j0, j0 + q))
-        chain = tuple(
-            _leftmost_cell_at(approx, d) for d in range(1, budget.depth + 1)
-        )
-        bits = tuple(cell.index & 1 for cell in chain)  # the chain is nested
-        count = cells.witness_count(bits, stage)
+        # the leftmost closed depth-level cell holding approx (a boundary
+        # point takes the cell on its left); the prefixes of its index's bits
+        # name the leftmost cells of the levels above
+        index, rem = divmod(approx.numerator << budget.depth, approx.denominator)
+        if rem == 0 and index:
+            index -= 1
+        best = tuple(index >> (budget.depth - 1 - d) & 1 for d in range(budget.depth))
+        count = cells.witness_count(best, stage)
         if count < budget.threshold:
             raise BudgetExhaustedError(
                 f"exact accumulation cell at depth {budget.depth} holds only "
                 f"{count} of the first {budget.horizon} terms "
                 f"(threshold {budget.threshold})"
             )
-        return AccumulationResult(chain, approx, True)
-
-    best = leftmost_descent(
-        budget.depth, lambda bits: cells.witness_count(bits, stage) >= budget.threshold
-    )
-    if best is None:
-        raise BudgetExhaustedError(
-            f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
-            f"below horizon {budget.horizon}"
+    else:
+        best = leftmost_descent(
+            budget.depth, lambda bits: cells.witness_count(bits, stage) >= budget.threshold
         )
+        if best is None:
+            raise BudgetExhaustedError(
+                f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
+                f"below horizon {budget.horizon}"
+            )
     chain = tuple(
         DyadicInterval.from_bits(best[: d + 1]) for d in range(budget.depth)
     )
-    return AccumulationResult(chain, chain[-1].lower, False)
+    if struct is None:
+        return AccumulationResult(chain, chain[-1].lower, False)
+    return AccumulationResult(chain, approx, True)
 
 
 def find_accumulation_cantor(h: Callable[[int], CantorPoint], budget: Budget) -> Bits:
@@ -533,7 +529,7 @@ def verify_branch(
 
 
 def stabilization_bound(
-    p: SeparationInstance, n: int, code_budget: int = 10**6
+    p: SeparationInstance, n: int, code_budget: int = Budget.code_budget
 ) -> int:
     """Least cutoff k* (up to overshoot) past which h_bit(p, k, n, ·) is
     constant wherever the separator's bit at n is constrained, computed

@@ -29,7 +29,11 @@ descent.
 ``SigmaTree.has_extension`` is one descent over ``member_at_stage`` for
 every tree form, and ``core.leftmost_descent`` keeps its own stack.
 ``StageListTree.member_at_stage`` bisects the stages and a sorted snapshot,
-and ``core.format_bits`` writes a bit string as bytes in one step.
+``StageListTree.limit_heights`` bisects the last one for the run under each
+child, ``solvers.find_accumulation_real`` reads its exact chain off the bits
+of one integer cell index, the ``R_i = N`` note of ``bwweak-stcoh`` reads a
+table's listed columns and its period column, and ``core.format_bits``
+writes a bit string as bytes in one step.
 This module keeps the direct forms they must agree with: the dyadic-cell
 parity of term(j)·2^n as a ``Fraction``; the derived column pattern read at
 j itself, unfolded and unmemoized; each listed row looked up and read at j;
@@ -53,8 +57,11 @@ separator asked at every string code below 2^depth - 1; the branch search
 that asks ``has_extension`` from the root and again at every level;
 ``has_extension`` with one body per tree form; the self-calling leftmost
 descent; the stage-list membership that
-walks every stage and tests every node of the snapshot; and the bit string
-joined from one str per bit.  It also keeps
+walks every stage and tests every node of the snapshot; the limit heights
+that test every node of the last snapshot with ``is_prefix``; the leftmost
+closed cell of the accumulation value computed in ``Fraction``s at every
+level; the full-row note read off every column of the (j0, q) window; and
+the bit string joined from one str per bit.  It also keeps
 four helpers that only tests use: half-open cell membership, the
 bit-by-bit equality of eventually periodic points, the equality of both
 sides' least-witness streams, compared past every pin and bound, and a
@@ -70,6 +77,7 @@ from math import lcm
 
 from bwreduce import solvers
 from bwreduce.certificates import (
+    AccumulationResult,
     BranchPrefix,
     Budget,
     CauchyCertificate,
@@ -81,7 +89,6 @@ from bwreduce.core import (
     Bits,
     CantorPoint,
     DyadicInterval,
-    is_prefix,
     seq_code,
     string_decode,
 )
@@ -521,7 +528,7 @@ def has_extension(tree: SigmaTree, bits: Bits, length: int, stage: int) -> bool:
         return any(all(b == pt.bit(i) for i, b in enumerate(bits)) for pt in tree.points)
     if isinstance(tree, StageListTree):
         k = bisect_right(tree.stages, stage)
-        nodes = tree.snapshots[tree.stages[k - 1]] if k else frozenset()
+        nodes = tree.nodes[k - 1] if k else []
         return any(len(node) >= length and is_prefix(bits, node) for node in nodes)
     assert isinstance(tree, DerivedTree), "one body per tree form"
     if not tree.member_at_stage(bits, stage):
@@ -552,16 +559,79 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
     return BranchPrefix(bits, stage)
 
 
+def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
+    """The leftmost closed level-``level`` cell containing ``value``."""
+    t = value * 2**level
+    if t.denominator == 1:  # boundary point: prefer the cell on the left
+        return DyadicInterval(level, max(t.numerator - 1, 0))
+    return DyadicInterval(level, t.numerator // t.denominator)
+
+
+def find_accumulation_exact(x: RationalSequence, budget: Budget) -> AccumulationResult:
+    """The exact answer of ``solvers.find_accumulation_real`` for an
+    eventually periodic sequence: the least period value, with the leftmost
+    closed cell containing it computed in ``Fraction``s at every level."""
+    j0, q = x.periodic_structure()
+    approx = min(x.term(j) for j in range(j0, j0 + q))
+    chain = tuple(_leftmost_cell_at(approx, d) for d in range(1, budget.depth + 1))
+    bits = tuple(cell.index & 1 for cell in chain)
+    count = DerivedTree(x).witness_count(bits, budget.horizon - 1)
+    if count < budget.threshold:
+        raise BudgetExhaustedError(
+            f"exact accumulation cell at depth {budget.depth} holds only "
+            f"{count} of the first {budget.horizon} terms "
+            f"(threshold {budget.threshold})"
+        )
+    return AccumulationResult(chain, approx, True)
+
+
+def full_row_note(family: SetFamily, levels: int) -> str | None:
+    """The ``R_i = N`` note of ``bwweak-stcoh`` read off the pattern of
+    every column of the family's (j0, q) window, prefix columns included."""
+    struct = family.periodic_structure(levels)
+    if struct is None:
+        return None
+    outside = 0
+    for j in range(sum(struct)):
+        outside |= family.pattern(j, range(levels + 2)) >> 2
+    full = [i for i in range(levels) if not outside >> (levels - 1 - i) & 1]
+    if len(full) == levels:
+        return f"R_i = N for all i < {levels}"
+    if full:
+        return "R_i = N for i in {" + ", ".join(map(str, full)) + "}"
+    return None
+
+
 def stage_list_member(tree: StageListTree, bits: Bits, stage: int) -> bool:
     """Membership at a stage: the latest snapshot at or below it found by a
     walk over every mentioned stage, then every node of it tested as an
     extension of ``bits``."""
-    nodes: frozenset[Bits] = frozenset()
-    for s in tree.stages:
+    nodes: list[Bits] = []
+    for s, snapshot in zip(tree.stages, tree.nodes):
         if s > stage:
             break
-        nodes = tree.snapshots[s]
+        nodes = snapshot
     return any(is_prefix(bits, node) for node in nodes)
+
+
+def is_prefix(p: Bits, q: Bits) -> bool:
+    """True when ``p`` is an initial segment of ``q`` (including p == q)."""
+    return len(p) <= len(q) and q[: len(p)] == p
+
+
+def limit_heights(tree: StageListTree, bits: Bits) -> tuple[int, int]:
+    """Per child, the longest node of the last snapshot that the child is a
+    prefix of (len(bits) when there is none), every node tested."""
+    nodes = tree.nodes[-1] if tree.nodes else []
+    out = []
+    for c in (0, 1):
+        child = bits + (c,)
+        best = len(bits)
+        for node in nodes:
+            if is_prefix(child, node):
+                best = max(best, len(node))
+        out.append(best)
+    return out[0], out[1]
 
 
 def format_bits(bits: Bits) -> str:

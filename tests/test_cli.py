@@ -545,6 +545,19 @@ def test_roundtrip_on_a_far_listed_row_is_a_budget_exit(capsys):
     )
 
 
+FAR_ENTRY = str(Path(__file__).parent / "data" / "table_far_entry.json")
+
+
+def test_roundtrip_on_a_far_table_entry_reads_the_listed_columns(capsys):
+    """The window of a table listed at 10^12 spans 10^12 + 1 columns, but
+    an unlisted index holds the period term, so the ``R_i = N`` note reads
+    the one listed column and the period column and the round trip passes."""
+    assert main(["roundtrip", "--pair", "bwweak-stcoh", "-i", FAR_ENTRY]) == 0
+    out = capsys.readouterr().out
+    assert "verdict    pass" in out
+    assert "note: R_i = N for i in {0, 2, 4, 6}" in out
+
+
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):
     src = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
     assert main(["roundtrip", "--pair", "separation-bw", "-i", src, "--depth", "0"]) == 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from bwreduce.instances import (
     RationalSequence,
     RulePredicate,
     SeparationInstance,
+    TableSequence,
     parse_instance,
     serialize_instance,
 )
@@ -72,6 +74,35 @@ def test_full_row_note_reads_patterns_not_members(monkeypatch):
                 assert "R_i = N for i in {" + ", ".join(map(str, full)) + "}" in notes
             else:
                 assert not any(note.startswith("R_i") for note in notes)
+
+
+_table_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 39), _table_values, max_size=6),
+    _table_values,
+    st.integers(1, 8),
+    st.sampled_from(DerivedFamily.conventions),
+)
+def test_full_row_note_reads_listed_columns_as_the_whole_window(entries, default, depth, convention):
+    """On a table the note reads only the listed columns and the period
+    column, and names the rows that reading every column below j0 + q
+    names, in both conventions."""
+    x = TableSequence(entries, default)
+    edge = EDGES["bwweak-stcoh"]
+    family = edge.forward(x, convention)
+    notes: list[str] = []
+    try:
+        edge.solve(x, family, Budget(depth=depth), notes)
+    except BwreduceError:
+        pass  # the note is written before the witness is searched for
+    want = kernel_oracle.full_row_note(family, depth)
+    assert [n for n in notes if n.startswith("R_i")] == ([want] if want else [])
 
 
 class _CountingSource(RationalSequence):

@@ -195,6 +195,34 @@ def test_accumulation_exact_and_heuristic_chains_agree(prefix, period, depth):
     assert heuristic.chain[-1].contains(exact.approx)
 
 
+_boundary_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]),
+    st.builds(lambda m, k: Fraction(k % (2**m + 1), 2**m), st.integers(0, 14), st.integers(0, 2**14)),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_boundary_values, max_size=3),
+    st.lists(_boundary_values, min_size=1, max_size=4),
+    st.integers(1, 14),
+    st.integers(1, 40),
+    st.integers(0, 10),
+)
+def test_accumulation_exact_chain_matches_the_per_level_cells(
+    prefix, period, depth, horizon, threshold
+):
+    """The exact chain read off one integer cell index is the chain of the
+    leftmost closed cell computed in Fractions at every level, on values at
+    dyadic boundaries, 0 and 1 included; a starved cell fails alike."""
+    x = PeriodicSequence(prefix, period)
+    budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
+    assert _outcome(find_accumulation_real, x, budget) == _outcome(
+        kernel_oracle.find_accumulation_exact, x, budget
+    )
+
+
 def test_accumulation_cantor_prefix():
     pts = [CantorPoint.periodic((), (0, 1))] * 10 + [CantorPoint.constant(1)] * 2
     got = find_accumulation_cantor(pts.__getitem__, Budget(horizon=12, depth=6, threshold=8))

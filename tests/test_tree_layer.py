@@ -160,6 +160,19 @@ def test_stage_list_membership_matches_the_snapshot_scan(tree, bits, stage):
     assert tree.member_at_stage(bits, stage) == kernel_oracle.stage_list_member(tree, bits, stage)
 
 
+@settings(max_examples=300, deadline=None)
+@given(stage_lists(), _bits(0, 12), st.data())
+def test_stage_list_limit_heights_match_the_node_scan(tree: StageListTree, bits, data):
+    """Bisecting the last sorted snapshot for the run under each child gives
+    the heights that testing every node as an extension gives, at drawn bit
+    strings and at prefixes of the limit nodes."""
+    limit = tree.nodes[-1] if tree.nodes else []
+    if limit and data.draw(st.booleans()):
+        node = data.draw(st.sampled_from(limit))
+        bits = node[: data.draw(st.integers(0, len(node)))]
+    assert tree.limit_heights(bits) == kernel_oracle.limit_heights(tree, bits)
+
+
 def test_stage_list_membership_with_the_empty_node():
     tree = StageListTree([(3, ()), (5, ()), (5, (1, 0))])
     for stage in range(7):
