@@ -35,7 +35,6 @@ from .instances import (
     PeriodicRowsFamily,
     PeriodicSequence,
     RationalSequence,
-    RowPattern,
     RulePredicate,
     SeparationInstance,
     SetFamily,
@@ -47,10 +46,6 @@ from .instances import (
 )
 
 __all__ = ["SEQUENCES", "PERIODIC_SEQUENCES", "TREES", "SEPARATIONS", "FAMILIES"]
-
-
-def _row(prefix: str, period: str) -> RowPattern:
-    return RowPattern(parse_bits(prefix), parse_bits(period))
 
 
 def _pt(prefix: str, period: str) -> CantorPoint:
@@ -197,20 +192,14 @@ SEPARATIONS: dict[str, SeparationInstance] = {
 # ---------------------------------------------------------------------------
 
 FAMILIES: dict[str, SetFamily] = {
-    "stripes": PeriodicRowsFamily([], [_row("", "01"), _row("", "0011")]),
-    "all-ones": PeriodicRowsFamily([], [_row("", "1")]),
-    "checker": PeriodicRowsFamily([], [_row("", "10")]),
-    "prefix-noise": PeriodicRowsFamily([_row("110", "01")], [_row("", "001")]),
-    "halves": PeriodicRowsFamily([], [_row("", "0011"), _row("", "1100")]),
-    "thirds-rows": PeriodicRowsFamily(
-        [], [_row("", "100"), _row("", "010"), _row("", "001")]
-    ),
-    "drift": PeriodicRowsFamily([_row("0", "1"), _row("00", "1")], [_row("", "1")]),
-    "table-two": TableRowsFamily(
-        {0: _row("", "01"), 2: _row("1", "0")}, _row("", "1")
-    ),
-    "table-sparse": TableRowsFamily({1: _row("", "0001")}, _row("", "10")),
-    "mixed-table": TableRowsFamily(
-        {0: _row("1010", "1"), 3: _row("", "011")}, _row("", "101")
-    ),
+    "stripes": PeriodicRowsFamily([], [_pt("", "01"), _pt("", "0011")]),
+    "all-ones": PeriodicRowsFamily([], [_pt("", "1")]),
+    "checker": PeriodicRowsFamily([], [_pt("", "10")]),
+    "prefix-noise": PeriodicRowsFamily([_pt("110", "01")], [_pt("", "001")]),
+    "halves": PeriodicRowsFamily([], [_pt("", "0011"), _pt("", "1100")]),
+    "thirds-rows": PeriodicRowsFamily([], [_pt("", "100"), _pt("", "010"), _pt("", "001")]),
+    "drift": PeriodicRowsFamily([_pt("0", "1"), _pt("00", "1")], [_pt("", "1")]),
+    "table-two": TableRowsFamily({0: _pt("", "01"), 2: _pt("1", "0")}, _pt("", "1")),
+    "table-sparse": TableRowsFamily({1: _pt("", "0001")}, _pt("", "10")),
+    "mixed-table": TableRowsFamily({0: _pt("1010", "1"), 3: _pt("", "011")}, _pt("", "101")),
 }

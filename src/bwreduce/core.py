@@ -167,7 +167,8 @@ class CantorPoint:
     period, supporting exact equality and exact embedding values) and
     rule-backed (a total evaluator n -> {0,1}; only finitely many bits are
     ever observable, so equality and distance answers on these carry a budget
-    marker).
+    marker).  A set of naturals is the periodic point of its characteristic
+    pattern: the rows of a set family are such points.
     """
 
     __slots__ = ("prefix", "period", "_rule", "label")
@@ -176,7 +177,7 @@ class CantorPoint:
         self,
         prefix: Bits | None,
         period: Bits | None,
-        rule: Callable[[int], int] | None,
+        rule: Callable[[int], int] | None = None,
         label: str = "",
     ):
         if rule is None:
@@ -191,11 +192,11 @@ class CantorPoint:
 
     @staticmethod
     def periodic(prefix: Iterable[int], period: Iterable[int]) -> "CantorPoint":
-        return CantorPoint(tuple(prefix), tuple(period), None)
+        return CantorPoint(tuple(prefix), tuple(period))
 
     @staticmethod
     def constant(bit: int) -> "CantorPoint":
-        return CantorPoint((), (bit,), None)
+        return CantorPoint((), (bit,))
 
     @staticmethod
     def from_rule(rule: Callable[[int], int], label: str = "rule") -> "CantorPoint":
@@ -227,6 +228,13 @@ class CantorPoint:
         return f"CantorPoint<rule:{self.label}>"
 
 
+def joint_window(points: Sequence[CantorPoint]) -> tuple[int, int]:
+    """(longest prefix, lcm of the periods) of periodic points: past that
+    prefix, their bits at m repeat jointly with that period."""
+    prefix = max((len(pt.prefix) for pt in points), default=0)
+    return prefix, lcm(*(len(pt.period) for pt in points))
+
+
 def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
     """Exact distance of two eventually periodic points (no budget needed)."""
     from .errors import ExactValueUnavailableError
@@ -235,8 +243,8 @@ def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
         raise ExactValueUnavailableError(
             "exact Cantor distance needs eventually periodic points"
         )
-    # agreement up to the longer prefix plus the lcm of the periods is equality
-    for m in range(max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))):
+    # agreement over the joint window is equality
+    for m in range(sum(joint_window((x, y)))):
         if x.bit(m) != y.bit(m):
             return Fraction(1, 2**m)
     return Fraction(0)

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
 from operator import add, mod, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -56,6 +55,7 @@ from .core import (
     embed_point_exact,
     format_bits,
     format_rational,
+    joint_window,
     leftmost_descent,
     parse_bits,
     parse_rational,
@@ -123,9 +123,10 @@ class RationalSequence:
         periodic by construction, else None."""
         return None
 
-    def prefix_indices(self, j0: int) -> Iterable[int]:
+    def prefix_indices(self, j0: int) -> Sequence[int]:
         """Indices below j0 whose terms, with those of the period from j0 on,
-        take every value of the sequence."""
+        take every value of the sequence.  An index left out holds term(j0),
+        so only a form of period 1 leaves any out."""
         return range(j0)
 
     def cell_structure(self, level: int) -> tuple[int, int] | None:
@@ -303,8 +304,9 @@ class TableSequence(RationalSequence):
         bound = max(self.entries) + 1 if self.entries else 0
         return bound, 1
 
-    def prefix_indices(self, j0: int) -> Iterable[int]:
-        return self.entries  # an unlisted index holds the default, the period term
+    def prefix_indices(self, j0: int) -> Sequence[int]:
+        listed = list(self.entries)  # an unlisted index holds the default
+        return listed[: bisect_left(listed, j0)]
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -439,8 +441,8 @@ def _point_repr(pt: CantorPoint) -> dict[str, str]:
     return {"prefix": format_bits(pt.prefix), "period": format_bits(pt.period)}
 
 
-def _point_from_repr(obj: Any, path: str) -> CantorPoint:
-    obj = _expect_object(obj, "point must be an object", path)
+def _point_from_repr(obj: Any, path: str, noun: str = "point") -> CantorPoint:
+    obj = _expect_object(obj, f"{noun} must be an object", path)
     prefix = parse_bits(obj.get("prefix", ""), location=f"{path}.prefix")
     period = parse_bits(obj.get("period", None), location=f"{path}.period")
     if len(period) == 0:
@@ -583,11 +585,13 @@ class DerivedTree(SigmaTree):
     closed cell with index a holds exactly the keys 2a, 2a + 1 and 2a + 2.
     The terms j <= s form a weighted multiset.  At level L the source's
     ``cell_structure(L)`` = (j0, q) says term j + q keys as term j does for
-    j >= j0, so when j0 + q <= s + 1 only the j0 + q window terms are
-    evaluated, window term j weighing len(range(j, s + 1, q)); otherwise each
-    j <= s is evaluated once.  A periodic source has one window for every
-    level; a binary walk's is about L + bitlen(den) terms and the harmonic
-    sequence's 2^L + 1.  Terms are evaluated once each, whatever the stage."""
+    j >= j0, so only the terms j < min(j0 + q, s + 1) are evaluated, window
+    term j >= j0 weighing len(range(j, s + 1, q)).  Below j0, a source whose
+    ``prefix_indices`` leave indices out (a table) has only its listed terms
+    evaluated; the others hold term(j0) and weigh on it.  A periodic source
+    has one window for every level; a binary walk's is about L + bitlen(den)
+    terms and the harmonic sequence's 2^L + 1.  Terms evaluated index by
+    index are kept, whatever the stage."""
 
     form = "derived"
 
@@ -599,13 +603,16 @@ class DerivedTree(SigmaTree):
 
     def _weighted_terms(self, stage: int, level: int) -> Iterator[tuple[tuple[int, int], int]]:
         """((numerator, denominator), weight) of the terms j <= stage, as
-        keyed at ``level``."""
-        struct = self.source.cell_structure(level)
-        if struct is not None and sum(struct) <= stage + 1:
-            j0, q = struct
-            weights = [1] * j0 + [len(range(j, stage + 1, q)) for j in range(j0, j0 + q)]
-        else:
-            weights = [1] * (stage + 1)
+        keyed at ``level``.  Left-out indices weigh on term(j0) unless the
+        terms below them are kept already."""
+        j0, q = self.source.cell_structure(level) or (stage + 1, 1)
+        below = j0 if j0 <= stage else stage + 1
+        if below > len(self._terms) and len(listed := self.source.prefix_indices(below)) < below:
+            terms = [self.source.term(j) for j in (*listed, j0)]
+            weights = [1] * len(listed) + [below - len(listed) + len(range(j0, stage + 1))]
+            return zip([(t.numerator, t.denominator) for t in terms], weights)
+        laps, part = divmod(stage + 1 - below, q)
+        weights = [1] * below + [laps + 1] * part + ([laps] * (q - part) if laps else [])
         for j in range(len(self._terms), len(weights)):
             t = self.source.term(j)
             self._terms.append((t.numerator, t.denominator))
@@ -1005,42 +1012,8 @@ class SeparationInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowPattern:
-    """One set of naturals as an eventually periodic characteristic pattern."""
-
-    prefix: Bits
-    period: Bits
-
-    def __post_init__(self) -> None:
-        if len(self.period) == 0:
-            raise ValueError("row period must be non-empty")
-        if any(b not in (0, 1) for b in self.prefix + self.period):
-            raise ValueError("row bits must be 0/1")
-
-    def member(self, j: int) -> bool:
-        if j < len(self.prefix):
-            return self.prefix[j] == 1
-        return self.period[(j - len(self.prefix)) % len(self.period)] == 1
-
-    def to_repr(self) -> dict[str, str]:
-        return {"prefix": format_bits(self.prefix), "period": format_bits(self.period)}
-
-    @staticmethod
-    def from_repr(obj: Any, path: str) -> "RowPattern":
-        obj = _expect_object(obj, "row pattern must be an object", path)
-        prefix = parse_bits(obj.get("prefix", ""), location=f"{path}.prefix")
-        period = parse_bits(obj.get("period", None), location=f"{path}.period")
-        try:
-            return RowPattern(prefix, period)
-        except ValueError as e:
-            raise InvariantViolationError(str(e), path) from e
-
-
-def _joint_structure(rows: Sequence[RowPattern]) -> tuple[int, int]:
-    """(longest row prefix, lcm of the row periods): past that prefix, the
-    joint membership of j in all the rows is periodic with that period."""
-    return max((len(r.prefix) for r in rows), default=0), lcm(*(len(r.period) for r in rows))
+#: A row of a set family: the periodic point of its characteristic pattern.
+RowPattern = CantorPoint
 
 
 class SetFamily:
@@ -1125,17 +1098,17 @@ class SetFamily:
 class _ListedRowsFamily(SetFamily):
     """A family whose rows are drawn from a few listed patterns."""
 
-    def __init__(self, listed: Sequence[RowPattern]):
-        self._window = _joint_structure(listed)
+    def __init__(self, listed: Sequence[CantorPoint]):
+        self._window = joint_window(listed)
 
-    def row(self, n: int) -> RowPattern:
+    def row(self, n: int) -> CantorPoint:
         raise NotImplementedError
 
     def member(self, n: int, j: int) -> bool:
-        return self.row(n).member(j)
+        return self.row(n).bit(j) == 1
 
     def periodic_structure(self, levels: int) -> tuple[int, int]:
-        return _joint_structure([self.row(n) for n in range(levels)])
+        return joint_window([self.row(n) for n in range(levels)])
 
     def column_structure(self) -> tuple[int, int]:
         return self._window
@@ -1146,38 +1119,39 @@ class PeriodicRowsFamily(_ListedRowsFamily):
 
     form = "periodic_rows"
 
-    def __init__(self, row_prefix: Sequence[RowPattern], row_period: Sequence[RowPattern]):
+    def __init__(self, row_prefix: Sequence[CantorPoint], row_period: Sequence[CantorPoint]):
         if len(row_period) == 0:
             raise ValueError("row period must be non-empty")
         self.row_prefix = tuple(row_prefix)
         self.row_period = tuple(row_period)
         super().__init__(self.row_prefix + self.row_period)
 
-    def row(self, n: int) -> RowPattern:
+    def row(self, n: int) -> CantorPoint:
         if n < len(self.row_prefix):
             return self.row_prefix[n]
         return self.row_period[(n - len(self.row_prefix)) % len(self.row_period)]
 
     def column_point(self, i: int) -> CantorPoint:
-        prefix = tuple(1 if r.member(i) else 0 for r in self.row_prefix)
-        period = tuple(1 if r.member(i) else 0 for r in self.row_period)
-        return CantorPoint.periodic(prefix, period)
+        return CantorPoint.periodic(
+            [r.bit(i) for r in self.row_prefix], [r.bit(i) for r in self.row_period]
+        )
 
     def to_repr(self) -> dict[str, Any]:
         return {
             "form": "periodic_rows",
-            "row_prefix": [r.to_repr() for r in self.row_prefix],
-            "row_period": [r.to_repr() for r in self.row_period],
+            "row_prefix": [_point_repr(r) for r in self.row_prefix],
+            "row_period": [_point_repr(r) for r in self.row_period],
         }
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "PeriodicRowsFamily":
         raw_prefix = _expect_array(obj.get("row_prefix", []), "row lists must be arrays", path)
         raw_period = _expect_array(obj.get("row_period"), "row lists must be arrays", path)
-        return PeriodicRowsFamily(
-            [RowPattern.from_repr(r, f"{path}.row_prefix[{i}]") for i, r in enumerate(raw_prefix)],
-            [RowPattern.from_repr(r, f"{path}.row_period[{i}]") for i, r in enumerate(raw_period)],
+        prefix, period = (
+            [_point_from_repr(r, f"{path}.{key}[{i}]", "row pattern") for i, r in enumerate(raw)]
+            for key, raw in (("row_prefix", raw_prefix), ("row_period", raw_period))
         )
+        return PeriodicRowsFamily(prefix, period)
 
 
 class TableRowsFamily(_ListedRowsFamily):
@@ -1185,14 +1159,14 @@ class TableRowsFamily(_ListedRowsFamily):
 
     form = "table_rows"
 
-    def __init__(self, entries: Mapping[int, RowPattern], default: RowPattern):
+    def __init__(self, entries: Mapping[int, CantorPoint], default: CantorPoint):
         self.entries = {int(n): r for n, r in sorted(entries.items())}
         if any(n < 0 for n in self.entries):
             raise ValueError("row indices must be naturals")
         self.default = default
         super().__init__([*self.entries.values(), default])
 
-    def row(self, n: int) -> RowPattern:
+    def row(self, n: int) -> CantorPoint:
         return self.entries.get(n, self.default)
 
     def column_point(self, i: int) -> CantorPoint:
@@ -1202,27 +1176,26 @@ class TableRowsFamily(_ListedRowsFamily):
                 f"a column of a table with a row listed at {bound - 1} has "
                 f"{bound} prefix bits, past the limit of {MAX_DIGIT_WALK}"
             )
-        prefix = tuple(1 if self.row(n).member(i) else 0 for n in range(bound))
-        period = (1 if self.default.member(i) else 0,)
-        return CantorPoint.periodic(prefix, period)
+        prefix = [self.row(n).bit(i) for n in range(bound)]
+        return CantorPoint.periodic(prefix, [self.default.bit(i)])
 
     def to_repr(self) -> dict[str, Any]:
         return {
             "form": "table_rows",
             "entries": [
-                {"index": n, "row": r.to_repr()} for n, r in self.entries.items()
+                {"index": n, "row": _point_repr(r)} for n, r in self.entries.items()
             ],
-            "default": self.default.to_repr(),
+            "default": _point_repr(self.default),
         }
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "TableRowsFamily":
         return TableRowsFamily(
             {
-                idx: RowPattern.from_repr(entry.get("row"), f"{at}.row")
+                idx: _point_from_repr(entry.get("row"), f"{at}.row", "row pattern")
                 for idx, entry, at in _table_entries(obj, path, "row")
             },
-            RowPattern.from_repr(obj.get("default"), f"{path}.default"),
+            _point_from_repr(obj.get("default"), f"{path}.default", "row pattern"),
         )
 
 

@@ -125,7 +125,7 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
         j0, q = struct
         approx = min(x.term(j) for j in range(j0, j0 + q))
         # the leftmost closed depth-level cell holding approx (a boundary
-        # point takes the cell on its left); the prefixes of its index's bits
+        # point takes the cell on its left); the leading bits of its index
         # name the leftmost cells of the levels above
         index, rem = divmod(approx.numerator << budget.depth, approx.denominator)
         if rem == 0 and index:
@@ -147,8 +147,9 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
                 f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
                 f"below horizon {budget.horizon}"
             )
+        index = DyadicInterval.from_bits(best).index
     chain = tuple(
-        DyadicInterval.from_bits(best[: d + 1]) for d in range(budget.depth)
+        DyadicInterval(d + 1, index >> (budget.depth - 1 - d)) for d in range(budget.depth)
     )
     if struct is None:
         return AccumulationResult(chain, chain[-1].lower, False)

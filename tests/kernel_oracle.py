@@ -16,8 +16,9 @@ window slot once, and ``verify_cohesive`` gives its verdict and least
 violation from the patterns of each settle point's tail, in one pass.
 ``EmbeddedSequence.term`` folds an
 index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
-counts integer cell keys over a weighted window of terms, and
-``BinaryWalkSequence.term`` shifts the target's numerator.
+counts integer cell keys over a weighted window of terms, evaluating only
+a table's listed terms below the window, and ``BinaryWalkSequence.term``
+shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate, ``evaluate`` reads the rule's one
 witness, and ``first_failure`` reads the least failure off the pins at n
@@ -30,9 +31,9 @@ descent.
 every tree form, and ``core.leftmost_descent`` keeps its own stack.
 ``StageListTree.member_at_stage`` bisects the stages and a sorted snapshot,
 ``StageListTree.limit_heights`` bisects the last one for the run under each
-child, ``solvers.find_accumulation_real`` reads its exact chain off the bits
-of one integer cell index, the ``R_i = N`` note of ``bwweak-stcoh`` reads a
-table's listed columns and its period column, and ``core.format_bits``
+child, ``solvers.find_accumulation_real`` reads its chain off one integer
+cell index, shifted right once per level, the ``R_i = N`` note of
+``bwweak-stcoh`` reads a table's listed columns and its period column, and ``core.format_bits``
 writes a bit string as bytes in one step.
 This module keeps the direct forms they must agree with: the dyadic-cell
 parity of term(j)·2^n as a ``Fraction``; the derived column pattern read at
@@ -60,7 +61,9 @@ descent; the stage-list membership that
 walks every stage and tests every node of the snapshot; the limit heights
 that test every node of the last snapshot with ``is_prefix``; the leftmost
 closed cell of the accumulation value computed in ``Fraction``s at every
-level; the full-row note read off every column of the (j0, q) window; and
+level, and the heuristic chain cut from the descent's bits level by level;
+the tree window that evaluates and weighs every index below j0; the
+full-row note read off every column of the (j0, q) window; and
 the bit string joined from one str per bit.  It also keeps
 four helpers that only tests use: half-open cell membership, the
 bit-by-bit equality of eventually periodic points, the equality of both
@@ -269,7 +272,7 @@ def patterns(family: SetFamily, values, rows) -> set[int]:
     for j in values:
         pat = 0
         for i in rows:
-            pat = pat << 1 | (not listed_row(family, i).member(j))
+            pat = pat << 1 | (not listed_row(family, i).bit(j))
         out.add(pat)
     return out
 
@@ -344,6 +347,22 @@ def witness_count(x: RationalSequence, bits: Bits, stage: int) -> int:
     cell = DyadicInterval.from_bits(bits)
     terms = sorted(x.term(j) for j in range(stage + 1))
     return bisect_right(terms, cell.upper) - bisect_left(terms, cell.lower)
+
+
+def window_witness_count(x: RationalSequence, bits: Bits, stage: int) -> int:
+    """``DerivedTree.witness_count`` over a window that weighs every index
+    below j0 by 1, a table's unlisted ones too: the j0 + q window terms when
+    the window fits below the stage, else every term j <= stage."""
+    level = len(bits)
+    struct = x.cell_structure(level)
+    if struct is not None and sum(struct) <= stage + 1:
+        j0, q = struct
+        weights = [1] * j0 + [len(range(j, stage + 1, q)) for j in range(j0, j0 + q)]
+    else:
+        weights = [1] * (stage + 1)
+    a = DyadicInterval.from_bits(bits).index
+    keys = (2 * a, 2 * a + 1, 2 * a + 2)
+    return sum(w for j, w in enumerate(weights) if cell_key(x.term(j), level) in keys)
 
 
 def cell_key(q: Fraction, level: int) -> int:
@@ -567,15 +586,29 @@ def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
     return DyadicInterval(level, t.numerator // t.denominator)
 
 
-def find_accumulation_exact(x: RationalSequence, budget: Budget) -> AccumulationResult:
-    """The exact answer of ``solvers.find_accumulation_real`` for an
-    eventually periodic sequence: the least period value, with the leftmost
-    closed cell containing it computed in ``Fraction``s at every level."""
+def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
+    """``solvers.find_accumulation_real`` with each cell of its chain found
+    on its own.  An eventually periodic sequence gets the least period value,
+    with the leftmost closed cell containing it computed in ``Fraction``s at
+    every level; any other sequence the cell of the self-calling descent over
+    the sorted-terms count, with the cell of each level cut from its bits."""
+    stage = budget.horizon - 1
+    if x.periodic_structure() is None:
+        best = leftmost_descent(
+            budget.depth, lambda bits: witness_count(x, bits, stage) >= budget.threshold
+        )
+        if best is None:
+            raise BudgetExhaustedError(
+                f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
+                f"below horizon {budget.horizon}"
+            )
+        chain = tuple(DyadicInterval.from_bits(best[: d + 1]) for d in range(budget.depth))
+        return AccumulationResult(chain, chain[-1].lower, False)
     j0, q = x.periodic_structure()
     approx = min(x.term(j) for j in range(j0, j0 + q))
     chain = tuple(_leftmost_cell_at(approx, d) for d in range(1, budget.depth + 1))
     bits = tuple(cell.index & 1 for cell in chain)
-    count = DerivedTree(x).witness_count(bits, budget.horizon - 1)
+    count = DerivedTree(x).witness_count(bits, stage)
     if count < budget.threshold:
         raise BudgetExhaustedError(
             f"exact accumulation cell at depth {budget.depth} holds only "

@@ -558,6 +558,23 @@ def test_roundtrip_on_a_far_table_entry_reads_the_listed_columns(capsys):
     assert "note: R_i = N for i in {0, 2, 4, 6}" in out
 
 
+def test_branch_round_trip_past_a_far_table_entry_weighs_the_listed_terms(capsys):
+    """At stage 2·10^12 the derived tree of a table listed at 10^12 weighs
+    10^12 + 1 indices below the window, but an unlisted index holds the
+    default, so only the listed term and the default are evaluated."""
+    args = ["roundtrip", "--pair", "bw-swkl", "-i", FAR_ENTRY, "--stage", str(2 * 10**12)]
+    assert main(args) == 0
+    assert "verdict    pass" in capsys.readouterr().out
+
+
+def test_accumulation_past_a_far_table_entry_weighs_the_listed_terms(capsys):
+    """The exact accumulation cell of the same table at a horizon of 2·10^12
+    is counted on the listed term and the default alone."""
+    args = ["solve", "--problem", "accumulation", "-i", FAR_ENTRY, "--horizon", str(2 * 10**12)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "approx 1/3\n"
+
+
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):
     src = _write(tmp_path, "sep.json", catalog.SEPARATIONS["odds-vs-evens"])
     assert main(["roundtrip", "--pair", "separation-bw", "-i", src, "--depth", "0"]) == 3

@@ -248,13 +248,22 @@ tree_sources = st.one_of(
 )
 
 
+# tables listed on both sides of the stages drawn below
+far_tables = st.builds(
+    TableSequence,
+    st.dictionaries(st.integers(0, 400), boundary_fractions, min_size=1, max_size=5),
+    boundary_fractions,
+)
+
+
 @settings(max_examples=300)
-@given(tree_sources, st.data())
+@given(st.one_of(tree_sources, far_tables), st.data())
 def test_tree_witness_count_matches_the_sorted_terms(x, data):
     """Integer cell keys over the weighted window count exactly what the
-    sorted Fraction list counts, on cells with a term on or near an endpoint,
-    at levels up to 40 and at stages on both sides of each level's j0 + q
-    (up to 2^12 + 1, harmonic's window at level 12)."""
+    sorted Fraction list counts, and what the window that evaluates every
+    index below j0 counts, on cells with a term on or near an endpoint, at
+    levels up to 40 and at stages on both sides of each level's j0 + q (up
+    to 2^12 + 1, harmonic's window at level 12)."""
     tree = DerivedTree(x)
     for _ in range(6):
         level = data.draw(st.integers(0, 40), "level")
@@ -268,7 +277,9 @@ def test_tree_witness_count_matches_the_sorted_terms(x, data):
         near = int(t * 2**level) + data.draw(st.integers(-1, 1), "shift")
         index = min(max(near, 0), 2**level - 1)
         bits = tuple((index >> (level - 1 - i)) & 1 for i in range(level))
-        assert tree.witness_count(bits, stage) == kernel_oracle.witness_count(x, bits, stage)
+        want = kernel_oracle.witness_count(x, bits, stage)
+        assert tree.witness_count(bits, stage) == want
+        assert kernel_oracle.window_witness_count(x, bits, stage) == want
 
 
 cell_sources = st.one_of(
@@ -524,8 +535,20 @@ def test_listed_rows_pattern_matches_each_row(fam, rows, js):
     equals the listed row looked up and read at j, row by row, also when the
     same j is asked again."""
     for j in js + js:
-        want = _oracle_pattern(lambda i: kernel_oracle.listed_row(fam, i).member(j), rows)
+        want = _oracle_pattern(lambda i: kernel_oracle.listed_row(fam, i).bit(j), rows)
         assert fam.pattern(j, rows) == want
+
+
+@settings(max_examples=200)
+@given(listed_families, pattern_rows, st.lists(st.integers(0, 10**4), min_size=1, max_size=6))
+def test_listed_families_round_trip_through_the_point_reader(fam, rows, js):
+    """A row is written and read as a tree point: serialize ∘ parse keeps
+    the bytes of every listed family, and the parsed family reads the same
+    patterns."""
+    data = serialize_instance(fam)
+    again = parse_instance(data)
+    assert serialize_instance(again) == data
+    assert [again.pattern(j, rows) for j in js] == [fam.pattern(j, rows) for j in js]
 
 
 def test_pattern_reads_a_huge_row_in_one_step():
@@ -931,6 +954,23 @@ def test_parse_error_locations():
     assert exc.value.location == "$.repr.value"
     with pytest.raises(MalformedSyntaxError):
         parse_instance(b"\xff\xfe")
+    # a row is read as a tree point: the noun is its own, the period check the point's
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_instance(
+            b'{"kind":"set_family","repr":{"form":"table_rows",'
+            b'"entries":[{"index":0,"row":3}],"default":{"period":"1"}}}'
+        )
+    assert (exc.value.location, exc.value.reason) == (
+        "$.repr.entries[0].row", "row pattern must be an object"
+    )
+    with pytest.raises(InvariantViolationError) as exc:
+        parse_instance(
+            b'{"kind":"set_family","repr":{"form":"periodic_rows",'
+            b'"row_period":[{"prefix":"1","period":""}]}}'
+        )
+    assert (exc.value.location, exc.value.reason) == (
+        "$.repr.row_period[0].period", "period must be non-empty"
+    )
 
 
 @pytest.mark.parametrize("bad, shown", [(True, "True"), (-1, "-1"), (2.0, "2.0"), ("7", "'7'")])
