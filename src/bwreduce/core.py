@@ -10,9 +10,12 @@ from concurrent verifiers.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt, lcm
+from operator import itemgetter, mod
 from typing import Callable, Iterable, Sequence
 
 #: A finite binary string; () is the root/empty string.
@@ -233,6 +236,21 @@ def joint_window(points: Sequence[CantorPoint]) -> tuple[int, int]:
     prefix, their bits at m repeat jointly with that period."""
     prefix = max((len(pt.prefix) for pt in points), default=0)
     return prefix, lcm(*(len(pt.period) for pt in points))
+
+
+def fold_last(values: Sequence[int], window: tuple[int, int] | None) -> dict[int, int]:
+    """Each column that the ascending ``values`` fold onto, mapped to the last
+    position folding there, in position order: with a window (j0, q), one
+    C-level pass keys each j >= j0 by j % q, which names its slot
+    j0 + (j - j0) % q; any other j is its own column."""
+    m = len(values)
+    cut = m if window is None else bisect_left(values, window[0])
+    last = dict(zip(values, range(cut)))
+    if cut < m:
+        j0, q = window
+        tail = dict(zip(map(mod, values[cut:], repeat(q)), range(cut, m)))
+        last.update(sorted(((j0 + (r - j0) % q, t) for r, t in tail.items()), key=itemgetter(1)))
+    return last
 
 
 def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:

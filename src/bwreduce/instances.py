@@ -30,9 +30,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add, mod, sub
+from operator import methodcaller
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .certificates import (
@@ -53,6 +53,7 @@ from .core import (
     CantorPoint,
     _prime,
     embed_point_exact,
+    fold_last,
     format_bits,
     format_rational,
     joint_window,
@@ -122,6 +123,15 @@ class RationalSequence:
         """(prefix length, period length) when i -> term(i) is eventually
         periodic by construction, else None."""
         return None
+
+    def last_positions(self, values: Sequence[int]) -> dict[tuple[int, int], int]:
+        """Each distinct term of the ascending ``values``, as its exact
+        (numerator, denominator) pair, mapped to its last position.  Values
+        are folded onto the ``periodic_structure`` window by
+        ``core.fold_last``, so each distinct slot's term is read once."""
+        last = fold_last(values, self.periodic_structure())
+        pairs = map(methodcaller("as_integer_ratio"), map(self.term, last))
+        return dict(zip(pairs, last.values()))
 
     def prefix_indices(self, j0: int) -> Sequence[int]:
         """Indices below j0 whose terms, with those of the period from j0 on,
@@ -1050,20 +1060,13 @@ class SetFamily:
             out = memo[key] = self._pattern(j, key[1])
         return out
 
-    def patterns(self, values: Sequence[int], rows: Iterable[int]) -> set[int]:
-        """The distinct ``pattern``s of the ascending ``values`` over ``rows``.
-
-        With a ``column_structure`` (j0, q), the values below j0 are read one
-        by one and the rest are folded onto their window slots by C-level
-        maps, so each distinct slot is read once, through the memo of
-        ``pattern``.  A family without one reads every value."""
-        fold = self._fold
-        if fold is None:
-            return {self._pattern(j, rows) for j in values}
-        j0, q, _ = fold
-        cut = bisect_left(values, j0)
-        slots = set(map(add, map(mod, map(sub, values[cut:], repeat(j0)), repeat(q)), repeat(j0)))
-        return {self.pattern(j, rows) for j in chain(values[:cut], slots)}
+    def patterns(self, values: Sequence[int], rows: Iterable[int]) -> dict[int, int]:
+        """Each distinct ``pattern`` of the ascending ``values`` over ``rows``,
+        mapped to the last position of a value that has it.  Values are
+        folded onto the ``column_structure`` window by ``core.fold_last``, so
+        each distinct slot is read once, through the memo of ``pattern``."""
+        last = fold_last(values, self.column_structure())
+        return dict(zip(map(self.pattern, last, repeat(rows)), last.values()))
 
     @cached_property
     def _fold(self) -> tuple[int, int, dict[tuple[int, Any], int]] | None:

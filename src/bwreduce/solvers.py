@@ -7,8 +7,12 @@ guessing.  Verifiers re-check finished certificates exhaustively with exact
 arithmetic; a verifier returns None on pass and a small violation record on
 fail, and shares nothing with the finders beyond the numeric kernel, of
 which ``SetFamily.pattern`` (the membership of one j in many rows as one
-integer) and ``SetFamily.patterns`` (the distinct patterns of many j, each
-window slot read once) are part.
+integer) is part, and so are the two distinct-value kernels over a long
+ascending selector: ``RationalSequence.last_positions`` (each distinct term
+and its last position) and ``SetFamily.patterns`` (each distinct pattern and
+its last position).  Both fold the values past the source's (j0, q) window
+onto its slots by one shared fold, ``core.fold_last``, so each distinct slot
+is read once however long the selector.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
@@ -107,6 +110,13 @@ class BranchViolation:
 # ---------------------------------------------------------------------------
 
 
+# a certificate writes each chain cell's index in full, and an index at depth
+# d has up to d·log10(2) + 1 digits; past this depth it would pass the
+# 4,300-digit limit of int-to-str conversion, so a deeper request is refused
+# before any search
+MAX_ACCUMULATION_DEPTH = 14_284
+
+
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
     """Nested dyadic chain plus approximant for an accumulation point of x.
 
@@ -116,9 +126,15 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     least depth-level cell holding at least ``threshold`` of the first
     ``horizon`` terms, approximated by its left endpoint.  The terms j < horizon
     in a cell are counted as its witnesses in ``DerivedTree(x)`` at stage horizon - 1.
+    A depth past ``MAX_ACCUMULATION_DEPTH`` is an exceeded budget.
     """
     if budget.depth < 1:
         raise ValueError("accumulation search needs depth >= 1")
+    if budget.depth > MAX_ACCUMULATION_DEPTH:
+        raise BudgetExceededError(
+            f"accumulation chain of depth {budget.depth} has cell indices past "
+            f"4300 digits; the limit is depth {MAX_ACCUMULATION_DEPTH}"
+        )
     cells, stage = DerivedTree(x), budget.horizon - 1
     struct = x.periodic_structure()
     if struct is not None:
@@ -263,19 +279,18 @@ def extract_slow_cauchy(x: RationalSequence, budget: Budget) -> CauchyCertificat
 def witness_from_selector(
     selector: Selector, family: SetFamily, levels: int
 ) -> CohesiveWitness:
-    """Back-translate a selector into a cohesive witness by scanning each row
-    for the side its tail settles on and the first value from which it never
-    leaves that side."""
+    """Back-translate a selector into a cohesive witness: each row settles on
+    the side of the last value's pattern, from one past the last value whose
+    pattern puts it on the other side.  Both are read off the last position
+    of each distinct pattern (``SetFamily.patterns``), not off every value."""
     values = selector.values
-    patterns = [family.pattern(j, range(levels)) for j in values]
+    last = family.patterns(values, range(levels))
+    final = max(last, key=last.__getitem__, default=0)
     settle = []
     for i in range(levels):
         shift = levels - 1 - i
-        want = patterns[-1] >> shift & 1 if patterns else 0
-        s = 0
-        for j, pat in zip(values, patterns):
-            if pat >> shift & 1 != want:
-                s = j + 1
+        want = final >> shift & 1
+        s = max((values[t] + 1 for pat, t in last.items() if pat >> shift & 1 != want), default=0)
         settle.append((i, s, "out" if want else "in"))
     return CohesiveWitness(selector, tuple(settle))
 
@@ -286,19 +301,18 @@ def witness_from_selector(
 
 
 def _suffix_extrema(
-    vals: list[Fraction],
+    last: dict[tuple[int, int], int],
 ) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
-    """The extrema of every suffix of ``vals`` as a step function.
+    """The extrema of every suffix of the selected terms as a step function,
+    from the last position of each distinct term
+    (``RationalSequence.last_positions``).
 
-    Step k is (end, high, low): ``end`` ascends through the last position of
-    each distinct value, and ``high``, ``low`` are the max and min of
-    ``vals[s:]`` as exact (numerator, denominator) pairs for every s past the
+    Step k is (end, high, low): ``end`` ascends through those last
+    positions, and ``high``, ``low`` are the max and min of the terms from
+    s on, as exact (numerator, denominator) pairs, for every s past the
     previous step's end up to this one's: those suffixes hold the same
-    distinct values.  A map, zip and dict pass, with no Python loop, keys
-    each value's pair to its last position; the walk that compares integer
-    cross-products visits each distinct value once."""
-    pairs = map(methodcaller("as_integer_ratio"), vals)
-    last = dict(zip(pairs, range(len(vals))))
+    distinct terms.  The walk that compares integer cross-products visits
+    each distinct term once."""
     steps = []
     hi = lo = None
     for pair, t in sorted(last.items(), key=itemgetter(1), reverse=True):
@@ -335,13 +349,12 @@ def thin_to_fast(
     The suffix diameter is a step function of the position (see
     ``_suffix_extrema``), so the search steps from one distinct value's last
     position to the next rather than position by position.  The input check
-    and the search share one read of each selected term and one step
-    function.
+    and the search share one step function, built from one read of each
+    distinct term.
     """
     f = certificate.selector
-    vals = list(map(x.term, f.values))
-    steps = _suffix_extrema(vals)
-    bad = _cauchy_violation(certificate.moduli, vals, steps)
+    steps = _suffix_extrema(x.last_positions(f.values))
+    bad = _cauchy_violation(certificate.moduli, f.values, x, steps)
     if bad is not None:
         raise InvalidCertificateError(
             f"input certificate fails at n={bad.n}, v={bad.v}, w={bad.w}"
@@ -381,45 +394,49 @@ def verify_cauchy(
     """Exhaustively re-check every recorded modulus with exact arithmetic;
     None on pass, least violating (n, v, w) otherwise.
 
-    Every selected term is evaluated; a modulus (n, s) passes iff the
-    diameter of the terms from position s on is below 2^-n, read off the
-    step function of ``_suffix_extrema`` by bisecting its last positions."""
-    vals = list(map(x.term, certificate.selector.values))
-    return _cauchy_violation(certificate.moduli, vals, _suffix_extrema(vals))
+    A modulus (n, s) passes iff the diameter of the terms from position s
+    on is below 2^-n, read off the step function of ``_suffix_extrema`` by
+    bisecting its last positions; it reads each distinct term once
+    (``RationalSequence.last_positions``)."""
+    values = certificate.selector.values
+    steps = _suffix_extrema(x.last_positions(values))
+    return _cauchy_violation(certificate.moduli, values, x, steps)
 
 
 def _cauchy_violation(
     moduli: Sequence[tuple[int, int]],
-    vals: list[Fraction],
+    values: Sequence[int],
+    x: RationalSequence,
     steps: list[tuple[int, tuple[int, int], tuple[int, int]]],
 ) -> CauchyViolation | None:
-    """The body of ``verify_cauchy`` over the selected terms and their
-    suffix extrema, which ``thin_to_fast`` reads once for both the check
-    and its own search.
+    """The body of ``verify_cauchy`` over the selected values and the suffix
+    extrema of their terms, which ``thin_to_fast`` builds once for both the
+    check and its own search.
 
     A failing modulus names v by one walk from s: a position before the
     least v lies within 2^-n of every term after it, and so of every term
     from s on, so v is the least position whose term lies 2^-n or more
     from the max or min of those terms, the extrema that decided the
-    modulus.  w is the least later position that far from v."""
-    m = len(vals)
+    modulus.  w is the least later position that far from v.  The walk
+    reads the terms it passes, and none past w."""
+    m = len(values)
     for n, s in moduli:
         if s >= m:
             continue  # no two positions to compare
         _, hi, lo = steps[bisect_left(steps, s, key=itemgetter(0))]
         if _diameter_below(hi, lo, n):
             continue
-        v = next(v for v in range(s, m) if _far(vals[v], hi, lo, n))
-        a = vals[v].as_integer_ratio()
-        w = next(w for w in range(v + 1, m) if _far(vals[w], a, a, n))
+        terms = map(methodcaller("as_integer_ratio"), map(x.term, islice(values, s, None)))
+        walk = enumerate(terms, s)
+        v, a = next((v, t) for v, t in walk if _far(t, hi, lo, n))
+        w = next(w for w, t in walk if _far(t, a, a, n))
         return CauchyViolation(n, v, w)
     return None
 
 
-def _far(t: Fraction, hi: tuple[int, int], lo: tuple[int, int], n: int) -> bool:
-    """Does t lie 2^-n or more below hi or above lo?"""
-    pair = t.as_integer_ratio()
-    return not (_diameter_below(hi, pair, n) and _diameter_below(pair, lo, n))
+def _far(t: tuple[int, int], hi: tuple[int, int], lo: tuple[int, int], n: int) -> bool:
+    """Does the pair t lie 2^-n or more below hi or above lo?"""
+    return not (_diameter_below(hi, t, n) and _diameter_below(t, lo, n))
 
 
 def verify_cohesive(
@@ -452,7 +469,7 @@ def verify_cohesive(
     end, tail = len(values), frozenset()
     for s in sorted({s for _, s, _ in witness.settle}, reverse=True):
         start = bisect_left(values, s)
-        tail = tails[s] = tail | family.patterns(values[start:end], rows)
+        tail = tails[s] = tail.union(family.patterns(values[start:end], rows))
         end = start
     for i, s, side in witness.settle:  # sorted: the least violation first
         bit, want = place[i], side == "out"

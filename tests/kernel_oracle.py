@@ -10,10 +10,15 @@ of a periodic family from one lcm window.  ``solvers._suffix_extrema``
 gives the suffix extrema as a step function over the last positions of
 distinct terms, compared by integer cross-products, and ``verify_cauchy``
 and ``thin_to_fast`` read a step per modulus or rate; a failing modulus
-names its least (v, w) by one walk against the extrema that decided it.
-``SetFamily.patterns`` reads the distinct patterns of many values, each
-window slot once, and ``verify_cohesive`` gives its verdict and least
-violation from the patterns of each settle point's tail, in one pass.
+names its least (v, w) by one walk against the extrema that decided it,
+reading no term past w.  The last positions come from the distinct-term
+kernel ``RationalSequence.last_positions``, and ``SetFamily.patterns``
+maps each distinct pattern of many values to its last position; both fold
+the values past the (j0, q) window onto its slots by one shared fold,
+``core.fold_last``, so each slot is read once.  ``witness_from_selector``
+reads each row's settle point off those last positions, and
+``verify_cohesive`` gives its verdict and least violation from the
+patterns of each settle point's tail, in one pass.
 ``EmbeddedSequence.term`` folds an
 index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
 counts integer cell keys over a weighted window of terms, evaluating only
@@ -41,11 +46,14 @@ j itself, unfolded and unmemoized; each listed row looked up and read at j;
 the cohesion verifier and back-translation that ask ``member`` once per row
 and selected value; the geometric series summed term by term; the
 enumeration that evaluates the membership pattern of every j below the
-horizon; suffix extrema taken by ``max``/``min`` over ``Fraction``s, and
+horizon; one term per selected value, read at the value itself and keyed
+to its last position; suffix extrema taken by ``max``/``min`` over
+``Fraction``s, and
 the Cauchy verifier and thinning that read one entry of them per position,
 the verifier comparing the terms pair by pair on failure; one pattern per
-value, read at the value itself; the cohesion verdict of one sweep over the
-selected values, named on failure by asking ``member``; the embedded term
+value, read at the value itself and keyed to its last position; the
+cohesion verdict of one sweep over the selected values, named on failure
+by asking ``member``; the embedded term
 read at its own index; the sorted list of every term j <= stage bisected
 at the cell's ``Fraction`` endpoints; the tree's cell key of a term as a
 ``Fraction`` product; the walk term as a ``Fraction``
@@ -262,18 +270,29 @@ def thin_to_fast(
     return CauchyCertificate(Selector(values), moduli, "fast")
 
 
-def patterns(family: SetFamily, values, rows) -> set[int]:
-    """The ``pattern`` of every value read at the value itself: the derived
-    column by ``derived_pattern``, a listed family's rows looked up one by
-    one."""
-    if isinstance(family, DerivedFamily):
-        return {derived_pattern(family, j, rows) for j in values}
-    out = set()
-    for j in values:
-        pat = 0
-        for i in rows:
-            pat = pat << 1 | (not listed_row(family, i).bit(j))
-        out.add(pat)
+def last_positions(x: RationalSequence, values) -> dict[tuple[int, int], int]:
+    """Each selected term read at its own value (an embedded term at its own
+    point), as an exact pair, mapped to the last position that holds it."""
+    out = {}
+    for t, j in enumerate(values):
+        term = embedded_term(x, j) if isinstance(x, EmbeddedSequence) else x.term(j)
+        out[term.as_integer_ratio()] = t
+    return out
+
+
+def patterns(family: SetFamily, values, rows) -> dict[int, int]:
+    """The ``pattern`` of every value read at the value itself, mapped to
+    the last position that has it: the derived column by
+    ``derived_pattern``, a listed family's rows looked up one by one."""
+    out = {}
+    for t, j in enumerate(values):
+        if isinstance(family, DerivedFamily):
+            pat = derived_pattern(family, j, rows)
+        else:
+            pat = 0
+            for i in rows:
+                pat = pat << 1 | (not listed_row(family, i).bit(j))
+        out[pat] = t
     return out
 
 

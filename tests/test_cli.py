@@ -39,6 +39,7 @@ from bwreduce.core import DyadicInterval
 from bwreduce.edges import EDGES
 from bwreduce.instances import (
     MAX_PROVENANCE_DEPTH,
+    ConstantSequence,
     RulePredicate,
     SeparationInstance,
     TableRowsFamily,
@@ -763,6 +764,36 @@ def test_roundtrip_separator_depth_is_bounded(tmp_path, monkeypatch, capsys, lim
         }
     else:
         assert "verdict    pass" in captured.out
+
+
+def test_accumulation_depth_is_bounded(tmp_path, capsys):
+    """A chain one level past the limit is an exceeded budget, refused
+    before any search and before ``approx`` is printed: its last cell's
+    index could not be written under the default 4,300-digit limit."""
+    src = _write(tmp_path, "third.json", ConstantSequence(Fraction(1, 3)))
+    depth = solvers.MAX_ACCUMULATION_DEPTH + 1
+    argv = ["solve", "--problem", "accumulation", "-i", src, "--depth", str(depth),
+            "-o", str(tmp_path / "deep.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "budget",
+        "kind": "BudgetExceededError",
+        "reason": f"accumulation chain of depth {depth} has cell indices past 4300 "
+        f"digits; the limit is depth {solvers.MAX_ACCUMULATION_DEPTH}",
+    }
+    assert not (tmp_path / "deep.json").exists()
+
+
+def test_accumulation_depth_limit_is_the_last_writable_depth():
+    """The largest index of a chain at the limit, 2^depth - 1, is written
+    and read back under the default digit limit; one level deeper it is
+    not."""
+    widest = (1 << solvers.MAX_ACCUMULATION_DEPTH) - 1
+    assert int(str(widest)) == widest
+    with pytest.raises(ValueError, match="4300"):
+        str(2 * widest + 1)
 
 
 def test_an_internal_fault_is_exit_6_with_json(monkeypatch, capsys):

@@ -419,9 +419,10 @@ _mixed = st.one_of(
 
 @given(st.lists(_mixed, max_size=40))
 def test_suffix_extrema_match_the_fraction_body(vals):
-    """At every position s, the step of the step function that holds s
-    gives, as exact pairs, the suffix extrema of Fraction max/min."""
-    steps = _suffix_extrema(vals)
+    """At every position s, the step of the step function built from the
+    last position of each distinct term holds s and gives, as exact pairs,
+    the suffix extrema of Fraction max/min."""
+    steps = _suffix_extrema({v.as_integer_ratio(): t for t, v in enumerate(vals)})
     ends = [end for end, _, _ in steps]
     sufmax, sufmin = kernel_oracle.suffix_extrema(vals)
     assert ends == sorted(set(ends)) and ends[-1:] == ([len(vals) - 1] if vals else [])
@@ -485,12 +486,14 @@ _rows = st.one_of(
     _rows,
 )
 def test_patterns_match_one_read_per_value(k, values, rows):
-    """The distinct patterns of a selector's values, slots folded or not,
-    are those of reading every value at itself."""
+    """The distinct patterns of a selector's values and the last position
+    of each, slots folded or not, are those of reading every value at
+    itself."""
     fam = _PATTERN_FAMILIES[k]
     values = tuple(sorted(values))
-    assert fam.patterns(values, rows) == kernel_oracle.patterns(fam, values, rows)
-    assert fam.patterns(values, rows) == {fam.pattern(j, rows) for j in values}
+    last = fam.patterns(values, rows)
+    assert last == kernel_oracle.patterns(fam, values, rows)
+    assert last == {fam.pattern(j, rows): t for t, j in enumerate(values)}
 
 
 @settings(max_examples=300)
@@ -678,6 +681,62 @@ def test_slow_cauchy_on_a_far_table_entry_reads_below_the_horizon(monkeypatch):
     assert verify_cauchy(cert, x) is None
 
 
+# each source with whether its terms are cheap at indices near 10^12 (a
+# walk's term j has j bits, an embedded term a column of j + 1 rows)
+_KERNEL_SOURCES = [
+    (PeriodicSequence([Fraction(1, 3), Fraction(1, 5)],
+                      [Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)]), True),
+    (ConstantSequence(Fraction(2, 7)), True),
+    (AlternatingSequence(Fraction(0), Fraction(1)), True),
+    (BinaryWalkSequence(Fraction(1, 2)), False),
+    (BinaryWalkSequence(Fraction(3, 8)), False),
+    (BinaryWalkSequence(Fraction(1, 3)), False),
+    (HarmonicSequence(), True),
+    (parse_instance(FAR_TABLE_FILE.read_bytes()), True),
+] + [(stcoh_to_bwweak(fam), False) for fam in _COHESION_FAMILIES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(range(len(_KERNEL_SOURCES))),
+    st.sets(st.one_of(st.integers(0, 40), st.integers(0, 3000)), max_size=40),
+    st.sets(st.integers(10**12 - 3, 10**12 + 3), max_size=4),
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 24), st.just(2**70)), st.integers(0, 45)),
+        max_size=6,
+    ),
+    st.integers(0, 10),
+    st.integers(0, 12),
+)
+def test_distinct_term_kernel_matches_one_read_per_value(k, values, far, moduli, depth, levels):
+    """On periodic, constant and alternating sources, dyadic and non-dyadic
+    walks, the harmonic sequence, a table with an entry at 10^12 and the
+    embedded sequences of the cohesion families (derived ones in both
+    conventions): the distinct terms and their last positions, and the
+    distinct patterns of the derived families and theirs, are those of
+    reading every value at itself.  The Cauchy verdict, the thinned
+    selector or its error, and the back-translated cohesive witness are
+    those of the oracle bodies."""
+    x, far_ok = _KERNEL_SOURCES[k]
+    values = tuple(sorted(values | far if far_ok else values))
+    assert x.last_positions(values) == kernel_oracle.last_positions(x, values)
+    selector = Selector(values)
+    budget = Budget(depth=depth)
+    for claimed in (tuple(moduli), tuple((n, 0) for n in range(depth + 1))):
+        cert = CauchyCertificate(selector, claimed, "slow")
+        assert verify_cauchy(cert, x) == kernel_oracle.verify_cauchy(cert, x)
+        assert _outcome(thin_to_fast, cert, x, budget) == _outcome(
+            kernel_oracle.thin_to_fast, cert, x, budget
+        )
+    for convention in DerivedFamily.conventions:
+        fam = DerivedFamily(x, convention)
+        rows = range(levels)
+        assert fam.patterns(values, rows) == kernel_oracle.patterns(fam, values, rows)
+        assert witness_from_selector(selector, fam, levels) == (
+            kernel_oracle.witness_from_selector(selector, fam, levels)
+        )
+
+
 # --- Cauchy extraction and thinning --------------------------------------------------
 
 
@@ -727,17 +786,36 @@ class _CountingTerms(RationalSequence):
 
 
 def test_thin_to_fast_reads_each_selected_term_once():
-    """The input check and the thinning share one read of each selected
-    term: one ``term`` call per selected position."""
+    """The input check and the thinning share one read of each distinct
+    term: each selected term is read at most once, and a source with a
+    (j0, q) window is read at most (selected values below j0) + q times.
+    A failing certificate's walk reads the terms from the modulus's settle
+    position through w, and none past w."""
     for x in (
         AlternatingSequence(Fraction(0), Fraction(1)),
         HarmonicSequence(),
         PeriodicSequence([Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 4)]),
+        BinaryWalkSequence(Fraction(1, 2)),
     ):
         slow = extract_slow_cauchy(x, Budget())
         counting = _CountingTerms(x)
         thin_to_fast(slow, counting, Budget())
-        assert counting.calls == list(slow.selector.values)
+        values = slow.selector.values
+        assert len(set(counting.calls)) == len(counting.calls) <= len(values)
+        struct = x.periodic_structure()
+        if struct is not None:
+            j0, q = struct
+            assert len(counting.calls) <= bisect_left(values, j0) + q
+    x = TableSequence({50: Fraction(2, 5), 51: Fraction(3, 5)}, Fraction(1, 2))
+    values = tuple(range(1000))
+    bad = CauchyCertificate(Selector(values), ((3, 10),), "slow")
+    counting = _CountingTerms(x)
+    counting.last_positions(values)
+    kernel = len(counting.calls)
+    assert kernel <= 52 + 1  # the 52 values below j0 = 52, and q = 1
+    with pytest.raises(InvalidCertificateError, match="n=3, v=50, w=51"):
+        thin_to_fast(bad, counting, Budget())
+    assert counting.calls[2 * kernel:] == list(range(10, 52))
 
 
 def test_thin_to_fast_rejects_bad_input():
