@@ -73,11 +73,9 @@ from .errors import (
     UnserializableError,
 )
 
-_UNIT = (Fraction(0), Fraction(1))
-
 
 def _check_unit(q: Fraction, what: str) -> Fraction:
-    if not _UNIT[0] <= q <= _UNIT[1]:
+    if not 0 <= q.numerator <= q.denominator:
         raise ValueError(f"{what} {format_rational(q)} outside [0, 1]")
     return q
 
@@ -144,6 +142,42 @@ class RationalSequence:
         level-``level`` cells (the same ``DerivedTree`` key) for every
         j >= j0, else None."""
         return self.periodic_structure()
+
+    def cell_run(self, level: int, a: int, stop: int) -> range | None:
+        """The j < stop with term(j) in the closed level cell a, when the
+        form names them as one run in integers, else None."""
+        return None
+
+    def first_in_cell(self, level: int, a: int, start: int, stop: int) -> int | None:
+        """Least j in [start, stop) with term(j) in the closed level cell a,
+        else None: off ``cell_run``, or off the listed ``prefix_indices``
+        below j0 (a left-out index holds term(j0)) and the q slots of
+        ``cell_structure(level)``, each tested on its ``DerivedTree`` key;
+        at most listed + q term reads, or every j from start with no window."""
+        run = self.cell_run(level, a, stop)
+        if run is not None:
+            j = max(start, run.start)
+            return j if j < run.stop else None
+
+        def inside(j: int) -> bool:
+            num, den = self.term(j).as_integer_ratio()
+            whole, rem = divmod(num << level, den)
+            return 0 <= 2 * (whole - a) + (rem != 0) <= 2
+
+        j0, q = self.cell_structure(level) or (0, stop)  # else each j < stop is a slot
+        listed = self.prefix_indices(j0)
+        held = len(listed) < j0 and inside(j0)
+        rest = start  # the least index not listed below it: held or a slot
+        for j in listed[bisect_left(listed, start) : bisect_left(listed, stop)]:
+            if held and rest < j:
+                return rest
+            if inside(j):
+                return j
+            rest = j + 1
+        for j in range(rest, min(rest + q, stop)):
+            if inside(j0 + (j - j0) % q):
+                return j
+        return None
 
     def to_repr(self) -> dict[str, Any]:
         raise UnserializableError(f"{self.form or type(self).__name__} has no file form")
@@ -213,6 +247,12 @@ class HarmonicSequence(RationalSequence):
 
     def cell_structure(self, level: int) -> tuple[int, int]:
         return 1 << level, 1  # terms j >= 2^level lie inside (0, 2^-level): key 1
+
+    def cell_run(self, level: int, a: int, stop: int) -> range:
+        """1/(j+1) lies in [a/2^L, (a+1)/2^L] iff
+        ceil(2^L/(a+1)) <= j + 1 <= floor(2^L/a), with no upper bound at a = 0."""
+        top = (1 << level) // a if a else stop
+        return range(-(-(1 << level) // (a + 1)) - 1, min(top, stop))
 
     def to_repr(self) -> dict[str, Any]:
         return {"form": "harmonic"}
@@ -301,11 +341,11 @@ class TableSequence(RationalSequence):
 
     def __init__(self, entries: Mapping[int, Fraction], default: Fraction):
         self.entries = {
-            int(i): _check_unit(Fraction(q), "term") for i, q in sorted(entries.items())
+            int(i): _check_unit(q, "term") for i, q in sorted(entries.items())
         }
         if any(i < 0 for i in self.entries):
             raise ValueError("table indices must be naturals")
-        self.default = _check_unit(Fraction(default), "default term")
+        self.default = _check_unit(default, "default term")
 
     def term(self, i: int) -> Fraction:
         return self.entries.get(i, self.default)
@@ -599,9 +639,10 @@ class DerivedTree(SigmaTree):
     term j >= j0 weighing len(range(j, s + 1, q)).  Below j0, a source whose
     ``prefix_indices`` leave indices out (a table) has only its listed terms
     evaluated; the others hold term(j0) and weigh on it.  A periodic source
-    has one window for every level; a binary walk's is about L + bitlen(den)
-    terms and the harmonic sequence's 2^L + 1.  Terms evaluated index by
-    index are kept, whatever the stage."""
+    has one window for every level and a binary walk's is about
+    L + bitlen(den) terms.  Terms evaluated index by index are kept,
+    whatever the stage.  A source whose ``cell_run`` names the indices in a
+    cell (the harmonic sequence) is counted off that run, reading no term."""
 
     form = "derived"
 
@@ -629,7 +670,12 @@ class DerivedTree(SigmaTree):
         return zip(self._terms, weights)
 
     def witness_count(self, bits: Bits, stage: int) -> int:
-        level = len(bits)
+        level, a = len(bits), 0
+        for b in bits:
+            a = (a << 1) | b
+        run = self.source.cell_run(level, a, stage + 1)
+        if run is not None:
+            return max(0, run.stop - run.start)
         keys = self._keys.get((stage, level))
         if keys is None:
             keys = {}
@@ -638,9 +684,6 @@ class DerivedTree(SigmaTree):
                 key = 2 * whole + (rem != 0)
                 keys[key] = keys.get(key, 0) + w
             self._keys[stage, level] = keys
-        a = 0
-        for b in bits:
-            a = (a << 1) | b
         return keys.get(2 * a, 0) + keys.get(2 * a + 1, 0) + keys.get(2 * a + 2, 0)
 
     def member_at_stage(self, bits: Bits, stage: int) -> bool:

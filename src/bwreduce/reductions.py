@@ -69,8 +69,9 @@ def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
     point of x.
 
     Returns the left endpoint of the final cell with error 2^-|bits|, plus a
-    strictly increasing selector j_0 < ... < j_{|bits|-2} with
-    term(j_t) inside the cell of bits[:t+1]; consecutive cells nest, so
+    strictly increasing selector j_0 < ... < j_{|bits|-2}, j_t the least
+    index past j_{t-1} whose term lies inside the cell of bits[:t+1] (read by
+    ``x.first_in_cell``); consecutive cells nest, so
     |term(selector(v)) - term(selector(w))| <= 2^-(min(v,w)+1).
     """
     bits = tuple(bits)
@@ -78,15 +79,12 @@ def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
         raise NotANodeError(
             f"{format_bits(bits)!r} is not a tree node at stage {stage}"
         )
-    x = tree.source
     picks: list[int] = []
-    j = -1
-    for t in range(len(bits) - 1):
-        cell = DyadicInterval.from_bits(bits[: t + 1])
-        j += 1
-        while j <= stage and not cell.contains(x.term(j)):
-            j += 1
-        if j > stage:
+    a = 0
+    for t, b in enumerate(bits[:-1]):
+        a = (a << 1) | b
+        j = tree.source.first_in_cell(t + 1, a, picks[-1] + 1 if picks else 0, stage + 1)
+        if j is None:
             raise WitnessExhaustedError(
                 f"stage {stage} holds no witness for cell {t + 1} of {format_bits(bits)!r}"
             )

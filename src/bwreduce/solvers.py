@@ -12,7 +12,8 @@ ascending selector: ``RationalSequence.last_positions`` (each distinct term
 and its last position) and ``SetFamily.patterns`` (each distinct pattern and
 its last position).  Both fold the values past the source's (j0, q) window
 onto its slots by one shared fold, ``core.fold_last``, so each distinct slot
-is read once however long the selector.
+is read once however long the selector; ``RationalSequence.first_in_cell``
+reads the same window for the accumulation count.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -509,7 +510,7 @@ def verify_accumulation(
     inside [0, 1]) and ``approx`` in the last cell.  An exact result needs a
     periodic x with ``approx`` equal to a term j0 <= j < j0 + q; any other
     needs ``threshold`` of the terms j < ``horizon`` in the last cell, each
-    compared as a ``Fraction``, counting stopped at the threshold."""
+    found by one ``first_in_cell`` call."""
     last = DyadicInterval(0, 0)
     for cell in result.chain:
         if cell.level != last.level + 1 or cell.index >> 1 != last.index:
@@ -525,9 +526,11 @@ def verify_accumulation(
         if all(x.term(j) != result.approx for j in window):
             return AccumulationViolation(last.level, "exact")
         return None
-    inside = (j for j in range(budget.horizon) if last.contains(x.term(j)))
-    if sum(1 for _ in islice(inside, budget.threshold)) < budget.threshold:
-        return AccumulationViolation(last.level, "count")
+    j = -1
+    for _ in range(budget.threshold):
+        j = x.first_in_cell(last.level, last.index, j + 1, budget.horizon)
+        if j is None:
+            return AccumulationViolation(last.level, "count")
     return None
 
 

@@ -22,8 +22,12 @@ patterns of each settle point's tail, in one pass.
 ``EmbeddedSequence.term`` folds an
 index past its (j0, q) window into the window.  ``DerivedTree.witness_count``
 counts integer cell keys over a weighted window of terms, evaluating only
-a table's listed terms below the window, and ``BinaryWalkSequence.term``
-shifts the target's numerator.
+a table's listed terms below the window, or, for the harmonic sequence,
+reads the cell's run of indices off ``cell_run``; and
+``RationalSequence.first_in_cell``, through which ``reductions.branch_to_point``
+picks each index and ``solvers.verify_accumulation`` counts the last cell,
+reads the same run, or the listed terms and the (j0, q) slots, on integer
+keys.  ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate, ``evaluate`` reads the rule's one
 witness, and ``first_failure`` reads the least failure off the pins at n
@@ -71,6 +75,9 @@ that test every node of the last snapshot with ``is_prefix``; the leftmost
 closed cell of the accumulation value computed in ``Fraction``s at every
 level, and the heuristic chain cut from the descent's bits level by level;
 the tree window that evaluates and weighs every index below j0; the
+back map that scans the terms from each last pick on with a
+``DyadicInterval`` per cell, and the accumulation verifier that counts the
+last cell by one ``Fraction`` comparison per term from j = 0; the
 full-row note read off every column of the (j0, q) window; and
 the bit string joined from one str per bit.  It also keeps
 four helpers that only tests use: half-open cell membership, the
@@ -84,6 +91,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from bwreduce import solvers
@@ -109,7 +117,9 @@ from bwreduce.errors import (
     EmptyTreeAtStageError,
     HorizonTooSmallError,
     InvalidCertificateError,
+    NotANodeError,
     NotGroundTruthError,
+    WitnessExhaustedError,
 )
 from bwreduce.instances import (
     BranchUnionTree,
@@ -127,7 +137,8 @@ from bwreduce.instances import (
     StageListTree,
     _runs,
 )
-from bwreduce.solvers import CauchyViolation, CohesiveViolation
+from bwreduce.reductions import BranchPoint
+from bwreduce.solvers import AccumulationViolation, CauchyViolation, CohesiveViolation
 
 
 def member(q: Fraction, n: int, convention: str) -> bool:
@@ -635,6 +646,56 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
             f"(threshold {budget.threshold})"
         )
     return AccumulationResult(chain, approx, True)
+
+
+def verify_accumulation(
+    result: AccumulationResult, x: RationalSequence, budget: Budget
+) -> AccumulationViolation | None:
+    """``solvers.verify_accumulation`` with the last cell counted by one
+    ``Fraction`` comparison per term from j = 0, stopped at the threshold."""
+    last = DyadicInterval(0, 0)
+    for cell in result.chain:
+        if cell.level != last.level + 1 or cell.index >> 1 != last.index:
+            return AccumulationViolation(last.level + 1, "chain")
+        last = cell
+    if last.level == 0:
+        return AccumulationViolation(1, "chain")
+    if not last.contains(result.approx):
+        return AccumulationViolation(last.level, "approx")
+    if result.exact:
+        struct = x.periodic_structure()
+        window = range(struct[0], sum(struct)) if struct is not None else ()
+        if all(x.term(j) != result.approx for j in window):
+            return AccumulationViolation(last.level, "exact")
+        return None
+    inside = (j for j in range(budget.horizon) if last.contains(x.term(j)))
+    if sum(1 for _ in islice(inside, budget.threshold)) < budget.threshold:
+        return AccumulationViolation(last.level, "count")
+    return None
+
+
+def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
+    """``reductions.branch_to_point`` as a scan: each pick is the least index
+    j <= stage past the last pick whose term the prefix's ``DyadicInterval``
+    holds, every term from there on compared as a ``Fraction``."""
+    bits = tuple(bits)
+    if not tree.member_at_stage(bits, stage):
+        raise NotANodeError(f"{format_bits(bits)!r} is not a tree node at stage {stage}")
+    x = tree.source
+    picks: list[int] = []
+    j = -1
+    for t in range(len(bits) - 1):
+        cell = DyadicInterval.from_bits(bits[: t + 1])
+        j += 1
+        while j <= stage and not cell.contains(x.term(j)):
+            j += 1
+        if j > stage:
+            raise WitnessExhaustedError(
+                f"stage {stage} holds no witness for cell {t + 1} of {format_bits(bits)!r}"
+            )
+        picks.append(j)
+    cell = DyadicInterval.from_bits(bits)
+    return BranchPoint(cell.lower, cell.width, Selector(tuple(picks)))
 
 
 def full_row_note(family: SetFamily, levels: int) -> str | None:

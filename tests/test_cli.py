@@ -43,6 +43,7 @@ from bwreduce.instances import (
     RulePredicate,
     SeparationInstance,
     TableRowsFamily,
+    TableSequence,
     parse_instance,
     serialize_instance,
 )
@@ -228,8 +229,9 @@ def test_solve_budget_exhaustion_is_exit_2_with_json(harmonic_file, capsys):
     ids=["solve", "roundtrip"],
 )
 def test_tree_commands_at_stage_1e8(tmp_path, capsys, name, argv):
-    """The derived tree of a walk or of the harmonic sequence counts a
-    level-sized window of terms, so a stage of 10^8 costs what a small one does."""
+    """The derived tree of a walk counts a level-sized window of terms, and
+    that of the harmonic sequence counts each cell off its run of indices, so
+    a stage of 10^8 costs what a small one does."""
     src = _write(tmp_path, "seq.json", catalog.SEQUENCES[name])
     assert main(argv + ["-i", src]) == 0
     capsys.readouterr()
@@ -574,6 +576,50 @@ def test_accumulation_past_a_far_table_entry_weighs_the_listed_terms(capsys):
     args = ["solve", "--problem", "accumulation", "-i", FAR_ENTRY, "--horizon", str(2 * 10**12)]
     assert main(args) == 0
     assert capsys.readouterr().out == "approx 1/3\n"
+
+
+FAR_LOW = str(Path(__file__).parent / "data" / "table_far_low.json")
+
+
+def test_far_low_file_is_nine_tenths_with_low_entries_at_10_12():
+    x = TableSequence({10**12 + i: Fraction(1, 10) for i in range(9)}, Fraction(9, 10))
+    assert Path(FAR_LOW).read_bytes() == serialize_instance(x)
+
+
+def test_branch_round_trip_picks_far_low_entries_off_the_listed_indices(capsys):
+    """The leftmost branch runs through the cells of 1/10, whose terms sit
+    at 10^12 and on; each pick of the back map is read off the listed
+    indices, not found by a scan from index 0."""
+    args = ["roundtrip", "--pair", "bw-swkl", "-i", FAR_LOW, "--stage", str(2 * 10**12)]
+    assert main(args) == 0
+    assert "verdict    pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--depth", "60", "--stage", str(2**61)],
+        ["--stage", str(10**22)],
+    ],
+    ids=["depth-60", "stage-1e22"],
+)
+def test_harmonic_branch_round_trip_at_a_far_stage(harmonic_file, capsys, argv):
+    """The harmonic tree counts each cell off its run of indices, and the
+    back map picks each index off that run, so neither a 2^60-term window
+    nor a run longer than an index can hold stops the round trip."""
+    assert main(["roundtrip", "--pair", "bw-swkl", "-i", harmonic_file] + argv) == 0
+    assert "verdict    pass" in capsys.readouterr().out
+
+
+def test_harmonic_accumulation_at_a_far_horizon_verifies(harmonic_file, tmp_path, capsys):
+    """At depth 22 and horizon 10^8 the descent and the verifier's count
+    both read the harmonic cells' runs of indices."""
+    cert = str(tmp_path / "acc.json")
+    budget = ["--depth", "22", "--horizon", str(10**8)]
+    solve = ["solve", "--problem", "accumulation", "-i", harmonic_file, "-o", cert]
+    assert main(solve + budget) == 0
+    assert main(["verify", "-i", harmonic_file, "--certificate", cert] + budget) == 0
+    assert capsys.readouterr().out.endswith("pass\n")
 
 
 def test_roundtrip_separation_bw_needs_depth_1(tmp_path, capsys):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import gc
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,15 +21,17 @@ import kernel_oracle
 from scan_oracle import unique_minimal
 from bwreduce import catalog, instances, solvers
 from bwreduce.certificates import Budget
-from bwreduce.core import CantorPoint, DyadicInterval, format_rational
+from bwreduce.core import CantorPoint, DyadicInterval, format_rational, leftmost_descent
 from bwreduce.errors import (
     BudgetExceededError,
     ExactValueUnavailableError,
     InvariantViolationError,
     MalformedSyntaxError,
+    NotANodeError,
     NotGroundTruthError,
     SchemaViolationError,
     UnserializableError,
+    WitnessExhaustedError,
 )
 from bwreduce.instances import (
     AlternatingSequence,
@@ -57,7 +60,7 @@ from bwreduce.instances import (
     serialize_instance,
 )
 from bwreduce.edges import EDGES
-from bwreduce.reductions import bw_to_swkl, bwweak_to_stcoh, stcoh_to_bwweak
+from bwreduce.reductions import branch_to_point, bw_to_swkl, bwweak_to_stcoh, stcoh_to_bwweak
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
@@ -256,30 +259,145 @@ far_tables = st.builds(
 )
 
 
+def harmonic_run_edges(level: int, a: int) -> tuple[int, ...]:
+    """The first j whose harmonic term lies in the closed level cell a, and
+    the first past them (none for a = 0), from the Fraction bounds of the
+    cell: 1/(j+1) <= (a+1)/2^L iff j + 1 >= 2^L/(a+1), and
+    1/(j+1) >= a/2^L iff j + 1 <= 2^L/a."""
+    first = math.ceil(Fraction(2**level, a + 1)) - 1
+    return (first, math.floor(Fraction(2**level, a))) if a else (first,)
+
+
+def harmonic_edge_stages(level: int) -> st.SearchStrategy[tuple[int, int]]:
+    """(a, stage) with a a level cell and the stage within two of one end
+    of the cell's run of harmonic terms."""
+    return st.integers(0, 2**level - 1).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.sampled_from(harmonic_run_edges(level, a)).flatmap(
+                lambda e: st.integers(max(e - 2, 0), e + 1)
+            ),
+        )
+    )
+
+
+def _bits_of(index: int, level: int) -> tuple[int, ...]:
+    return tuple((index >> (level - 1 - i)) & 1 for i in range(level))
+
+
 @settings(max_examples=300)
 @given(st.one_of(tree_sources, far_tables), st.data())
 def test_tree_witness_count_matches_the_sorted_terms(x, data):
-    """Integer cell keys over the weighted window count exactly what the
-    sorted Fraction list counts, and what the window that evaluates every
-    index below j0 counts, on cells with a term on or near an endpoint, at
-    levels up to 40 and at stages on both sides of each level's j0 + q (up
-    to 2^12 + 1, harmonic's window at level 12)."""
+    """Integer cell keys over the weighted window, or the harmonic
+    sequence's run of indices, count exactly what the sorted Fraction list
+    counts, and what the window that evaluates every index below j0 counts,
+    on cells with a term on or near an endpoint, at levels up to 40 and at
+    stages on both sides of each level's j0 + q (up to 2^12 + 1), and on
+    harmonic cells at stages on both sides of each end of their run."""
     tree = DerivedTree(x)
     for _ in range(6):
-        level = data.draw(st.integers(0, 40), "level")
-        struct = x.cell_structure(level)
-        edge = sum(struct) if struct is not None else 8
-        stages = st.integers(0, 160)
-        if edge <= 2**12 + 1:
-            stages = st.one_of(st.integers(max(edge - 3, 0), edge + 2), stages)
-        stage = data.draw(stages, "stage")
-        t = x.term(data.draw(st.integers(0, stage), "j"))
-        near = int(t * 2**level) + data.draw(st.integers(-1, 1), "shift")
-        index = min(max(near, 0), 2**level - 1)
-        bits = tuple((index >> (level - 1 - i)) & 1 for i in range(level))
+        if isinstance(x, HarmonicSequence) and data.draw(st.booleans(), "run edge"):
+            level = data.draw(st.integers(0, 12), "level")
+            index, stage = data.draw(harmonic_edge_stages(level), "cell and stage")
+        else:
+            level = data.draw(st.integers(0, 40), "level")
+            struct = x.cell_structure(level)
+            edge = sum(struct) if struct is not None else 8
+            stages = st.integers(0, 160)
+            if edge <= 2**12 + 1:
+                stages = st.one_of(st.integers(max(edge - 3, 0), edge + 2), stages)
+            stage = data.draw(stages, "stage")
+            t = x.term(data.draw(st.integers(0, stage), "j"))
+            near = int(t * 2**level) + data.draw(st.integers(-1, 1), "shift")
+            index = min(max(near, 0), 2**level - 1)
+        bits = _bits_of(index, level)
         want = kernel_oracle.witness_count(x, bits, stage)
         assert tree.witness_count(bits, stage) == want
         assert kernel_oracle.window_witness_count(x, bits, stage) == want
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 200), st.data())
+def test_harmonic_cell_run_is_the_integer_inequality(level, data):
+    """``cell_run`` is the run of j < stop with a(j + 1) <= 2^L <= (a + 1)(j + 1),
+    the closed cell a holding 1/(j + 1): its ends and their neighbours are
+    checked at stops up to 10^22, and the run's length, taken as
+    max(0, stop - start), is the tree's witness count at stage stop - 1."""
+    a = data.draw(st.integers(0, 2**level - 1), "a")
+    stop = data.draw(st.one_of(st.integers(0, 10**22 + 1), st.integers(0, 2**level + 2)), "stop")
+    run = HarmonicSequence().cell_run(level, a, stop)
+
+    def inside(j: int) -> bool:
+        return 0 <= j < stop and a * (j + 1) <= 2**level <= (a + 1) * (j + 1)
+
+    assert 0 <= run.start
+    if run.start < run.stop:  # the indices in a cell are one interval
+        assert inside(run.start) and inside(run.stop - 1)
+        assert not inside(run.start - 1) and not inside(run.stop)
+    else:
+        assert not any(inside(j) for j in harmonic_run_edges(level, a))
+    count = max(0, run.stop - run.start)
+    if stop:
+        assert DerivedTree(HarmonicSequence()).witness_count(_bits_of(a, level), stop - 1) == count
+
+
+# tables whose equal low entries sit at far indices, past every small stage
+far_low_tables = st.builds(
+    lambda base, k, low, default: TableSequence({base + i: low for i in range(k)}, default),
+    st.integers(0, 1000),
+    st.integers(1, 9),
+    boundary_fractions,
+    boundary_fractions,
+)
+
+
+def _back_map(fn, tree, bits, stage):
+    try:
+        return fn(tree, bits, stage)
+    except (NotANodeError, WitnessExhaustedError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tree_sources, far_tables, far_low_tables), st.data())
+def test_branch_to_point_matches_the_fraction_scan(x, data):
+    """Each pick read off ``first_in_cell`` is the index the Fraction scan
+    from the last pick finds, on every node of the leftmost branch and of a
+    random descent over members, and on random nodes (so non-nodes raise
+    alike), at stages near a table's last listed index and, for the
+    harmonic sequence, near each end of the run of a drawn cell, whose bits
+    are among the nodes."""
+    tree = bw_to_swkl(x)
+    nodes = [
+        data.draw(st.lists(st.integers(0, 1), max_size=10).map(tuple), "node")
+        for _ in range(3)
+    ]
+    if isinstance(x, HarmonicSequence):
+        level = data.draw(st.integers(1, 10), "level")
+        index, stage = data.draw(harmonic_edge_stages(level), "cell and stage")
+        nodes.append(_bits_of(index, level))
+        stage = data.draw(st.sampled_from([stage, stage + 2**level]), "stage")
+    else:
+        edge = max(x.entries, default=0) if isinstance(x, TableSequence) else 0
+        stage = data.draw(
+            st.one_of(st.integers(0, 160), st.integers(max(edge - 10, 0), edge + 10)), "stage"
+        )
+    depth = data.draw(st.integers(1, 10), "depth")
+    branch = leftmost_descent(depth, lambda b: tree.member_at_stage(b, stage)) or ()
+    nodes += [branch[:d] for d in range(len(branch) + 1)]
+    walk: tuple[int, ...] = ()  # a random descent over members
+    while len(walk) < depth:
+        first = data.draw(st.integers(0, 1), "child")
+        kids = [walk + (c,) for c in (first, 1 - first)]
+        kids = [k for k in kids if tree.member_at_stage(k, stage)]
+        if not kids:
+            break
+        walk = kids[0]
+        nodes.append(walk)
+    for bits in nodes:
+        assert _back_map(branch_to_point, tree, bits, stage) == _back_map(
+            kernel_oracle.branch_to_point, tree, bits, stage
+        )
 
 
 cell_sources = st.one_of(
@@ -345,9 +463,10 @@ def test_tree_work_on_a_binary_walk_is_a_level_window(value):
         assert len(calls) <= level + value.denominator.bit_length() + 1
 
 
-def test_tree_work_on_the_harmonic_sequence_is_a_level_window():
-    """At stage 10^8 the harmonic sequence's tree evaluates the 2^level + 1
-    terms j <= 2^level: every later term keys as 1 at that level."""
+def test_tree_work_on_the_harmonic_sequence_reads_no_term():
+    """At stage 10^8 the harmonic sequence's tree counts each cell off its
+    run of indices, ceil(2^L/(a+1)) <= j + 1 <= floor(2^L/a), and reads no
+    term."""
     x = HarmonicSequence()
     calls = []
     x.term = lambda j: calls.append(j) or HarmonicSequence.term(x, j)
@@ -355,8 +474,7 @@ def test_tree_work_on_the_harmonic_sequence_is_a_level_window():
     stage = 10**8
     for level in range(9):
         assert tree.witness_count((0,) * level, stage) == stage + 2 - 2**level
-        assert len(calls) <= 2**level + 1
-    assert len(calls) == 2**8 + 1
+    assert calls == []
 
 
 # --- set families -----------------------------------------------------------------

@@ -28,6 +28,7 @@ from bwreduce.instances import (
     CallbackPredicate,
     Cond,
     ConstantSequence,
+    HarmonicSequence,
     PeriodicSequence,
     RulePredicate,
     SeparationInstance,
@@ -74,6 +75,13 @@ def test_branch_to_point_skips_terms_outside_cells():
     bp = branch_to_point(bw_to_swkl(x), (1, 1, 1, 1), stage=7)
     assert bp.selector.values == (1, 3, 5)
     assert bp.approx == Fraction(15, 16)
+
+
+def test_branch_to_point_picks_past_a_term_of_nested_cells():
+    """1/8 (j = 7) is the first harmonic term of [0, 1/8] and of its right
+    half [1/16, 1/8], whose pick is therefore the next term in it, 1/9."""
+    bp = branch_to_point(bw_to_swkl(HarmonicSequence()), (0, 0, 0, 1, 0), stage=15)
+    assert bp.selector.values == (1, 3, 7, 8)
 
 
 def test_branch_to_point_rejects_non_nodes():

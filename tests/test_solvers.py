@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import kernel_oracle
 from bwreduce import catalog, instances
 from bwreduce.certificates import (
+    AccumulationResult,
     Budget,
     BranchPrefix,
     CauchyCertificate,
@@ -77,6 +78,7 @@ from bwreduce.solvers import (
     verify_branch,
     verify_cauchy,
     verify_cohesive,
+    verify_accumulation,
     verify_separator,
     _suffix_extrema,
     witness_from_selector,
@@ -227,6 +229,60 @@ def test_accumulation_exact_chain_matches_the_per_level_cells(x, depth, horizon,
     budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
     assert _outcome(find_accumulation_real, x, budget) == _outcome(
         kernel_oracle.find_accumulation_real, x, budget
+    )
+
+
+_accumulation_sources = st.one_of(
+    st.builds(
+        PeriodicSequence,
+        st.lists(_boundary_values, max_size=3),
+        st.lists(_boundary_values, min_size=1, max_size=4),
+    ),
+    st.builds(BinaryWalkSequence, _boundary_values),
+    st.builds(
+        TableSequence,
+        st.dictionaries(st.integers(0, 80), _boundary_values, max_size=6),
+        _boundary_values,
+    ),
+    st.just(HarmonicSequence()),
+)
+
+
+@settings(max_examples=400)
+@given(
+    _accumulation_sources,
+    st.booleans(),
+    st.integers(1, 10),
+    st.integers(1, 300),
+    st.integers(0, 12),
+    st.data(),
+)
+def test_verify_accumulation_matches_the_fraction_count(x, hide, depth, horizon, threshold, data):
+    """The last cell counted through ``first_in_cell`` gives the verdict and
+    the violation that one Fraction comparison per term from j = 0 gives,
+    on found results, on random chains (some broken at one cell) with
+    approximants at the cell's ends or at a term, claimed exact or not, and
+    on sources with their window hidden."""
+    if hide:
+        x = _HiddenStructure(x)
+    budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
+    found = _outcome(find_accumulation_real, x, budget)
+    if isinstance(found, AccumulationResult) and data.draw(st.booleans(), "found"):
+        result = found
+    else:
+        index = data.draw(st.integers(0, 2**depth - 1), "index")
+        chain = [DyadicInterval(d + 1, index >> (depth - 1 - d)) for d in range(depth)]
+        if data.draw(st.booleans(), "break"):
+            d = data.draw(st.integers(0, depth - 1), "broken level")
+            chain[d] = DyadicInterval(d + 1 + data.draw(st.integers(0, 1)), chain[d].index ^ 2)
+        last = chain[-1]
+        approx = data.draw(
+            st.sampled_from([last.lower, last.upper, x.term(data.draw(st.integers(0, 40)))]),
+            "approx",
+        )
+        result = AccumulationResult(tuple(chain), approx, data.draw(st.booleans(), "exact"))
+    assert verify_accumulation(result, x, budget) == kernel_oracle.verify_accumulation(
+        result, x, budget
     )
 
 
