@@ -35,7 +35,7 @@ def _expect_array(value: Any, message: str, path: str) -> list[Any]:
 
 
 def _expect_object(value: Any, message: str, path: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
+    if not isinstance(value, dict):  # the JSON reader builds only dicts
         raise SchemaViolationError(message, path)
     return value
 

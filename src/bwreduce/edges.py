@@ -210,7 +210,7 @@ def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = 
     if isinstance(cert, CohesiveWitness) and isinstance(instance, SetFamily):
         return solvers.verify_cohesive(cert, instance, strong_levels=strong_levels)
     if isinstance(cert, SeparatorSet) and isinstance(instance, SeparationInstance):
-        return solvers.verify_separator(cert, instance, budget.depth, budget)
+        return solvers.verify_separator(cert, instance, budget.depth)
     if isinstance(cert, BranchPrefix) and isinstance(instance, SigmaTree):
         return solvers.verify_branch(cert, instance)
     if isinstance(cert, AccumulationResult) and isinstance(instance, RationalSequence):

@@ -17,6 +17,9 @@ table maps (kind, form) to that class, or a certificate kind alone to its
 class, and the envelope reader dispatches through it and attaches ``meta``
 to whatever it parsed.  Parsing reports malformed syntax, schema violations
 and invariant violations separately, each with a dotted location.
+The listed forms share one body per kind: ``periodic``, ``constant``,
+``alternating`` and ``table`` sequences are a ``_ListedSequence``, and
+``periodic_rows`` and ``table_rows`` families a ``_ListedRowsFamily``.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 and ``serialize ∘ parse`` is the identity on canonical bytes.  Derived
 instances (built by reductions) carry their source and are re-derived on
@@ -78,6 +81,10 @@ def _check_unit(q: Fraction, what: str) -> Fraction:
     if not 0 <= q.numerator <= q.denominator:
         raise ValueError(f"{what} {format_rational(q)} outside [0, 1]")
     return q
+
+
+def _units(values: Iterable[Fraction], what: str) -> tuple[Fraction, ...]:
+    return tuple(_check_unit(Fraction(q), what) for q in values)
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,32 @@ class RationalSequence:
         raise UnserializableError(f"{self.form or type(self).__name__} has no file form")
 
 
-class PeriodicSequence(RationalSequence):
+class _ListedSequence(RationalSequence):
+    """The one body of the ``periodic``, ``constant``, ``alternating`` and
+    ``table`` forms: below j0, one past the last listed index, term(i) is
+    listed; from j0 on it is period[(i - j0) % q].  Only a table leaves an
+    index below j0 unlisted, and its q = 1, so such an index holds the
+    default, period[0]."""
+
+    def __init__(self, entries: dict[int, Fraction], period: Sequence[Fraction]):
+        self.entries = entries  # sorted by index
+        self.period = tuple(period)
+        self._j0 = next(reversed(entries)) + 1 if entries else 0
+
+    def term(self, i: int) -> Fraction:
+        if i < self._j0:
+            return self.entries.get(i, self.period[0])
+        return self.period[(i - self._j0) % len(self.period)]
+
+    def periodic_structure(self) -> tuple[int, int]:
+        return self._j0, len(self.period)
+
+    def prefix_indices(self, j0: int) -> Sequence[int]:
+        listed = list(self.entries)
+        return listed[: bisect_left(listed, j0)]
+
+
+class PeriodicSequence(_ListedSequence):
     """Explicit eventually periodic list of rationals."""
 
     form = "periodic"
@@ -191,21 +223,12 @@ class PeriodicSequence(RationalSequence):
     def __init__(self, prefix: Sequence[Fraction], period: Sequence[Fraction]):
         if len(period) == 0:
             raise ValueError("period must be non-empty")
-        self.prefix = tuple(_check_unit(Fraction(q), "term") for q in prefix)
-        self.period = tuple(_check_unit(Fraction(q), "term") for q in period)
-
-    def term(self, i: int) -> Fraction:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.period[(i - len(self.prefix)) % len(self.period)]
-
-    def periodic_structure(self) -> tuple[int, int]:
-        return len(self.prefix), len(self.period)
+        super().__init__(dict(enumerate(_units(prefix, "term"))), _units(period, "term"))
 
     def to_repr(self) -> dict[str, Any]:
         return {
             "form": "periodic",
-            "prefix": [format_rational(q) for q in self.prefix],
+            "prefix": [format_rational(q) for q in self.entries.values()],
             "period": [format_rational(q) for q in self.period],
         }
 
@@ -217,20 +240,14 @@ class PeriodicSequence(RationalSequence):
         )
 
 
-class ConstantSequence(RationalSequence):
+class ConstantSequence(_ListedSequence):
     form = "constant"
 
     def __init__(self, value: Fraction):
-        self.value = _check_unit(Fraction(value), "constant value")
-
-    def term(self, i: int) -> Fraction:
-        return self.value
-
-    def periodic_structure(self) -> tuple[int, int]:
-        return 0, 1
+        super().__init__({}, _units((value,), "constant value"))
 
     def to_repr(self) -> dict[str, Any]:
-        return {"form": "constant", "value": format_rational(self.value)}
+        return {"form": "constant", "value": format_rational(self.period[0])}
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "ConstantSequence":
@@ -262,27 +279,17 @@ class HarmonicSequence(RationalSequence):
         return HarmonicSequence()
 
 
-class AlternatingSequence(RationalSequence):
+class AlternatingSequence(_ListedSequence):
     """term(2i) = a, term(2i+1) = b."""
 
     form = "alternating"
 
     def __init__(self, a: Fraction, b: Fraction):
-        self.a = _check_unit(Fraction(a), "term")
-        self.b = _check_unit(Fraction(b), "term")
-
-    def term(self, i: int) -> Fraction:
-        return self.a if i % 2 == 0 else self.b
-
-    def periodic_structure(self) -> tuple[int, int]:
-        return 0, 2
+        super().__init__({}, _units((a, b), "term"))
 
     def to_repr(self) -> dict[str, Any]:
-        return {
-            "form": "alternating",
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-        }
+        a, b = self.period
+        return {"form": "alternating", "a": format_rational(a), "b": format_rational(b)}
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str) -> "AlternatingSequence":
@@ -334,29 +341,16 @@ class BinaryWalkSequence(RationalSequence):
         return BinaryWalkSequence(parse_rational(obj.get("value"), location=f"{path}.value"))
 
 
-class TableSequence(RationalSequence):
+class TableSequence(_ListedSequence):
     """Finitely many listed terms, a fixed default everywhere else."""
 
     form = "table"
 
     def __init__(self, entries: Mapping[int, Fraction], default: Fraction):
-        self.entries = {
-            int(i): _check_unit(q, "term") for i, q in sorted(entries.items())
-        }
-        if any(i < 0 for i in self.entries):
+        listed = {int(i): _check_unit(q, "term") for i, q in sorted(entries.items())}
+        if any(i < 0 for i in listed):
             raise ValueError("table indices must be naturals")
-        self.default = _check_unit(default, "default term")
-
-    def term(self, i: int) -> Fraction:
-        return self.entries.get(i, self.default)
-
-    def periodic_structure(self) -> tuple[int, int]:
-        bound = max(self.entries) + 1 if self.entries else 0
-        return bound, 1
-
-    def prefix_indices(self, j0: int) -> Sequence[int]:
-        listed = list(self.entries)  # an unlisted index holds the default
-        return listed[: bisect_left(listed, j0)]
+        super().__init__(listed, (_check_unit(default, "default term"),))
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -364,7 +358,7 @@ class TableSequence(RationalSequence):
             "entries": [
                 {"index": i, "value": format_rational(q)} for i, q in self.entries.items()
             ],
-            "default": format_rational(self.default),
+            "default": format_rational(self.period[0]),
         }
 
     @staticmethod
@@ -640,8 +634,9 @@ class DerivedTree(SigmaTree):
     ``prefix_indices`` leave indices out (a table) has only its listed terms
     evaluated; the others hold term(j0) and weigh on it.  A periodic source
     has one window for every level and a binary walk's is about
-    L + bitlen(den) terms.  Terms evaluated index by index are kept,
-    whatever the stage.  A source whose ``cell_run`` names the indices in a
+    L + bitlen(den) terms, and a source with none is the one window
+    (0, s + 1).  Terms evaluated index by index are read before any weight
+    is sized and kept, whatever the stage.  A source whose ``cell_run`` names the indices in a
     cell (the harmonic sequence) is counted off that run, reading no term."""
 
     form = "derived"
@@ -656,17 +651,17 @@ class DerivedTree(SigmaTree):
         """((numerator, denominator), weight) of the terms j <= stage, as
         keyed at ``level``.  Left-out indices weigh on term(j0) unless the
         terms below them are kept already."""
-        j0, q = self.source.cell_structure(level) or (stage + 1, 1)
+        j0, q = self.source.cell_structure(level) or (0, stage + 1)  # else each j <= stage is a slot
         below = j0 if j0 <= stage else stage + 1
         if below > len(self._terms) and len(listed := self.source.prefix_indices(below)) < below:
             terms = [self.source.term(j) for j in (*listed, j0)]
             weights = [1] * len(listed) + [below - len(listed) + len(range(j0, stage + 1))]
             return zip([(t.numerator, t.denominator) for t in terms], weights)
         laps, part = divmod(stage + 1 - below, q)
-        weights = [1] * below + [laps + 1] * part + ([laps] * (q - part) if laps else [])
-        for j in range(len(self._terms), len(weights)):
-            t = self.source.term(j)
+        for j in range(len(self._terms), below + (q if laps else part)):
+            t = self.source.term(j)  # read before any weight list is sized
             self._terms.append((t.numerator, t.denominator))
+        weights = [1] * below + [laps + 1] * part + ([laps] * (q - part) if laps else [])
         return zip(self._terms, weights)
 
     def witness_count(self, bits: Bits, stage: int) -> int:
@@ -759,7 +754,7 @@ class Cond:
 
     @staticmethod
     def from_repr(obj: Any, path: str) -> "Cond":
-        if not isinstance(obj, Mapping) or "test" not in obj:
+        if not isinstance(obj, dict) or "test" not in obj:
             raise SchemaViolationError("condition must be an object with a test", path)
         test = obj["test"]
         try:
@@ -880,7 +875,7 @@ class RulePredicate:
 
     @staticmethod
     def from_repr(obj: Any, path: str) -> "RulePredicate":
-        if not isinstance(obj, Mapping) or "rule" not in obj:
+        if not isinstance(obj, dict) or "rule" not in obj:
             raise SchemaViolationError("predicate must be an object with a rule", path)
         cond = Cond("always")
         if "cond" in obj:
@@ -1003,14 +998,6 @@ class SeparationInstance:
     def has_ground_truth(self) -> bool:
         return all(isinstance(p, RulePredicate) for p in self.predicates)
 
-    def _rule(self, i: int) -> RulePredicate:
-        pred = self.predicates[i]
-        if not isinstance(pred, RulePredicate):
-            raise NotGroundTruthError(
-                "totality oracle exists only for closed rule predicates"
-            )
-        return pred
-
     def totality(self, i: int, n: int) -> bool:
         """Ground truth for ∀x∃y B_i(x, y; n) (iff rng(g_i(n, ·)) = ℕ)."""
         return self.first_failure(i, n) is None
@@ -1019,19 +1006,11 @@ class SeparationInstance:
         """Side i's least x with no witness at n, asked of its rule once."""
         key = (i, n)
         if key not in self._failures:
-            self._failures[key] = self._rule(i).first_failure(n)
+            pred = self.predicates[i]
+            if not isinstance(pred, RulePredicate):
+                raise NotGroundTruthError("totality oracle exists only for closed rule predicates")
+            self._failures[key] = pred.first_failure(n)
         return self._failures[key]
-
-    def choice_values(self, i: int, n: int, count: int) -> list[int]:
-        """Minimal witnesses for x < count (requires totality through count)."""
-        rule = self._rule(i)
-        out = []
-        for x in range(count):
-            w = rule.minimal_witness(x, n)
-            if w is None:
-                raise NotGroundTruthError(f"side {i} has no witness at x = {x}, n = {n}")
-            out.append(w)
-        return out
 
     def to_repr(self) -> dict[str, Any]:
         if self.provenance is not None:
@@ -1125,8 +1104,9 @@ class SetFamily:
 
     def periodic_structure(self, levels: int) -> tuple[int, int] | None:
         """(J0, Q) such that, jointly for rows n < levels, membership of j is
-        periodic in j with period Q beyond J0; None when unknown."""
-        return None
+        periodic in j with period Q beyond J0: the column window, which holds
+        for any rows, unless a form knows a tighter one; None when unknown."""
+        return self.column_structure()
 
     def column_point(self, i: int) -> CantorPoint:
         """The Cantor point n -> [i ∈ R_n]."""
@@ -1142,13 +1122,20 @@ class SetFamily:
 
 
 class _ListedRowsFamily(SetFamily):
-    """A family whose rows are drawn from a few listed patterns."""
+    """The one body of the ``periodic_rows`` and ``table_rows`` forms: row n
+    is read as term n of a ``_ListedSequence`` is, listed below j0 and
+    period[(n - j0) % q] from j0 on."""
 
-    def __init__(self, listed: Sequence[CantorPoint]):
-        self._window = joint_window(listed)
+    def __init__(self, entries: dict[int, CantorPoint], period: Sequence[CantorPoint]):
+        self.entries = entries  # sorted by index
+        self.period = tuple(period)
+        self._j0 = next(reversed(entries)) + 1 if entries else 0
+        self._window = joint_window([*entries.values(), *self.period])
 
     def row(self, n: int) -> CantorPoint:
-        raise NotImplementedError
+        if n < self._j0:
+            return self.entries.get(n, self.period[0])
+        return self.period[(n - self._j0) % len(self.period)]
 
     def member(self, n: int, j: int) -> bool:
         return self.row(n).bit(j) == 1
@@ -1159,6 +1146,11 @@ class _ListedRowsFamily(SetFamily):
     def column_structure(self) -> tuple[int, int]:
         return self._window
 
+    def column_point(self, i: int) -> CantorPoint:
+        return CantorPoint.periodic(
+            [self.row(n).bit(i) for n in range(self._j0)], [r.bit(i) for r in self.period]
+        )
+
 
 class PeriodicRowsFamily(_ListedRowsFamily):
     """Rows cycle through finitely many patterns beyond a finite prefix."""
@@ -1168,25 +1160,13 @@ class PeriodicRowsFamily(_ListedRowsFamily):
     def __init__(self, row_prefix: Sequence[CantorPoint], row_period: Sequence[CantorPoint]):
         if len(row_period) == 0:
             raise ValueError("row period must be non-empty")
-        self.row_prefix = tuple(row_prefix)
-        self.row_period = tuple(row_period)
-        super().__init__(self.row_prefix + self.row_period)
-
-    def row(self, n: int) -> CantorPoint:
-        if n < len(self.row_prefix):
-            return self.row_prefix[n]
-        return self.row_period[(n - len(self.row_prefix)) % len(self.row_period)]
-
-    def column_point(self, i: int) -> CantorPoint:
-        return CantorPoint.periodic(
-            [r.bit(i) for r in self.row_prefix], [r.bit(i) for r in self.row_period]
-        )
+        super().__init__(dict(enumerate(row_prefix)), row_period)
 
     def to_repr(self) -> dict[str, Any]:
         return {
             "form": "periodic_rows",
-            "row_prefix": [_point_repr(r) for r in self.row_prefix],
-            "row_period": [_point_repr(r) for r in self.row_period],
+            "row_prefix": [_point_repr(r) for r in self.entries.values()],
+            "row_period": [_point_repr(r) for r in self.period],
         }
 
     @staticmethod
@@ -1206,24 +1186,18 @@ class TableRowsFamily(_ListedRowsFamily):
     form = "table_rows"
 
     def __init__(self, entries: Mapping[int, CantorPoint], default: CantorPoint):
-        self.entries = {int(n): r for n, r in sorted(entries.items())}
-        if any(n < 0 for n in self.entries):
+        listed = {int(n): r for n, r in sorted(entries.items())}
+        if any(n < 0 for n in listed):
             raise ValueError("row indices must be naturals")
-        self.default = default
-        super().__init__([*self.entries.values(), default])
-
-    def row(self, n: int) -> CantorPoint:
-        return self.entries.get(n, self.default)
+        super().__init__(listed, (default,))
 
     def column_point(self, i: int) -> CantorPoint:
-        bound = max(self.entries) + 1 if self.entries else 0
-        if bound > MAX_DIGIT_WALK:
+        if self._j0 > MAX_DIGIT_WALK:
             raise BudgetExceededError(
-                f"a column of a table with a row listed at {bound - 1} has "
-                f"{bound} prefix bits, past the limit of {MAX_DIGIT_WALK}"
+                f"a column of a table with a row listed at {self._j0 - 1} has "
+                f"{self._j0} prefix bits, past the limit of {MAX_DIGIT_WALK}"
             )
-        prefix = [self.row(n).bit(i) for n in range(bound)]
-        return CantorPoint.periodic(prefix, [self.default.bit(i)])
+        return super().column_point(i)
 
     def to_repr(self) -> dict[str, Any]:
         return {
@@ -1231,7 +1205,7 @@ class TableRowsFamily(_ListedRowsFamily):
             "entries": [
                 {"index": n, "row": _point_repr(r)} for n, r in self.entries.items()
             ],
-            "default": _point_repr(self.default),
+            "default": _point_repr(self.period[0]),
         }
 
     @staticmethod
@@ -1248,7 +1222,8 @@ class TableRowsFamily(_ListedRowsFamily):
 # the digit walk of _binary_digit_point takes as many steps as the
 # multiplicative order of 2 modulo the odd part of the denominator, which a
 # denominator of a few dozen digits puts out of reach; a longer walk is
-# refused, and so is a table_rows column prefix longer than this
+# refused, and so is a table_rows column prefix longer than this (its
+# length is the last listed index, not a count of the file's rows)
 MAX_DIGIT_WALK = 1 << 16
 
 
@@ -1341,9 +1316,6 @@ class DerivedFamily(SetFamily):
                 bits &= -1 << (b - max(a, e) + 1)
             out = out << c | bits
         return out
-
-    def periodic_structure(self, levels: int) -> tuple[int, int] | None:
-        return self.source.periodic_structure()
 
     def column_structure(self) -> tuple[int, int] | None:
         return self.source.periodic_structure()

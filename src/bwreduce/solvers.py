@@ -485,12 +485,10 @@ def verify_separator(
     separator: SeparatorSet,
     p: SeparationInstance,
     upto: int,
-    budget: Budget | None = None,
 ) -> SeparatorViolation | None:
     """Check both separation implications for every n < upto against the
     instance's exact totality oracle (closed rule predicates only; ground
-    truth needs no search bound, so the budget is accepted for signature
-    uniformity and unused)."""
+    truth needs no search bound)."""
     if not p.has_ground_truth():
         raise NotGroundTruthError(
             "separator verification needs rule-backed predicates"

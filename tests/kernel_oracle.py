@@ -47,6 +47,10 @@ writes a bit string as bytes in one step.
 This module keeps the direct forms they must agree with: the dyadic-cell
 parity of term(j)·2^n as a ``Fraction``; the derived column pattern read at
 j itself, unfolded and unmemoized; each listed row looked up and read at j;
+the terms, (j0, q) window and listed indices of the four listed sequence
+forms, and the rows and columns of the two listed family forms, each read
+off the form's ``to_repr`` by that form's own rule, never off the one
+shared body's attributes;
 the cohesion verifier and back-translation that ask ``member`` once per row
 and selected value; the geometric series summed term by term; the
 enumeration that evaluates the membership pattern of every j below the
@@ -80,10 +84,11 @@ back map that scans the terms from each last pick on with a
 last cell by one ``Fraction`` comparison per term from j = 0; the
 full-row note read off every column of the (j0, q) window; and
 the bit string joined from one str per bit.  It also keeps
-four helpers that only tests use: half-open cell membership, the
+five helpers that only tests use: half-open cell membership, the
 bit-by-bit equality of eventually periodic points, the equality of both
-sides' least-witness streams, compared past every pin and bound, and a
-derived row read as full by ``member`` over its source's window.
+sides' least-witness streams, compared past every pin and bound, a
+derived row read as full by ``member`` over its source's window, and a
+side's minimal witnesses below a count.
 """
 
 from __future__ import annotations
@@ -127,7 +132,6 @@ from bwreduce.instances import (
     DerivedTree,
     EmbeddedSequence,
     FullBinaryTree,
-    PeriodicRowsFamily,
     RationalSequence,
     RowPattern,
     RulePredicate,
@@ -172,13 +176,81 @@ def derived_pattern(family: DerivedFamily, j: int, rows) -> int:
     return out
 
 
+def _repr_point(obj: dict) -> RowPattern:
+    return CantorPoint.periodic(tuple(map(int, obj["prefix"])), tuple(map(int, obj["period"])))
+
+
+def listed_term(x: RationalSequence, i: int) -> Fraction:
+    """Term i of a ``periodic``, ``constant``, ``alternating`` or ``table``
+    sequence, read off its file form by that form's own rule."""
+    r = x.to_repr()
+    if r["form"] == "constant":
+        return Fraction(r["value"])
+    if r["form"] == "alternating":
+        return Fraction(r["b"] if i % 2 else r["a"])
+    if r["form"] == "periodic":
+        prefix, period = r["prefix"], r["period"]
+        return Fraction(prefix[i] if i < len(prefix) else period[(i - len(prefix)) % len(period)])
+    listed = {e["index"]: e["value"] for e in r["entries"]}
+    return Fraction(listed.get(i, r["default"]))
+
+
+def listed_structure(x: RationalSequence) -> tuple[int, int]:
+    """(prefix length, period length) of a listed sequence's file form; a
+    table's prefix runs to one past its last listed index."""
+    r = x.to_repr()
+    if r["form"] == "periodic":
+        return len(r["prefix"]), len(r["period"])
+    if r["form"] == "table":
+        return max((e["index"] + 1 for e in r["entries"]), default=0), 1
+    return 0, 1 if r["form"] == "constant" else 2
+
+
+def listed_prefix_indices(x: RationalSequence, j0: int) -> list[int]:
+    """Every index below j0, or for a table its listed indices below j0."""
+    r = x.to_repr()
+    if r["form"] == "table":
+        return sorted(e["index"] for e in r["entries"] if e["index"] < j0)
+    return list(range(j0))
+
+
 def listed_row(family: SetFamily, n: int) -> RowPattern:
-    """Row n of a ``periodic_rows`` or ``table_rows`` family."""
-    if isinstance(family, PeriodicRowsFamily):
-        if n < len(family.row_prefix):
-            return family.row_prefix[n]
-        return family.row_period[(n - len(family.row_prefix)) % len(family.row_period)]
-    return family.entries.get(n, family.default)
+    """Row n of a ``periodic_rows`` or ``table_rows`` family, read off its
+    file form by that form's own rule."""
+    r = family.to_repr()
+    if r["form"] == "periodic_rows":
+        prefix, period = r["row_prefix"], r["row_period"]
+        return _repr_point(prefix[n] if n < len(prefix) else period[(n - len(prefix)) % len(period)])
+    listed = {e["index"]: e["row"] for e in r["entries"]}
+    return _repr_point(listed.get(n, r["default"]))
+
+
+def listed_column_point(family: SetFamily, i: int) -> CantorPoint:
+    """Column i of a listed family: bit i of each row below the end of its
+    file form's prefix (one past a table's last listed index), then of each
+    period row."""
+    r = family.to_repr()
+    if r["form"] == "periodic_rows":
+        prefix, period = r["row_prefix"], r["row_period"]
+    else:
+        listed = {e["index"]: e["row"] for e in r["entries"]}
+        prefix = [listed.get(n, r["default"]) for n in range(max(listed, default=-1) + 1)]
+        period = [r["default"]]
+    return CantorPoint.periodic(
+        tuple(_repr_point(p).bit(i) for p in prefix), tuple(_repr_point(p).bit(i) for p in period)
+    )
+
+
+def choice_values(p: SeparationInstance, i: int, n: int, count: int) -> list[int]:
+    """Side i's minimal witnesses at n for x < count; a side with no
+    witness at some x < count has no such list."""
+    out = []
+    for x in range(count):
+        w = p.predicates[i].minimal_witness(x, n)
+        if w is None:
+            raise NotGroundTruthError(f"side {i} has no witness at x = {x}, n = {n}")
+        out.append(w)
+    return out
 
 
 def row_is_full(family: DerivedFamily, n: int) -> bool:
@@ -499,7 +571,7 @@ def stabilization_bound(p: SeparationInstance, n: int, code_budget: int = 10**6)
     target = cap + 1 if winner == 1 else cap
     if target == 0:
         return 0
-    kstar = seq_code(p.choice_values(winner, n, target)) + 1
+    kstar = seq_code(choice_values(p, winner, n, target)) + 1
     if kstar > code_budget:
         raise BudgetExceededError(
             f"stabilization bound {kstar} exceeds code budget {code_budget}"

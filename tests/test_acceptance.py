@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import kernel_oracle
 from bwreduce import catalog, reductions, solvers
 from bwreduce.certificates import BranchPrefix, Budget, CauchyCertificate, SeparatorSet
 from bwreduce.cli import main
@@ -159,7 +160,7 @@ def test_criterion_3_valid_code_machinery():
                     for m in range(4):
                         if ff is not None and ff < m:
                             continue  # stream undefined that far out
-                        fbar = seq_code(tuple(p.choice_values(i, n, m)))
+                        fbar = seq_code(tuple(kernel_oracle.choice_values(p, i, n, m)))
                         if fbar + 1 > CODE_BUDGET:
                             continue
                         got = reductions.f_code(p, i, n, fbar + 1, CODE_BUDGET)
@@ -208,7 +209,7 @@ def _separation_roundtrips() -> dict[str, bytes]:
             lambda k: x.point(kstar + k), budget
         )
         sep = SeparatorSet(tuple(bits))
-        bad = solvers.verify_separator(sep, p, LEVELS, budget)
+        bad = solvers.verify_separator(sep, p, LEVELS)
         assert bad is None, f"{name}: {bad}"
         verdicts[name] = "pass"
         artifacts[f"{name}/separator"] = serialize_instance(sep)

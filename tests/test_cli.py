@@ -532,7 +532,7 @@ FAR_ROWS = str(Path(__file__).parent / "data" / "far_rows.json")
 
 def test_far_rows_file_is_mixed_table_with_a_row_moved_far():
     family = catalog.FAMILIES["mixed-table"]
-    far = TableRowsFamily({0: family.entries[0], 10**12: family.entries[3]}, family.default)
+    far = TableRowsFamily({0: family.entries[0], 10**12: family.entries[3]}, family.period[0])
     assert Path(FAR_ROWS).read_bytes() == serialize_instance(far)
 
 
@@ -576,6 +576,27 @@ def test_accumulation_past_a_far_table_entry_weighs_the_listed_terms(capsys):
     args = ["solve", "--problem", "accumulation", "-i", FAR_ENTRY, "--horizon", str(2 * 10**12)]
     assert main(args) == 0
     assert capsys.readouterr().out == "approx 1/3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "--pair", "bw-swkl", "--stage"],
+        ["solve", "--problem", "accumulation", "--horizon"],
+    ],
+)
+@pytest.mark.parametrize("far", [100, 10**22])
+def test_far_stage_on_an_h_stream_reads_term_0_first(tmp_path, capsys, argv, far):
+    """The h-stream has no window, so the tree reads it as the one window
+    (0, stage + 1); term 0 is read, and is rule-backed, before any weight
+    list is sized, at any stage."""
+    src = tmp_path / "separation.json"
+    src.write_bytes(serialize_instance(catalog.SEPARATIONS["odds-vs-evens"]))
+    hstream = str(tmp_path / "hstream.json")
+    assert main(["reduce", "--from", "separation", "--to", "bw", "-i", str(src), "-o", hstream]) == 0
+    capsys.readouterr()
+    assert main([*argv, str(far), "-i", hstream]) == 4
+    assert capsys.readouterr().err == "error: term 0 of h-stream is rule-backed\n"
 
 
 FAR_LOW = str(Path(__file__).parent / "data" / "table_far_low.json")
@@ -914,6 +935,90 @@ def test_table_index_must_be_a_natural(tmp_path, capsys, pair, source, index):
     err = capsys.readouterr().err
     assert err.startswith("error: $.repr.entries[0].index")
     assert "Traceback" not in err
+
+
+def _point(prefix: str, period: str) -> dict:
+    return {"prefix": prefix, "period": period}
+
+
+_BROKEN_LISTED_FORMS = {
+    "constant": ({"form": "constant", "value": "2/1"}, "$.repr: constant value 2/1 outside [0, 1]"),
+    "walk": ({"form": "binary_walk", "value": "5/3"}, "$.repr: walk target 5/3 outside [0, 1]"),
+    "periodic-prefix": (
+        {"form": "periodic", "prefix": ["5/4"], "period": ["1/2"]},
+        "$.repr: term 5/4 outside [0, 1]",
+    ),
+    "periodic-period": (
+        {"form": "periodic", "prefix": [], "period": ["1/2", "9/8"]},
+        "$.repr: term 9/8 outside [0, 1]",
+    ),
+    "periodic-empty": (
+        {"form": "periodic", "prefix": ["5/4"], "period": []},
+        "$.repr: period must be non-empty",
+    ),
+    "alternating-a": (
+        {"form": "alternating", "a": "5/2", "b": "3/2"},
+        "$.repr: term 5/2 outside [0, 1]",
+    ),
+    "alternating-b": (
+        {"form": "alternating", "a": "1/2", "b": "3/2"},
+        "$.repr: term 3/2 outside [0, 1]",
+    ),
+    "table-entry": (
+        {"form": "table", "entries": [{"index": 2, "value": "7/3"}], "default": "3/2"},
+        "$.repr: term 7/3 outside [0, 1]",
+    ),
+    "table-default": (
+        {"form": "table", "entries": [{"index": 2, "value": "1/3"}], "default": "3/2"},
+        "$.repr: default term 3/2 outside [0, 1]",
+    ),
+    "table-index": (
+        {"form": "table", "entries": [{"index": -1, "value": "1/3"}], "default": "1/2"},
+        "$.repr.entries[0].index: expected a natural, got -1",
+    ),
+    "rows-empty": (
+        {"form": "periodic_rows", "row_prefix": [_point("1", "0")], "row_period": []},
+        "$.repr: row period must be non-empty",
+    ),
+    "rows-point": (
+        {"form": "periodic_rows", "row_prefix": [], "row_period": [_point("1", "")]},
+        "$.repr.row_period[0].period: period must be non-empty",
+    ),
+    "table-rows-index": (
+        {"form": "table_rows", "entries": [{"index": -1, "row": _point("", "1")}],
+         "default": _point("", "0")},
+        "$.repr.entries[0].index: expected a natural, got -1",
+    ),
+    "table-rows-default": (
+        {"form": "table_rows", "entries": [], "default": _point("0", "")},
+        "$.repr.default.period: period must be non-empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_LISTED_FORMS) + ["far-rows"])
+def test_broken_listed_forms_keep_their_error_texts(tmp_path, capsys, name):
+    """Each listed form checks its own values with its own words: a
+    constant's value, a table's default and a walk's target are named as
+    such, every other listed value as a term, and an empty period by the
+    form that needs it.  A table family listed at 10^12 is an exceeded
+    budget once a column is asked for."""
+    if name == "far-rows":
+        path, code, pair = FAR_ROWS, 2, "stcoh-bwweak"
+        want = json.dumps({
+            "error": "budget",
+            "kind": "BudgetExceededError",
+            "reason": "a column of a table with a row listed at 1000000000000 has "
+            "1000000000001 prefix bits, past the limit of 65536",
+        })
+    else:
+        rep, reason = _BROKEN_LISTED_FORMS[name]
+        rows = "rows" in rep["form"]
+        kind, pair = ("set_family", "stcoh-bwweak") if rows else ("rational_sequence", "bwweak-stcoh")
+        path, code, want = str(tmp_path / "broken.json"), 3, f"error: {reason}"
+        Path(path).write_text(json.dumps({"kind": kind, "repr": rep}))
+    assert main(["roundtrip", "--pair", pair, "-i", path]) == code
+    assert capsys.readouterr().err == want + "\n"
 
 
 @pytest.mark.parametrize("stage", [True, -1, "0"])

@@ -669,6 +669,118 @@ def test_listed_families_round_trip_through_the_point_reader(fam, rows, js):
     assert [again.pattern(j, rows) for j in js] == [fam.pattern(j, rows) for j in js]
 
 
+far_or_near = st.one_of(st.integers(0, 40), st.integers(0, 10**12))
+rational_texts = unit_fractions.map(format_rational)
+bit_texts = st.lists(st.sampled_from("01"), max_size=3).map("".join)
+point_reprs = st.fixed_dictionaries(
+    {"prefix": bit_texts, "period": st.lists(st.sampled_from("01"), min_size=1, max_size=4).map("".join)}
+)
+
+
+def _table_reprs(values, key: str):
+    """A table's canonical ``entries``: one record per index, ascending."""
+    return st.dictionaries(far_or_near, values, max_size=4).map(
+        lambda d: [{"index": i, key: v} for i, v in sorted(d.items())]
+    )
+
+
+listed_sequence_reprs = st.one_of(
+    st.fixed_dictionaries({
+        "form": st.just("periodic"),
+        "prefix": st.lists(rational_texts, max_size=4),
+        "period": st.lists(rational_texts, min_size=1, max_size=4),
+    }),
+    st.fixed_dictionaries({"form": st.just("constant"), "value": rational_texts}),
+    st.fixed_dictionaries({"form": st.just("alternating"), "a": rational_texts, "b": rational_texts}),
+    st.fixed_dictionaries({
+        "form": st.just("table"),
+        "entries": _table_reprs(rational_texts, "value"),
+        "default": rational_texts,
+    }),
+)
+listed_rows_reprs = st.one_of(
+    st.fixed_dictionaries({
+        "form": st.just("periodic_rows"),
+        "row_prefix": st.lists(point_reprs, max_size=3),
+        "row_period": st.lists(point_reprs, min_size=1, max_size=3),
+    }),
+    st.fixed_dictionaries({
+        "form": st.just("table_rows"),
+        "entries": _table_reprs(point_reprs, "row"),
+        "default": point_reprs,
+    }),
+)
+
+
+def _read_form(kind: str, rep: dict):
+    """The instance a drawn file form denotes; it must write that form back."""
+    x = parse_instance(json.dumps({"kind": kind, "repr": rep}))
+    data = serialize_instance(x)
+    assert json.loads(data)["repr"] == rep
+    assert serialize_instance(parse_instance(data)) == data
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_sequence_reprs, st.integers(0, 10**15))
+def test_listed_sequences_read_as_their_file_form(rep, far):
+    """The one listed body gives each drawn form's terms, around j0 and far
+    past it, its (j0, q) window and its listed indices below j0, as the
+    oracle reads them off ``to_repr``, which writes the drawn form back."""
+    x = _read_form("rational_sequence", rep)
+    j0, q = kernel_oracle.listed_structure(x)
+    assert x.periodic_structure() == (j0, q)
+    near = range(max(0, j0 - 3), j0 + 2 * q + 3)
+    for i in (*range(6), *near, far, j0 + far, *kernel_oracle.listed_prefix_indices(x, j0)):
+        assert x.term(i) == kernel_oracle.listed_term(x, i), i
+    for cut in {0, j0 // 2, j0}:
+        want = kernel_oracle.listed_prefix_indices(x, cut)
+        assert list(x.prefix_indices(cut)[: len(want) + 1]) == want  # one extra is enough
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_rows_reprs, st.integers(0, 10**15), st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_listed_rows_read_as_their_file_form(rep, far, columns):
+    """The one listed row body gives each drawn form's rows, around j0 and
+    far past it, and its columns, as the oracle reads them off ``to_repr``,
+    which writes the drawn form back; a table listed past
+    ``MAX_DIGIT_WALK`` refuses a column instead."""
+    fam = _read_form("set_family", rep)
+    listed = [e["index"] for e in rep.get("entries", [])]
+    j0 = max(listed) + 1 if listed else len(rep.get("row_prefix", []))
+    for n in (*range(6), *range(max(0, j0 - 3), j0 + 9), far, j0 + far, *listed):
+        assert kernel_oracle.periodic_equal(fam.row(n), kernel_oracle.listed_row(fam, n)), n
+    for i in (*columns, far):
+        if j0 > instances.MAX_DIGIT_WALK:
+            with pytest.raises(BudgetExceededError):
+                fam.column_point(i)
+        else:
+            want = kernel_oracle.listed_column_point(fam, i)
+            assert kernel_oracle.periodic_equal(fam.column_point(i), want), i
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: PeriodicSequence([Fraction(5, 4)], []), "period must be non-empty"),
+        (lambda: ConstantSequence(Fraction(2)), "constant value 2/1 outside [0, 1]"),
+        (lambda: AlternatingSequence(Fraction(1, 2), Fraction(3, 2)), "term 3/2 outside [0, 1]"),
+        (lambda: TableSequence({-1: Fraction(3, 2)}, Fraction(2)), "term 3/2 outside [0, 1]"),
+        (lambda: TableSequence({-1: Fraction(1, 2)}, Fraction(2)), "table indices must be naturals"),
+        (lambda: TableSequence({1: Fraction(1, 2)}, Fraction(2)), "default term 2/1 outside [0, 1]"),
+        (lambda: PeriodicRowsFamily([], []), "row period must be non-empty"),
+        (lambda: TableRowsFamily({-1: RowPattern((), (1,))}, RowPattern((), (0,))),
+         "row indices must be naturals"),
+    ],
+)
+def test_listed_constructors_name_what_they_refuse(build, reason):
+    """Each listed form's constructor checks its values in its own order and
+    words, although all of them share one body."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == reason
+
+
 def test_pattern_reads_a_huge_row_in_one_step():
     """Row 2^70 costs one modular power: 1/6 has binary digits 0010101...,
     so the corrected row 2^70 reads like row 2."""
@@ -1005,9 +1117,9 @@ def test_separation_ground_truth_api():
     assert inst.totality(0, 0)  # B0 total at even n
     assert not inst.totality(0, 1)
     assert inst.first_failure(0, 1) == 0
-    assert inst.choice_values(0, 0, 4) == [0, 1, 2, 3]
+    assert kernel_oracle.choice_values(inst, 0, 0, 4) == [0, 1, 2, 3]
     with pytest.raises(NotGroundTruthError):
-        inst.choice_values(0, 1, 2)
+        kernel_oracle.choice_values(inst, 0, 1, 2)
 
 
 def test_callback_separation_has_no_ground_truth():
