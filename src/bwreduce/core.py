@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mod
 from typing import Callable, Iterable, Sequence
 
@@ -169,9 +169,9 @@ class CantorPoint:
     Two representations: eventually periodic (finite prefix + non-empty
     period, supporting exact equality and exact embedding values) and
     rule-backed (a total evaluator n -> {0,1}; only finitely many bits are
-    ever observable, so equality and distance answers on these carry a budget
-    marker).  A set of naturals is the periodic point of its characteristic
-    pattern: the rows of a set family are such points.
+    ever observable, so an exact distance or embedding value of one raises
+    ExactValueUnavailableError).  A set of naturals is the periodic point
+    of its characteristic pattern: the rows of a set family are such points.
     """
 
     __slots__ = ("prefix", "period", "_rule", "label")
@@ -238,6 +238,22 @@ def joint_window(points: Sequence[CantorPoint]) -> tuple[int, int]:
     return prefix, lcm(*(len(pt.period) for pt in points))
 
 
+# a whole-window reader reads all q slots of (j0, q), and an lcm of periods soon
+# passes any count of reads; reads below j0 stop at a horizon, stage or listing
+MAX_WINDOW = 1 << 16
+
+
+def window_slots(window: tuple[int, int]) -> range:
+    """The slots j0, ..., j0 + q - 1 of a (j0, q) window, for a reader of
+    each one; past ``MAX_WINDOW`` slots, an exceeded budget."""
+    from .errors import BudgetExceededError
+
+    j0, q = window
+    if q > MAX_WINDOW:
+        raise BudgetExceededError(f"a window of {q} period slots is past the limit of {MAX_WINDOW}")
+    return range(j0, j0 + q)
+
+
 def fold_last(values: Sequence[int], window: tuple[int, int] | None) -> dict[int, int]:
     """Each column that the ascending ``values`` fold onto, mapped to the last
     position folding there, in position order: with a window (j0, q), one
@@ -261,8 +277,9 @@ def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
         raise ExactValueUnavailableError(
             "exact Cantor distance needs eventually periodic points"
         )
-    # agreement over the joint window is equality
-    for m in range(sum(joint_window((x, y)))):
+    # tails that agree for p + q - gcd(p, q) bits are equal (Fine and Wilf)
+    p, q = len(x.period), len(y.period)
+    for m in range(max(len(x.prefix), len(y.prefix)) + p + q - gcd(p, q)):
         if x.bit(m) != y.bit(m):
             return Fraction(1, 2**m)
     return Fraction(0)

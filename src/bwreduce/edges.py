@@ -32,6 +32,7 @@ from .certificates import (
     CohesiveWitness,
     SeparatorSet,
 )
+from .core import window_slots
 from .errors import BudgetExceededError, SchemaViolationError
 from .instances import (
     RationalSequence,
@@ -141,9 +142,8 @@ def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, n
         # rows < levels are read off the witness's own memoized patterns.  A
         # column depends only on its term, and the prefix indices that x
         # names and the period slots hold every term, so they read every column
-        j0, q = struct
         outside = 0
-        for j in chain(x.prefix_indices(j0), range(j0, j0 + q)):
+        for j in chain(x.prefix_indices(struct[0]), window_slots(struct)):
             outside |= family.pattern(j, range(levels + 2)) >> 2
         full = [i for i in range(levels) if not outside >> (levels - 1 - i) & 1]
     if len(full) == levels:

@@ -901,9 +901,8 @@ class RulePredicate:
 class CallbackPredicate:
     """Caller-supplied decidable B(x, y; n); API only, never serialized."""
 
-    def __init__(self, fn: Callable[[int, int, int], bool], label: str = "callback"):
+    def __init__(self, fn: Callable[[int, int, int], bool]):
         self.fn = fn
-        self.label = label
 
     def evaluate(self, x: int, y: int, n: int) -> bool:
         return bool(self.fn(x, y, n))

@@ -36,7 +36,7 @@ from .certificates import (
     Selector,
     SeparatorSet,
 )
-from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent
+from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent, window_slots
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -127,7 +127,8 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     least depth-level cell holding at least ``threshold`` of the first
     ``horizon`` terms, approximated by its left endpoint.  The terms j < horizon
     in a cell are counted as its witnesses in ``DerivedTree(x)`` at stage horizon - 1.
-    A depth past ``MAX_ACCUMULATION_DEPTH`` is an exceeded budget.
+    A depth past ``MAX_ACCUMULATION_DEPTH`` or a period past ``core.MAX_WINDOW``
+    terms is an exceeded budget.
     """
     if budget.depth < 1:
         raise ValueError("accumulation search needs depth >= 1")
@@ -139,8 +140,7 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     cells, stage = DerivedTree(x), budget.horizon - 1
     struct = x.periodic_structure()
     if struct is not None:
-        j0, q = struct
-        approx = min(x.term(j) for j in range(j0, j0 + q))
+        approx = min(x.term(j) for j in window_slots(struct))
         # the leftmost closed depth-level cell holding approx (a boundary
         # point takes the cell on its left); the leading bits of its index
         # name the leftmost cells of the levels above
@@ -231,15 +231,15 @@ def build_strongly_cohesive(
     j0 + r, the members past the prefix are ``range(j0 + r, horizon, q)`` for
     each slot r whose pattern is y, and the prefix slots j < min(j0, horizon)
     whose pattern is y join them, so the search reads min(j0, horizon) + q
-    patterns whatever the horizon.
-    Otherwise y is the most populated pattern below the horizon."""
+    patterns whatever the horizon (a q past ``core.MAX_WINDOW`` is an exceeded
+    budget).  Otherwise y is the most populated pattern below the horizon."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
     rows = range(levels)
     struct = family.periodic_structure(levels)
     if struct is not None:
         j0, q = struct
-        period = [family.pattern(j0 + r, rows) for r in range(q)]
+        period = [family.pattern(j, rows) for j in window_slots(struct)]
         y = min(period)
         head = [j for j in range(min(j0, budget.horizon)) if family.pattern(j, rows) == y]
         tail = [range(j0 + r, budget.horizon, q) for r, pat in enumerate(period) if pat == y]
@@ -506,9 +506,10 @@ def verify_accumulation(
 ) -> AccumulationViolation | None:
     """Cell d of the chain must sit at level d + 1 inside cell d - 1 (cell 0
     inside [0, 1]) and ``approx`` in the last cell.  An exact result needs a
-    periodic x with ``approx`` equal to a term j0 <= j < j0 + q; any other
-    needs ``threshold`` of the terms j < ``horizon`` in the last cell, each
-    found by one ``first_in_cell`` call."""
+    periodic x with ``approx`` equal to a term j0 <= j < j0 + q (a q past
+    ``core.MAX_WINDOW`` is an exceeded budget); any other needs ``threshold``
+    of the terms j < ``horizon`` in the last cell, each found by one
+    ``first_in_cell`` call."""
     last = DyadicInterval(0, 0)
     for cell in result.chain:
         if cell.level != last.level + 1 or cell.index >> 1 != last.index:
@@ -520,8 +521,7 @@ def verify_accumulation(
         return AccumulationViolation(last.level, "approx")
     if result.exact:
         struct = x.periodic_structure()
-        window = range(struct[0], sum(struct)) if struct is not None else ()
-        if all(x.term(j) != result.approx for j in window):
+        if struct is None or result.approx not in map(x.term, window_slots(struct)):
             return AccumulationViolation(last.level, "exact")
         return None
     j = -1

@@ -85,7 +85,9 @@ last cell by one ``Fraction`` comparison per term from j = 0; the
 full-row note read off every column of the (j0, q) window; and
 the bit string joined from one str per bit.  It also keeps
 five helpers that only tests use: half-open cell membership, the
-bit-by-bit equality of eventually periodic points, the equality of both
+bit-by-bit equality of eventually periodic points over the longer prefix
+plus the lcm of the periods (``core.cantor_dist_exact`` scans only p + q −
+gcd(p, q) bits past the prefixes, by Fine and Wilf), the equality of both
 sides' least-witness streams, compared past every pin and bound, a
 derived row read as full by ``member`` over its source's window, and a
 side's minimal witnesses below a count.

@@ -19,6 +19,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from bwreduce import catalog, cli, reductions, solvers
 from bwreduce.certificates import (
+    AccumulationResult,
     BranchPrefix,
     Budget,
     CauchyCertificate,
@@ -35,11 +37,12 @@ from bwreduce.certificates import (
     SeparatorSet,
 )
 from bwreduce.cli import PROBLEMS, main
-from bwreduce.core import DyadicInterval
+from bwreduce.core import MAX_WINDOW, CantorPoint, DyadicInterval
 from bwreduce.edges import EDGES
 from bwreduce.instances import (
     MAX_PROVENANCE_DEPTH,
     ConstantSequence,
+    PeriodicRowsFamily,
     RulePredicate,
     SeparationInstance,
     TableRowsFamily,
@@ -88,6 +91,15 @@ def test_embed_dist(capsys):
     assert capsys.readouterr().out == "cantor 1/1\nreal 1/1\n"
     assert main(["embed", "--direction", "dist", "0010,(0)", "0011,(0)"]) == 0
     assert capsys.readouterr().out == "cantor 1/8\nreal 2/81\n"
+
+
+def test_embed_dist_of_long_coprime_periods(capsys):
+    """Two all-zero points written with periods 9973 and 9967: their tails
+    agree for 9973 + 9967 - 1 bits, so they are equal, found without
+    scanning the lcm of about 10^8 bits."""
+    zeros = ["(" + "0" * p + ")" for p in (9973, 9967)]
+    assert main(["embed", "--direction", "dist", *zeros]) == 0
+    assert capsys.readouterr().out == "cantor 0/1\nreal 0/1\n"
 
 
 def test_embed_usage_errors(capsys):
@@ -576,6 +588,76 @@ def test_accumulation_past_a_far_table_entry_weighs_the_listed_terms(capsys):
     args = ["solve", "--problem", "accumulation", "-i", FAR_ENTRY, "--horizon", str(2 * 10**12)]
     assert main(args) == 0
     assert capsys.readouterr().out == "approx 1/3\n"
+
+
+PRIME_PERIODS = str(Path(__file__).parent / "data" / "prime_periods.json")
+_PRIMES = [p for p in range(2, 72) if all(p % d for d in range(2, p))]
+
+
+def test_prime_periods_file_is_one_row_per_prime_to_71():
+    rows = [CantorPoint.periodic((), (1,) + (0,) * (p - 1)) for p in _PRIMES]
+    assert len(rows) == 20
+    assert Path(PRIME_PERIODS).read_bytes() == serialize_instance(PeriodicRowsFamily([], rows))
+
+
+def _prime_columns(tmp_path) -> str:
+    out = str(tmp_path / "columns.json")
+    assert main(["reduce", "--from", "stcoh", "--to", "bwweak", "-i", PRIME_PERIODS, "-o", out]) == 0
+    return out
+
+
+def _window_refused(captured, q: int) -> None:
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "budget",
+        "kind": "BudgetExceededError",
+        "reason": f"a window of {q} period slots is past the limit of {MAX_WINDOW}",
+    }
+
+
+@pytest.mark.parametrize(
+    "on_columns, argv, primes",
+    [
+        (False, ["solve", "--problem", "cohesive"], 8),
+        (False, ["roundtrip", "--pair", "stcoh-bwweak"], 20),
+        (True, ["solve", "--problem", "accumulation"], 20),
+        (True, ["solve", "--problem", "slow-cauchy"], 20),
+        (True, ["roundtrip", "--pair", "bwweak-stcoh"], 20),
+    ],
+)
+def test_a_whole_window_past_the_limit_is_a_budget_exit(tmp_path, capsys, on_columns, argv, primes):
+    """The rows of the prime periods 2 to 71 repeat jointly only after the
+    product of their periods: 9,699,690 slots over the depth-8 rows, about
+    5.6·10^26 over the columns.  A reader of every slot is refused before
+    it reads one, at the default budget."""
+    src = _prime_columns(tmp_path) if on_columns else PRIME_PERIODS
+    capsys.readouterr()
+    assert main([*argv, "-i", src]) == 2
+    _window_refused(capsys.readouterr(), prod(_PRIMES[:primes]))
+
+
+def test_an_exact_certificate_past_the_window_limit_is_a_budget_exit(tmp_path, capsys):
+    """An exact accumulation value must be a period term: the verifier would
+    read every slot of the columns' window to look for it."""
+    src = _prime_columns(tmp_path)
+    cert = _write(tmp_path, "exact.json", AccumulationResult((DyadicInterval(1, 0),), Fraction(0), True))
+    capsys.readouterr()
+    assert main(["verify", "-i", src, "--certificate", cert]) == 2
+    _window_refused(capsys.readouterr(), prod(_PRIMES))
+
+
+def test_a_window_below_the_limit_is_read_whole(tmp_path, capsys):
+    """Over the first four rows the window is 2·3·5·7 = 210 slots: the
+    selector is every multiple of 210 below the horizon, in all four rows,
+    and it verifies.  The tree of the columns reads no whole window (its
+    reads stop at the stage), so its round trip passes too."""
+    cert = str(tmp_path / "cohesive.json")
+    assert main(["solve", "--problem", "cohesive", "-i", PRIME_PERIODS, "--depth", "4", "-o", cert]) == 0
+    want = range(0, Budget().horizon, 210)
+    assert capsys.readouterr().out == "selector " + " ".join(map(str, want)) + "\n"
+    assert main(["verify", "-i", PRIME_PERIODS, "--certificate", cert, "--depth", "4"]) == 0
+    assert capsys.readouterr().out == "pass\n"
+    assert main(["roundtrip", "--pair", "bw-swkl", "-i", _prime_columns(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,42 @@ def test_cantor_dist_agrees_with_exact(x, y):
         assert d == 0 and periodic_equal(x, y)
     else:
         assert d == Fraction(1, 2**first) and not periodic_equal(x, y)
+
+
+@st.composite
+def rewritten_points(draw) -> tuple[CantorPoint, CantorPoint]:
+    """x, and y whose prefix is a longer prefix of x and whose period is the
+    next bits of x: a whole number of x's period words (equal points, unless
+    one bit of y's period is flipped) or any other length up to 30, whose
+    tail agrees with x's for at least that many bits."""
+    word = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=5)))
+    head = tuple(draw(st.lists(st.integers(0, 1), max_size=6)))
+    x = CantorPoint.periodic(head, word * draw(st.integers(1, 6)))
+    start = len(head) + draw(st.integers(0, 8))
+    whole = draw(st.booleans())
+    length = len(word) * draw(st.integers(1, 6)) if whole else draw(st.integers(1, 30))
+    period = [x.bit(start + i) for i in range(length)]
+    if whole and draw(st.booleans()):
+        period[draw(st.integers(0, len(period) - 1))] ^= 1
+    return x, CantorPoint.periodic(x.bits(start), period)
+
+
+@given(
+    st.one_of(
+        rewritten_points(),
+        st.tuples(periodic_points(max_period=12), periodic_points(max_period=12)),
+    )
+)
+def test_cantor_dist_agrees_with_the_lcm_scan(points):
+    # the distance scans max prefix + p + q - gcd(p, q) bits; the scan of
+    # the longer prefix plus lcm(p, q) bits must find the same first
+    # difference, and none exactly when the points are equal
+    x, y = points
+    d = cantor_dist_exact(x, y)
+    bound = max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))
+    first = next((m for m in range(bound) if x.bit(m) != y.bit(m)), None)
+    assert periodic_equal(x, y) == (first is None)
+    assert d == (0 if first is None else Fraction(1, 2**first))
 
 
 # --- middle-third embedding ----------------------------------------------------------

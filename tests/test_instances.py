@@ -11,7 +11,10 @@ import enum
 import gc
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1278,6 +1281,39 @@ def test_derived_instances_round_trip_through_replay():
             assert isinstance(replayed, edge.target)
     fam = parse_instance(serialize_instance(bwweak_to_stcoh(source, convention="paper-literal")))
     assert fam.convention == "paper-literal"
+
+
+_MODULES = sorted(p.stem for p in Path(instances.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+# run in a fresh interpreter: import one module, then parse a derived file,
+# whose replay imports ``edges`` on demand; print what was loaded before it
+_IMPORT_FIRST = """
+import sys
+import bwreduce.{module}
+from bwreduce.instances import parse_instance, serialize_instance
+loaded = sorted(m for m in sys.modules if m.startswith("bwreduce."))
+data = sys.stdin.buffer.read()
+assert serialize_instance(parse_instance(data)) == data
+print(" ".join(loaded))
+"""
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_each_module_imports_first_and_derived_files_replay(module):
+    """The package imports none of its modules, so whichever one a caller
+    imports first must load what it needs, and a derived file must replay
+    after any of them: after ``instances`` alone, ``edges`` is not yet
+    loaded when the file is parsed."""
+    tree = bw_to_swkl(catalog.SEQUENCES["constant-third"])
+    data = serialize_instance(EDGES["swkl-separation"].forward(tree))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FIRST.format(module=module)],
+        input=data,
+        capture_output=True,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    if module == "instances":
+        assert "bwreduce.edges" not in out.stdout.decode().split()
 
 
 def test_parse_rejects_wrong_derivation_direction():
