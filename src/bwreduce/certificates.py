@@ -12,7 +12,7 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import lt
@@ -75,7 +75,7 @@ class Budget:
                 raise ValueError(f"budget field {name} must be a natural")
 
     def to_repr(self) -> dict[str, int]:
-        return asdict(self)
+        return dict(vars(self))  # the five fields, which asdict would deep-copy
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class Selector:
         return self.values[-1] + self.extension_step * (t - len(self.values) + 1)
 
     def to_repr(self) -> dict[str, Any]:
-        return {"values": list(self.values), "extension_step": self.extension_step}
+        # the stored tuple itself, which a writer's memo can key on
+        return {"values": self.values, "extension_step": self.extension_step}
 
     @staticmethod
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "Selector":

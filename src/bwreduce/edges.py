@@ -221,8 +221,8 @@ def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = 
     )
 
 
-def _digest(obj: Any) -> str:
-    return hashlib.sha256(serialize_instance(obj)).hexdigest()[:16]
+def _digest(obj: Any, memo: dict) -> str:
+    return hashlib.sha256(serialize_instance(obj, memo)).hexdigest()[:16]
 
 
 def roundtrip(edge: Edge, source: Any, budget: Budget, notes: list[str], convention: str):
@@ -240,7 +240,10 @@ def roundtrip(edge: Edge, source: Any, budget: Budget, notes: list[str], convent
     if edge.back is not None:
         answer = edge.back(source, target, solution, budget)
         results.append(("back", answer))
-    stages = [(step, _digest(obj)) for step, obj in results]
+    # one memo for this round trip's digests: the solve and back stages of
+    # the cohesion edges hold one selector, whose values are written once
+    memo: dict = {}
+    stages = [(step, _digest(obj, memo)) for step, obj in results]
     bad = None
     checkable = not isinstance(target, SeparationInstance) or target.has_ground_truth()
     if edge.back is not None and checkable:

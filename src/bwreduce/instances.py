@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import methodcaller
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -1339,46 +1339,117 @@ def _envelope_dict(obj: Any) -> dict[str, Any]:
     return {"kind": obj.kind, "repr": obj.to_repr(), "meta": dict(meta)}
 
 
-def canonical_json(value: Any, depth: int = 0) -> str:
+def canonical_json(value: Any, depth: int = 0, memo: dict | None = None) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``depth``,
     byte for byte, without the pure-Python encoder that ``indent`` selects.
 
-    Dicts with string keys, lists, tuples, exact ints and strs, bools and
-    None are written here; a flat list of ints or of strs is one join.  Any
-    other value (floats, int or str subclasses, other keys) is handed to
-    ``json.dumps`` and re-indented to ``depth``: its strings hold no raw
-    newline, so every newline it writes starts a line."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    if kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        body = [_quote(k) + ": " + canonical_json(value[k], depth + 1) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(body) + outer + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            body = map(int.__repr__, value)
-        elif kinds == {str}:
-            body = map(_quote, value)
+    One loop writes the value, keeping a stack of the open containers.
+    Dicts with string keys, lists and tuples are opened in place, and the
+    exact ints and strs, bools and None inside them are written inline.  A
+    flat list of ints or of strs is one ``%`` template, and so is each
+    record of a list of records (see ``_records``).  Any other value
+    (floats, int or str subclasses, other keys) is handed to ``json.dumps``
+    and re-indented: its strings hold no raw newline, so every newline it
+    writes starts a line.  ``memo`` keeps the text of each flat tuple
+    written, by the tuple's identity and indent, so that a caller writing
+    several values that hold one tuple (see ``edges.roundtrip``) renders it
+    once."""
+    out: list[str] = []
+    stack = []
+    # the pending items are (head, value) pairs, the head being the opener or
+    # a separator, then the key; ``indent`` starts the items' lines
+    items: Iterator[tuple[str, Any]] = iter((("", value),))
+    indent = "\n" + "  " * depth
+    close = ""
+    while True:
+        for head, v in items:
+            out.append(head)
+            kind = type(v)
+            if kind is str:
+                out.append(_quote(v))
+            elif kind is int:
+                out.append(int.__repr__(v))
+            elif v is None:
+                out.append("null")
+            elif kind is bool:
+                out.append("true" if v else "false")
+            elif kind is dict and set(map(type, v)) <= {str}:
+                if not v:
+                    out.append("{}")
+                    continue
+                inner = indent + "  "
+                keys = sorted(v)
+                heads = [f",{inner}{_quote(k)}: " for k in keys]
+                heads[0] = "{" + heads[0][1:]
+                stack.append((items, close, indent))
+                items, close, indent = zip(heads, map(v.__getitem__, keys)), indent + "}", inner
+                break
+            elif kind is list or kind is tuple:
+                seen = memo.get(id(v)) if memo is not None else None
+                if seen is not None and seen[0] is v and seen[1] == indent:
+                    out.append(seen[2])
+                    continue
+                inner = indent + "  "
+                if not v:
+                    text = "[]"
+                elif (run := _column(v)) is not None:
+                    slot, fill = run
+                    text = "[" + inner + ("," + inner).join([slot] * len(v)) + indent + "]"
+                    text %= tuple(fill)
+                    if memo is not None and kind is tuple:
+                        memo[id(v)] = (v, indent, text)  # holding v keeps its id unique
+                elif (text := _records(v, indent)) is None:
+                    stack.append((items, close, indent))
+                    heads = chain(("[" + inner,), repeat("," + inner))
+                    items, close, indent = zip(heads, v), indent + "]", inner
+                    break
+                out.append(text)
+            else:
+                out.append(json.dumps(v, sort_keys=True, indent=2).replace("\n", indent))
         else:
-            body = [canonical_json(v, depth + 1) for v in value]
-        return "[" + inner + ("," + inner).join(body) + outer + "]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
+            out.append(close)
+            if not stack:
+                return "".join(out)
+            items, close, indent = stack.pop()
 
 
-def serialize_instance(obj: Any) -> bytes:
-    """Canonical UTF-8 bytes of the instance/certificate envelope."""
-    return (canonical_json(_envelope_dict(obj)) + "\n").encode("utf-8")
+def _column(values: Sequence[Any]) -> tuple[str, Sequence[Any]] | None:
+    """The ``%`` slot and fill of values that are all exact ints (``%d``, the
+    ints) or all exact strs (``%s``, quoted); None for any other mix."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if kinds == {str}:
+        return "%s", tuple(map(_quote, values))
+    return None
+
+
+def _records(rows: Sequence[Any], indent: str) -> str | None:
+    """The text of a list of records at ``indent``, when the records are
+    dicts on the same string keys and each key's column has a ``_column``
+    slot: one template, filled once per record.  None for any other list."""
+    keys = rows[0].keys() if type(rows[0]) is dict else ()
+    if not keys or set(map(type, rows)) != {dict} or not set(map(type, keys)) <= {str}:
+        return None
+    if not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    inner = indent + "  "
+    deep = "," + inner + "  "
+    slots, cols = [], []
+    for k in sorted(keys):
+        run = _column([row[k] for row in rows])
+        if run is None:
+            return None
+        slots.append(_quote(k).replace("%", "%%") + ": " + run[0])
+        cols.append(run[1])
+    template = "{" + deep[1:] + deep.join(slots) + inner + "}"
+    return "[" + inner + ("," + inner).join(map(template.__mod__, zip(*cols))) + indent + "]"
+
+
+def serialize_instance(obj: Any, memo: dict | None = None) -> bytes:
+    """Canonical UTF-8 bytes of the instance/certificate envelope; ``memo``
+    is handed to :func:`canonical_json`."""
+    return (canonical_json(_envelope_dict(obj), memo=memo) + "\n").encode("utf-8")
 
 
 def _rationals(raw: Any, path: str) -> tuple[Fraction, ...]:

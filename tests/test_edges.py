@@ -7,6 +7,9 @@ still pass them; this test hands the loop a wrong solution instead.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,13 +20,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
-from bwreduce import catalog, reductions
+from bwreduce import catalog, reductions, solvers
 from bwreduce.certificates import Budget, CohesiveWitness, Selector
 from bwreduce.edges import EDGES, roundtrip
 from bwreduce.errors import BudgetError, BwreduceError
 from bwreduce.instances import (
     Cond,
     DerivedFamily,
+    PeriodicSequence,
     RationalSequence,
     RulePredicate,
     SeparationInstance,
@@ -149,6 +153,104 @@ def test_bwweak_stcoh_round_trips_every_catalog_sequence():
         witness = edge.solve(x, family, budget, [])
         assert [i for i, _, _ in witness.settle] == list(range(budget.depth + 2)), name
         assert roundtrip(edge, x, budget, [], "corrected")[1] is None, name
+
+
+# --- cohesion: stage digests and every target solution -------------------------
+
+
+def _oracle_digest(obj) -> str:
+    meta = dict(getattr(obj, "meta", {}) or {})
+    envelope = {"kind": obj.kind, "repr": obj.to_repr(), "meta": meta}
+    data = (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _recording(edge, seen: list):
+    """``edge`` with every stage object appended to ``seen``; ``forward``
+    keeps its signature, which names the parameters the edge records."""
+    def step(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            seen.append(fn(*args, **kwargs))
+            return seen[-1]
+
+        return recorded
+
+    return replace(edge, forward=step(edge.forward), solve=step(edge.solve), back=step(edge.back))
+
+
+_COHESION_SOURCES = {
+    "bwweak-stcoh": catalog.PERIODIC_SEQUENCES,
+    "stcoh-bwweak": catalog.FAMILIES,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_COHESION_SOURCES))
+@pytest.mark.parametrize("copy", ["shared", "equal", "shifted"])
+def test_cohesion_stage_digests_hash_the_json_dumps_bytes(pair, copy):
+    """Each stage digest of a cohesion round trip is the hash of json.dumps's
+    bytes for that stage.  The solve and back stages hold one selector, so
+    its values are written once; a back step that hands out a distinct
+    selector of equal values, or of values one higher, gets its own bytes."""
+    remake = {
+        "shared": lambda sel: sel,
+        "equal": lambda sel: Selector(tuple(list(sel.values)), sel.extension_step),
+        "shifted": lambda sel: Selector(tuple(v + 1 for v in sel.values), sel.extension_step),
+    }[copy]
+    edge = EDGES[pair]
+
+    def back(*args):
+        answer = EDGES[pair].back(*args)
+        return replace(answer, selector=remake(answer.selector))
+
+    edge = replace(edge, back=back)
+    for name, source in sorted(_COHESION_SOURCES[pair].items()):
+        seen: list = []
+        stages, _ = roundtrip(_recording(edge, seen), source, Budget(horizon=64), [], "corrected")
+        solution, answer = seen[1], seen[2]
+        assert (solution.selector is answer.selector) == (copy == "shared"), name
+        assert solution.selector.values == answer.selector.values or copy == "shifted", name
+        assert [digest for _, digest in stages] == [_oracle_digest(obj) for obj in seen], name
+
+
+_unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=40)
+_periodic_sources = st.one_of(
+    st.builds(
+        PeriodicSequence,
+        st.lists(_unit_rationals, max_size=3),
+        st.lists(_unit_rationals, min_size=1, max_size=4),
+    ),
+    st.builds(
+        TableSequence,
+        st.dictionaries(st.integers(0, 12), _unit_rationals, max_size=4),
+        _unit_rationals,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_periodic_sources, st.integers(1, 8), st.data())
+def test_bwweak_stcoh_back_map_takes_every_infinite_pattern(x, depth, data):
+    """Any target solution of bwweak-stcoh translates back: draw a pattern
+    over depth + 2 rows whose member set is infinite (one held by a period
+    slot of the family's window) and a selector of its members.  Its
+    cohesive witness passes the target check, and the back map gives a
+    Cauchy certificate that ``verify_cauchy`` passes and that carries the
+    witness's selector unchanged."""
+    edge = EDGES["bwweak-stcoh"]
+    budget = Budget(depth=depth)
+    family = edge.forward(x, "corrected")
+    rows = range(depth + 2)
+    j0, q = family.periodic_structure(depth + 2)
+    slot = data.draw(st.integers(j0, j0 + q - 1), label="slot")
+    pattern = family.pattern(slot, rows)
+    members = [j for j in range(j0 + 4 * q) if family.pattern(j, rows) == pattern]
+    picked = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True), label="picked")
+    witness = solvers.witness_from_selector(Selector(tuple(sorted(picked))), family, depth + 2)
+    assert solvers.verify_cohesive(witness, family, strong_levels=depth) is None
+    cert = edge.back(x, family, witness, budget)
+    assert cert.selector is witness.selector
+    assert solvers.verify_cauchy(cert, x) is None
 
 
 # --- separation-bw: the separator is h at the stabilization bound ---------------

@@ -1352,7 +1352,12 @@ json_scalars = st.one_of(
     st.integers(-(2**70), 2**70),
     st.sampled_from([2**70, -(2**70)]),
     st.text(),
-    st.sampled_from(['"', "\\", "\n\t\x00", "é", "\U0001f600", " "]),
+    st.sampled_from(['"', "\\", "\n\t\x00", "é", "\U0001f600", " ", "%", "%d%%"]),
+)
+# keys the writer quotes, and puts into a record's % template
+json_keys = st.one_of(
+    st.text(max_size=5),
+    st.sampled_from(['"', "\\", "%", "%s", "%%d", "é", "\U0001f600", "a\nb"]),
 )
 # flat lists of one scalar type, the writer's fast paths, and lists mixing
 # bools and None into ints
@@ -1361,28 +1366,49 @@ flat_lists = st.one_of(
     st.lists(st.text()),
     st.lists(st.one_of(st.integers(), st.booleans(), st.none())),
 )
+
+
+def flat_records(columns):
+    """Lists and tuples of records on one key set, the writer's template
+    path: each key's column is drawn from one of ``columns``, so some
+    columns are all ints or all strs and others mix in other scalars."""
+    def rows(keys):
+        picks = st.tuples(*[st.sampled_from(columns) for _ in keys])
+        return picks.flatmap(
+            lambda cells: st.lists(
+                st.fixed_dictionaries(dict(zip(keys, cells))), min_size=1, max_size=4
+            )
+        )
+
+    records = st.lists(json_keys, max_size=3, unique=True).flatmap(rows)
+    return st.one_of(records, records.map(tuple))
+
+
+json_columns = [st.integers(-(2**70), 2**70), st.text(), json_scalars]
 json_values = st.recursive(
-    st.one_of(json_scalars, flat_lists),
+    st.one_of(json_scalars, flat_lists, flat_lists.map(tuple), flat_records(json_columns)),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=5), kids, max_size=4),
+        st.dictionaries(json_keys, kids, max_size=4),
     ),
     max_leaves=20,
 )
 # meta may hold anything json.dumps writes: floats, infinities, NaN, str and
 # int subclasses, non-string keys
+meta_scalars = st.one_of(
+    json_scalars,
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), 0.1, -0.0, 1e300]),
+    st.text().map(_Text),
+    st.just(_Count.ONE),
+)
 meta_values = st.recursive(
-    st.one_of(
-        json_scalars,
-        st.floats(),
-        st.sampled_from([float("inf"), float("-inf"), 0.1, -0.0, 1e300]),
-        st.text().map(_Text),
-        st.just(_Count.ONE),
-    ),
+    st.one_of(meta_scalars, flat_records([*json_columns, meta_scalars])),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4),
-        st.dictionaries(st.text(max_size=5), kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(json_keys, kids, max_size=4),
         st.dictionaries(st.integers(), kids, max_size=3),
     ),
     max_leaves=20,
@@ -1397,19 +1423,26 @@ class _Envelope:
         return self._rep
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
     st.text(max_size=8),
-    st.dictionaries(st.text(max_size=8), json_values, max_size=5),
-    st.dictionaries(st.text(max_size=8), meta_values, max_size=4),
+    st.dictionaries(json_keys, json_values, max_size=5),
+    st.dictionaries(json_keys, meta_values, max_size=4),
+    st.integers(0, 3),
 )
-def test_serialize_instance_matches_json_dumps(kind, rep, meta):
+def test_serialize_instance_matches_json_dumps(kind, rep, meta, depth):
     """The canonical writer is json.dumps(sort_keys=True, indent=2) byte for
-    byte on generated envelopes, and at every nesting depth of a value."""
+    byte on generated envelopes, and on each value at nesting depths 0 to 4,
+    where json.dumps's text is indented by two spaces a level.  One memo
+    serves every value at two depths, so a flat tuple's text is reused only
+    where its indent matches."""
     obj = _Envelope(kind, rep, meta)
     assert serialize_instance(obj) == _oracle_bytes({"kind": kind, "repr": rep, "meta": meta})
+    memo: dict = {}
     for value in (*rep.values(), *meta.values()):
-        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        text = json.dumps(value, sort_keys=True, indent=2)
+        for d in (depth, depth + 1, depth):
+            assert canonical_json(value, d, memo) == text.replace("\n", "\n" + "  " * d)
 
 
 def test_serialize_instance_matches_json_dumps_on_the_catalog():
