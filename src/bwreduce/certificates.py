@@ -12,6 +12,7 @@ forms.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -90,9 +91,11 @@ class Selector:
 
     def __post_init__(self) -> None:
         values = self.values  # checked by C-level passes, not a Python loop
-        if not all(map(isinstance, values, repeat(int))) or min(values, default=0) < 0:
+        ints = all(map(isinstance, values, repeat(int)))
+        rising = ints and all(map(lt, values, values[1:]))  # then the least is the first
+        if not ints or min(values[:1] if rising else values, default=0) < 0:
             raise NonMonotoneSelectorError("selector values must be naturals")
-        if not all(map(lt, values, values[1:])):
+        if not rising:
             raise NonMonotoneSelectorError("selector values must strictly increase")
         if self.extension_step is not None and self.extension_step < 1:
             raise NonMonotoneSelectorError("extension step must be >= 1")
@@ -118,11 +121,12 @@ class Selector:
     def from_repr(obj: Mapping[str, Any], path: str = "repr") -> "Selector":
         obj = _expect_object(obj, "selector must be an object", path)
         raw = _expect_array(obj.get("values"), "selector.values must be an array", f"{path}.values")
-        if set(map(type, raw)) <= {int} and min(raw, default=0) >= 0:
-            values = tuple(raw)  # every value a natural, checked in C-level passes
-        else:  # names the first bad value and its path
-            values = tuple(_expect_nat(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         step = obj.get("extension_step")
+        # exact ints and an int step meet only the constructor's checks; a failure is named below
+        if set(map(type, raw)) <= {int} and (step is None or type(step) is int):
+            with suppress(NonMonotoneSelectorError):
+                return Selector(tuple(raw), step)
+        values = tuple(_expect_nat(v, f"{path}.values[{i}]") for i, v in enumerate(raw))
         if step is not None:
             step = _expect_nat(step, f"{path}.extension_step")
         return Selector(values, step)

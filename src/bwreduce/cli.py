@@ -53,6 +53,7 @@ from .instances import (
     SetFamily,
     SigmaTree,
     canonical_json,
+    join_ints,
     parse_instance,
     serialize_instance,
 )
@@ -143,12 +144,12 @@ PROBLEMS: dict[str, tuple[type, Callable[[Any, Budget], Any]]] = {
 }
 
 
-def _summary(result: Any) -> str:
+def _summary(result: Any, memo: dict) -> str:
     if isinstance(result, AccumulationResult):
         return f"approx {format_rational(result.approx)}"
     if isinstance(result, BranchPrefix):
         return format_bits(result.bits)
-    return "selector " + " ".join(map(str, result.selector.values))
+    return "selector " + join_ints(result.selector.values, " ", memo)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -156,9 +157,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     budget = _budget(args)
     cls, find = PROBLEMS[args.problem]
     result = find(_require(obj, cls, args.problem), budget)
-    print(_summary(result))
+    memo: dict = {}  # the selector's digits, written once for the summary and the file
+    print(_summary(result, memo))
     if args.output is not None:
-        _emit(args.output, serialize_instance(result))
+        _emit(args.output, serialize_instance(result, memo))
     return 0
 
 

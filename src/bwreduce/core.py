@@ -255,16 +255,19 @@ def window_slots(window: tuple[int, int]) -> range:
 
 
 def fold_last(values: Sequence[int], window: tuple[int, int] | None) -> dict[int, int]:
-    """Each column that the ascending ``values`` fold onto, mapped to the last
-    position folding there, in position order: with a window (j0, q), one
-    C-level pass keys each j >= j0 by j % q, which names its slot
-    j0 + (j - j0) % q; any other j is its own column."""
+    """Each column that the ascending ``values`` fold onto (a j < j0 is its
+    own), mapped to the last position folding there, in position order: with
+    a window (j0, q), C-level passes key each j >= j0 by j % q, naming its slot
+    j0 + (j - j0) % q, the last q values first and the rest if a slot is missing."""
     m = len(values)
     cut = m if window is None else bisect_left(values, window[0])
     last = dict(zip(values, range(cut)))
     if cut < m:
         j0, q = window
-        tail = dict(zip(map(mod, values[cut:], repeat(q)), range(cut, m)))
+        lo = max(cut, m - q)
+        tail = dict(zip(map(mod, values[lo:], repeat(q)), range(lo, m)))
+        if len(tail) < q < m - cut:  # a slot not in the last q: later positions win
+            tail = dict(zip(map(mod, values[cut:], repeat(q)), range(cut, m)))
         last.update(sorted(((j0 + (r - j0) % q, t) for r, t in tail.items()), key=itemgetter(1)))
     return last
 

@@ -1346,14 +1346,11 @@ def canonical_json(value: Any, depth: int = 0, memo: dict | None = None) -> str:
     One loop writes the value, keeping a stack of the open containers.
     Dicts with string keys, lists and tuples are opened in place, and the
     exact ints and strs, bools and None inside them are written inline.  A
-    flat list of ints or of strs is one ``%`` template, and so is each
-    record of a list of records (see ``_records``).  Any other value
-    (floats, int or str subclasses, other keys) is handed to ``json.dumps``
-    and re-indented: its strings hold no raw newline, so every newline it
-    writes starts a line.  ``memo`` keeps the text of each flat tuple
-    written, by the tuple's identity and indent, so that a caller writing
-    several values that hold one tuple (see ``edges.roundtrip``) renders it
-    once."""
+    flat list of ints is one ``%`` template (``join_ints``, given ``memo``),
+    and so is each record of a list of records (see ``_records``).  Any
+    other value (floats, int or str subclasses, other keys) is handed to
+    ``json.dumps`` and re-indented: its strings hold no raw newline, so
+    every newline it writes starts a line."""
     out: list[str] = []
     stack = []
     # the pending items are (head, value) pairs, the head being the opener or
@@ -1385,25 +1382,18 @@ def canonical_json(value: Any, depth: int = 0, memo: dict | None = None) -> str:
                 items, close, indent = zip(heads, map(v.__getitem__, keys)), indent + "}", inner
                 break
             elif kind is list or kind is tuple:
-                seen = memo.get(id(v)) if memo is not None else None
-                if seen is not None and seen[0] is v and seen[1] == indent:
-                    out.append(seen[2])
-                    continue
                 inner = indent + "  "
                 if not v:
-                    text = "[]"
-                elif (run := _column(v)) is not None:
-                    slot, fill = run
-                    text = "[" + inner + ("," + inner).join([slot] * len(v)) + indent + "]"
-                    text %= tuple(fill)
-                    if memo is not None and kind is tuple:
-                        memo[id(v)] = (v, indent, text)  # holding v keeps its id unique
-                elif (text := _records(v, indent)) is None:
+                    out.append("[]")
+                elif (text := join_ints(v, "," + inner, memo)) is not None:
+                    out += ("[", inner, text, indent, "]")
+                elif (text := _records(v, indent)) is not None:
+                    out.append(text)
+                else:
                     stack.append((items, close, indent))
                     heads = chain(("[" + inner,), repeat("," + inner))
                     items, close, indent = zip(heads, v), indent + "]", inner
                     break
-                out.append(text)
             else:
                 out.append(json.dumps(v, sort_keys=True, indent=2).replace("\n", indent))
         else:
@@ -1411,6 +1401,25 @@ def canonical_json(value: Any, depth: int = 0, memo: dict | None = None) -> str:
             if not stack:
                 return "".join(out)
             items, close, indent = stack.pop()
+
+
+def join_ints(values: Sequence[Any], sep: str, memo: dict | None = None) -> str | None:
+    """The ``%d`` digits of exact ints joined by ``sep`` (None for any other
+    values).  ``memo`` keeps each tuple's last text by its identity, so a tuple
+    written twice (``edges.roundtrip``) or printed too (``cli.cmd_solve``) is
+    converted once: another ``sep`` is one ``replace`` of the kept text."""
+    seen = memo.get(id(values)) if memo is not None else None
+    if seen is not None and seen[0] is values:
+        if seen[1] == sep:
+            return seen[2]
+        text = seen[2].replace(seen[1], sep)
+    elif set(map(type, values)) <= {int}:
+        text = (("%d" + sep) * len(values) % tuple(values))[: -len(sep)]
+    else:
+        return None
+    if memo is not None and type(values) is tuple:
+        memo[id(values)] = (values, sep, text)  # holding values keeps its id unique
+    return text
 
 
 def _column(values: Sequence[Any]) -> tuple[str, Sequence[Any]] | None:
@@ -1429,9 +1438,8 @@ def _records(rows: Sequence[Any], indent: str) -> str | None:
     dicts on the same string keys and each key's column has a ``_column``
     slot: one template, filled once per record.  None for any other list."""
     keys = rows[0].keys() if type(rows[0]) is dict else ()
-    if not keys or set(map(type, rows)) != {dict} or not set(map(type, keys)) <= {str}:
-        return None
-    if not all(map(keys.__eq__, map(dict.keys, rows))):
+    if (not keys or set(map(type, rows)) != {dict} or not set(map(type, keys)) <= {str}
+            or not all(map(keys.__eq__, map(dict.keys, rows)))):
         return None
     inner = indent + "  "
     deep = "," + inner + "  "

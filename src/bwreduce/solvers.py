@@ -22,8 +22,9 @@ give byte-identical results.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, cycle, islice
 from operator import itemgetter, methodcaller
 from typing import Callable, Sequence
 
@@ -228,11 +229,12 @@ def build_strongly_cohesive(
 
     Jointly eventually periodic rows (prefix j0, period q) are decided by the
     patterns of one lcm window: y is the least pattern of the q period slots
-    j0 + r, the members past the prefix are ``range(j0 + r, horizon, q)`` for
-    each slot r whose pattern is y, and the prefix slots j < min(j0, horizon)
-    whose pattern is y join them, so the search reads min(j0, horizon) + q
-    patterns whatever the horizon (a q past ``core.MAX_WINDOW`` is an exceeded
-    budget).  Otherwise y is the most populated pattern below the horizon."""
+    j0 + r, the prefix slots j < min(j0, horizon) whose pattern is y come
+    first, and the j < horizon past them whose slot has pattern y follow, by
+    a mask cycled over the period (one slot alone is one ``range``), so the
+    search reads min(j0, horizon) + q patterns whatever the horizon (a q past
+    ``core.MAX_WINDOW`` is an exceeded budget) and sorts nothing.  Otherwise
+    y is the most populated pattern below the horizon."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
     rows = range(levels)
@@ -242,13 +244,14 @@ def build_strongly_cohesive(
         period = [family.pattern(j, rows) for j in window_slots(struct)]
         y = min(period)
         head = [j for j in range(min(j0, budget.horizon)) if family.pattern(j, rows) == y]
-        tail = [range(j0 + r, budget.horizon, q) for r, pat in enumerate(period) if pat == y]
-        members = tuple(head + sorted(chain.from_iterable(tail)))
+        slots = [pat == y for pat in period]
+        if head or slots.count(True) > 1:
+            members = tuple(chain(head, compress(range(j0, budget.horizon), cycle(slots))))
+        else:
+            members = tuple(range(j0 + slots.index(True), budget.horizon, q))
     else:
         patterns = [family.pattern(j, rows) for j in range(budget.horizon)]
-        counts: dict[int, int] = {}
-        for pat in patterns:
-            counts[pat] = counts.get(pat, 0) + 1
+        counts = Counter(patterns)
         if not counts:
             raise EmptyCellsError(
                 f"every cell pattern is empty below horizon {budget.horizon}"

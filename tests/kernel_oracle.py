@@ -51,6 +51,8 @@ the terms, (j0, q) window and listed indices of the four listed sequence
 forms, and the rows and columns of the two listed family forms, each read
 off the form's ``to_repr`` by that form's own rule, never off the one
 shared body's attributes;
+the fold that keys every value past j0 in one pass, where ``core.fold_last``
+reads the last q values first and the rest only if a slot is not among them;
 the cohesion verifier and back-translation that ask ``member`` once per row
 and selected value; the geometric series summed term by term; the
 enumeration that evaluates the membership pattern of every j below the
@@ -98,8 +100,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import lcm
+from operator import itemgetter, mod
 
 from bwreduce import solvers
 from bwreduce.certificates import (
@@ -353,6 +356,20 @@ def thin_to_fast(
     values = tuple(f.value(p) for p in positions)
     moduli = tuple((n, n) for n in range(budget.depth + 1))
     return CauchyCertificate(Selector(values), moduli, "fast")
+
+
+def fold_last(values, window: tuple[int, int] | None) -> dict[int, int]:
+    """The fold of every tail value in one pass: each j >= j0 keyed by
+    j % q, later positions overwriting earlier ones, then the slots put in
+    the order of their last positions after the columns below j0."""
+    m = len(values)
+    cut = m if window is None else bisect_left(values, window[0])
+    last = dict(zip(values, range(cut)))
+    if cut < m:
+        j0, q = window
+        tail = dict(zip(map(mod, values[cut:], repeat(q)), range(cut, m)))
+        last.update(sorted(((j0 + (r - j0) % q, t) for r, t in tail.items()), key=itemgetter(1)))
+    return last
 
 
 def last_positions(x: RationalSequence, values) -> dict[tuple[int, int], int]:

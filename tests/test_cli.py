@@ -208,6 +208,35 @@ def test_solve_slow_and_fast_cauchy(alternating_file, capsys):
     assert capsys.readouterr().out == "selector 0 2 4 6 8 10 12 14 16\n"
 
 
+_DENSE_ROWS = {
+    "kind": "set_family",
+    "repr": {"form": "periodic_rows", "row_period": [{"prefix": "", "period": "1"}]},
+}
+
+
+@pytest.mark.parametrize("horizon", [4096, 0])
+@pytest.mark.parametrize("write", [False, True])
+def test_solve_prints_and_writes_the_selector_once_rendered(tmp_path, capsys, horizon, write):
+    """The summary line and the ``-o`` certificate come from one decimal
+    rendering of a selector that holds every index below the horizon: the
+    line is the values joined by spaces, the file is ``json.dumps``'s bytes,
+    and an empty selector prints ``selector `` alone."""
+    src = tmp_path / "dense.json"
+    src.write_text(json.dumps(_DENSE_ROWS))
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "--problem", "cohesive", "-i", str(src), "--horizon", str(horizon)]
+    assert main(argv + ["-o", str(cert)] * write) == 0
+    values = list(range(horizon))
+    assert capsys.readouterr().out == "selector " + " ".join(map(str, values)) + "\n"
+    if write:
+        want = PROBLEMS["cohesive"][1](parse_instance(src.read_bytes()), Budget(horizon=horizon))
+        assert list(want.selector.values) == values
+        envelope = {"kind": want.kind, "meta": {}, "repr": want.to_repr()}
+        assert cert.read_text() == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    else:
+        assert not cert.exists()
+
+
 def test_solve_budget_exhaustion_is_exit_2_with_json(harmonic_file, capsys):
     code = main(
         [

@@ -15,7 +15,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
@@ -25,6 +25,7 @@ from bwreduce.core import (
     DyadicInterval,
     cantor_dist_exact,
     embed_point_exact,
+    fold_last,
     format_bits,
     format_rational,
     pair,
@@ -88,6 +89,36 @@ def test_bits_round_trip():
 def test_format_bits_matches_the_per_bit_join(bits):
     assert format_bits(bits) == kernel_oracle.format_bits(bits)
     assert parse_bits(format_bits(bits)) == bits
+
+
+@st.composite
+def _folds(draw):
+    """Ascending values and a window (j0, q) or None.  The values past j0
+    are drawn from a random subset of the q slots, so some slots may never
+    be hit, and j0 falls anywhere from below the first value to past the
+    last, so the fold cuts at every position, an empty tail among them."""
+    values = sorted(draw(st.sets(st.integers(0, 80), max_size=48)))
+    if draw(st.integers(0, 5)) == 0:
+        return tuple(values), None
+    q = draw(st.integers(1, 7))
+    j0 = draw(st.one_of(st.integers(0, 90), st.sampled_from(values or [0])))
+    hit = draw(st.sets(st.integers(0, q - 1), min_size=1))
+    return tuple(v for v in values if v < j0 or (v - j0) % q in hit), (j0, q)
+
+
+@settings(max_examples=400)
+@given(_folds())
+@example(((0, 5, 6, 8, 10, 12), (2, 2)))  # slot 3 is hit only by 5, before the last q
+@example(((0, 5, 6, 8, 10, 12), (2, 1)))
+@example(((0, 5, 6), (13, 4)))  # an empty tail
+@example(((), (0, 3)))
+def test_fold_last_matches_the_one_pass_fold(case):
+    """Reading the last q values first gives the one-pass fold's columns,
+    positions and order: items are compared as lists, since dict equality
+    ignores order."""
+    values, window = case
+    got = fold_last(values, window)
+    assert list(got.items()) == list(kernel_oracle.fold_last(values, window).items())
 
 
 def test_serializing_a_deep_separator_stays_near_its_text_size():

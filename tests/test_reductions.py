@@ -22,6 +22,7 @@ from bwreduce.errors import (
     ExactValueUnavailableError,
     NonMonotoneSelectorError,
     NotANodeError,
+    SchemaViolationError,
 )
 from bwreduce.instances import (
     AlternatingSequence,
@@ -33,6 +34,7 @@ from bwreduce.instances import (
     RulePredicate,
     SeparationInstance,
     SingleBranchTree,
+    parse_instance,
     serialize_instance,
 )
 from bwreduce.core import CantorPoint
@@ -586,6 +588,61 @@ def test_selector_validation_errors_are_pinned(values, error):
 )
 def test_selector_validation_matches_the_per_value_checks(values):
     assert _selector_outcome(values) == _selector_error(values)
+
+
+_AT = "$.repr.selector."
+_NAT = "SchemaViolationError", "expected a natural, got "
+_RISE = "NonMonotoneSelectorError", "selector values must strictly increase", None
+
+
+@pytest.mark.parametrize(
+    "values, step, want",
+    [
+        ("[]", "null", None),
+        ("[0, 3]", "2", None),
+        ("[true]", "null", (*_NAT, "True", "values[0]")),
+        ("[0, true]", "null", (*_NAT, "True", "values[1]")),
+        ("[false, 1]", "null", (*_NAT, "False", "values[0]")),
+        ("[1, 0]", "null", _RISE),
+        ("[2, 2]", "null", _RISE),
+        ("[-1]", "null", (*_NAT, "-1", "values[0]")),
+        ('["a"]', "null", (*_NAT, "'a'", "values[0]")),
+        ("[0, 1.0]", "null", (*_NAT, "1.0", "values[1]")),
+        ("[null]", "null", (*_NAT, "None", "values[0]")),
+        ("[3, -1]", "null", (*_NAT, "-1", "values[1]")),  # out of order too
+        ("[0, -1, 5]", "null", (*_NAT, "-1", "values[1]")),
+        ("[5, 3, -1]", "null", (*_NAT, "-1", "values[2]")),
+        ("[-1]", '"x"', (*_NAT, "-1", "values[0]")),  # the values come first
+        ("[true]", "-1", (*_NAT, "True", "values[0]")),
+        ("[-1]", "0", (*_NAT, "-1", "values[0]")),
+        ("[1, 0]", '"x"', (*_NAT, "'x'", "extension_step")),  # then the step
+        ("[1, 0]", "-2", (*_NAT, "-2", "extension_step")),
+        ("[0, 1]", "true", (*_NAT, "True", "extension_step")),
+        ("[0, 1]", "1.0", (*_NAT, "1.0", "extension_step")),
+        ("[0, 1]", "-1", (*_NAT, "-1", "extension_step")),
+        ("[0, 1]", "0", ("NonMonotoneSelectorError", "extension step must be >= 1", None)),
+        ("[1, 0]", "0", _RISE),  # then the order, then a zero step
+    ],
+)
+def test_selector_reader_errors_are_pinned(values, step, want):
+    """A certificate's selector read from JSON fails with the same exception,
+    message and path as the reader that checked every value in a Python
+    loop: a value that is not an exact natural first (a JSON ``true`` is
+    refused, though a direct construction takes a bool), named at its index,
+    then a step that is not a natural, then the order, then a zero step."""
+    doc = (
+        '{"kind": "cohesive_witness", "meta": {}, "repr": {"settle": [], '
+        f'"selector": {{"values": {values}, "extension_step": {step}}}}}}}'
+    )
+    try:
+        parse_instance(doc)
+        got = None
+    except (SchemaViolationError, NonMonotoneSelectorError) as e:
+        got = type(e).__name__, str(e), getattr(e, "location", None)
+    if want is not None and want[0] == "SchemaViolationError":
+        kind, reason, value, where = want
+        want = kind, f"{_AT}{where}: {reason}{value}", _AT + where
+    assert got == want
 
 
 def test_stcoh_to_bwweak_embeds_membership_columns():
