@@ -46,6 +46,15 @@ CORRECTED_CATALOGS = {
 }
 
 
+def sweep_instances(pairs, convention: str):
+    """The (pair, instance name, instance) rows swept in ``convention``."""
+    for pair in pairs:
+        yield from ((pair, name, obj) for name, obj in PAIR_CATALOGS[pair].items())
+        if convention == "corrected" and pair in CORRECTED_CATALOGS:
+            prefix, more = CORRECTED_CATALOGS[pair]
+            yield from ((pair, prefix + name, obj) for name, obj in more.items())
+
+
 def run_one(pair: str, name: str, obj, convention: str, scratch: Path) -> dict:
     src = scratch / f"{pair}--{name}.json"
     src.write_bytes(serialize_instance(obj))
@@ -96,16 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--json", help="also dump all rows to this file")
     args = ap.parse_args(argv)
 
-    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        scratch = Path(tmp)
-        for pair in args.pairs:
-            for name, obj in PAIR_CATALOGS[pair].items():
-                rows.append(run_one(pair, name, obj, args.convention, scratch))
-            if args.convention == "corrected" and pair in CORRECTED_CATALOGS:
-                prefix, more = CORRECTED_CATALOGS[pair]
-                for name, obj in more.items():
-                    rows.append(run_one(pair, prefix + name, obj, args.convention, scratch))
+        rows = [
+            run_one(pair, name, obj, args.convention, Path(tmp))
+            for pair, name, obj in sweep_instances(args.pairs, args.convention)
+        ]
 
     width = max(len(r["instance"]) for r in rows)
     for row in rows:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import lt
 from typing import Any, Iterator, Mapping
 
@@ -92,7 +92,7 @@ class Selector:
     def __post_init__(self) -> None:
         values = self.values  # checked by C-level passes, not a Python loop
         ints = all(map(isinstance, values, repeat(int)))
-        rising = ints and all(map(lt, values, values[1:]))  # then the least is the first
+        rising = ints and all(map(lt, values, islice(values, 1, None)))  # then the least is the first
         if not ints or min(values[:1] if rising else values, default=0) < 0:
             raise NonMonotoneSelectorError("selector values must be naturals")
         if not rising:
@@ -102,16 +102,6 @@ class Selector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def value(self, t: int) -> int:
-        """The t-th selected index (uses the extension rule past the list)."""
-        if t < len(self.values):
-            return self.values[t]
-        if self.extension_step is None:
-            raise IndexError(f"selector has only {len(self.values)} stored values")
-        if not self.values:
-            raise IndexError("extension rule needs at least one stored value")
-        return self.values[-1] + self.extension_step * (t - len(self.values) + 1)
 
     def to_repr(self) -> dict[str, Any]:
         # the stored tuple itself, which a writer's memo can key on

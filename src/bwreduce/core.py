@@ -124,6 +124,14 @@ def unpair(z: int) -> tuple[int, int]:
 # --- dyadic intervals ---------------------------------------------------------
 
 
+def cell_key(num: int, den: int, level: int) -> int:
+    """2·floor(num/den·2^level), plus 1 when num/den·2^level is not whole:
+    the closed level cell of index a holds num/den (den > 0) iff its key is
+    2a, 2a + 1 or 2a + 2."""
+    whole, rem = divmod(num << level, den)
+    return 2 * whole + (rem != 0)
+
+
 @dataclass(frozen=True)
 class DyadicInterval:
     """The closed interval [index/2^level, (index+1)/2^level]."""
@@ -149,7 +157,7 @@ class DyadicInterval:
 
     def contains(self, q: Fraction) -> bool:
         """Closed membership: lower <= q <= upper."""
-        return self.lower <= q <= self.upper
+        return 0 <= cell_key(q.numerator, q.denominator, self.level) - 2 * self.index <= 2
 
     @staticmethod
     def from_bits(bits: Bits) -> "DyadicInterval":

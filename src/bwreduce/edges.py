@@ -49,9 +49,10 @@ class Edge:
 
     ``forward`` is named after the ``derived_by`` its result records, and
     takes the source followed by the parameters that derivation records
-    (see :attr:`params`).  ``solve(source, target, budget, notes)`` returns
-    a solution of the target, and ``back(source, target, solution, budget)``
-    a solution of the source; ``back`` is None when the target's solution
+    (see :attr:`params`).  ``solve(target, budget, notes)`` returns a
+    solution of the target, and ``back(target, solution, budget)`` a
+    solution of the source, which a step reads as the target's
+    ``provenance.source``; ``back`` is None when the target's solution
     already solves the source.
     """
 
@@ -59,8 +60,8 @@ class Edge:
     source: type
     target: type
     forward: Callable[..., Any]
-    solve: Callable[[Any, Any, Budget, list[str]], Any]
-    back: Callable[[Any, Any, Any, Budget], Any] | None
+    solve: Callable[[Any, Budget, list[str]], Any]
+    back: Callable[[Any, Any, Budget], Any] | None
 
     @cached_property
     def params(self) -> tuple[str, ...]:
@@ -93,19 +94,19 @@ def stcoh_to_bwweak(r: SetFamily) -> RationalSequence:
     return reductions.stcoh_to_bwweak(r)
 
 
-def _branch_to_cauchy(x: RationalSequence, tree: SigmaTree, br: BranchPrefix, budget: Budget):
+def _branch_to_cauchy(tree: SigmaTree, br: BranchPrefix, budget: Budget):
     bp = reductions.branch_to_point(tree, br.bits, budget.stage)
     return CauchyCertificate(
         bp.selector, tuple((n, n) for n in range(len(bp.selector))), "fast"
     )
 
 
-def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget, notes):
+def _stable_separator(x: RationalSequence, budget: Budget, notes):
     """The first depth bits of h at its stabilization bound k*, which already
-    are a separator of p: past k* every bit that one side's failure
-    constrains is final, and a bit with both sides total lies in neither
-    limit set, so either value separates there."""
-    rng = budget.depth
+    are a separator of x's source p: past k* every bit that one side's
+    failure constrains is final, and a bit with both sides total lies in
+    neither limit set, so either value separates there."""
+    p, rng = x.provenance.source, budget.depth
     if rng < 1:
         raise ValueError("separator search needs depth >= 1")
     kstar = max(
@@ -130,11 +131,11 @@ def _stable_separator(p: SeparationInstance, x: RationalSequence, budget: Budget
     return SeparatorSet(bits)
 
 
-def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, notes):
+def _strongly_cohesive(family: SetFamily, budget: Budget, notes):
     """A witness over depth + 2 rows: a shared pattern over L rows confines
     the terms to within 2^-(L-2), so that many rows back the slow moduli
     (n, 0) for every n <= depth that ``back`` claims."""
-    levels = budget.depth
+    x, levels = family.provenance.source, budget.depth
     full = []
     struct = family.periodic_structure(levels)
     if struct is not None:
@@ -153,7 +154,7 @@ def _strongly_cohesive(x: RationalSequence, family: SetFamily, budget: Budget, n
     return solvers.build_strongly_cohesive(family, levels + 2, budget)
 
 
-def _slow_cauchy(family: SetFamily, x: RationalSequence, budget: Budget, notes):
+def _slow_cauchy(x: RationalSequence, budget: Budget, notes):
     levels = budget.depth
     cauchy_depth = (3**levels).bit_length()  # the least d with 2^d > 3^levels
     notes.append(f"slow-cauchy depth {cauchy_depth} for {levels} levels")
@@ -168,12 +169,12 @@ EDGES: dict[str, Edge] = {
     edge.name: edge
     for edge in (
         Edge("bw-swkl", RationalSequence, SigmaTree, bw_to_swkl,
-             lambda x, tree, budget, notes: solvers.find_branch(tree, budget),
+             lambda tree, budget, notes: solvers.find_branch(tree, budget),
              _branch_to_cauchy),
         Edge("swkl-separation", SigmaTree, SeparationInstance, swkl_to_separation,
-             lambda y, p, budget, notes: reductions.exact_separator(y, budget.depth),
-             lambda y, p, s, budget: BranchPrefix(
-                 reductions.separator_to_branch(s, y, budget.depth, budget.stage),
+             lambda p, budget, notes: reductions.exact_separator(p.provenance.source, budget.depth),
+             lambda p, s, budget: BranchPrefix(
+                 reductions.separator_to_branch(s, p.provenance.source, budget.depth, budget.stage),
                  budget.stage,
              )),
         Edge("separation-bw", SeparationInstance, RationalSequence, separation_to_bw,
@@ -182,13 +183,13 @@ EDGES: dict[str, Edge] = {
         # already the Cauchy subsequence; the source check verifies the claim
         Edge("bwweak-stcoh", RationalSequence, SetFamily, bwweak_to_stcoh,
              _strongly_cohesive,
-             lambda x, family, witness, budget: CauchyCertificate(
+             lambda family, witness, budget: CauchyCertificate(
                  witness.selector, tuple((n, 0) for n in range(budget.depth + 1)), "slow"
              )),
         Edge("stcoh-bwweak", SetFamily, RationalSequence, stcoh_to_bwweak,
              _slow_cauchy,
-             lambda family, x, cert, budget: solvers.witness_from_selector(
-                 cert.selector, family, budget.depth
+             lambda x, cert, budget: solvers.witness_from_selector(
+                 cert.selector, x.provenance.source, budget.depth
              )),
     )
 }
@@ -235,10 +236,10 @@ def roundtrip(edge: Edge, source: Any, budget: Budget, notes: list[str], convent
     """
     recorded = {"code_budget": budget.code_budget, "convention": convention}
     target = edge.forward(source, **{name: recorded[name] for name in edge.params})
-    solution = answer = edge.solve(source, target, budget, notes)
+    solution = answer = edge.solve(target, budget, notes)
     results = [("reduce", target), ("solve", solution)]
     if edge.back is not None:
-        answer = edge.back(source, target, solution, budget)
+        answer = edge.back(target, solution, budget)
         results.append(("back", answer))
     # one memo for this round trip's digests: the solve and back stages of
     # the cohesion edges hold one selector, whose values are written once

@@ -55,6 +55,7 @@ from .core import (
     Bits,
     CantorPoint,
     _prime,
+    cell_key,
     embed_point_exact,
     fold_last,
     format_bits,
@@ -159,7 +160,7 @@ class RationalSequence:
         """Least j in [start, stop) with term(j) in the closed level cell a,
         else None: off ``cell_run``, or off the listed ``prefix_indices``
         below j0 (a left-out index holds term(j0)) and the q slots of
-        ``cell_structure(level)``, each tested on its ``DerivedTree`` key;
+        ``cell_structure(level)``, each tested on its ``core.cell_key``;
         at most listed + q term reads, or every j from start with no window."""
         run = self.cell_run(level, a, stop)
         if run is not None:
@@ -167,9 +168,7 @@ class RationalSequence:
             return j if j < run.stop else None
 
         def inside(j: int) -> bool:
-            num, den = self.term(j).as_integer_ratio()
-            whole, rem = divmod(num << level, den)
-            return 0 <= 2 * (whole - a) + (rem != 0) <= 2
+            return 0 <= cell_key(*self.term(j).as_integer_ratio(), level) - 2 * a <= 2
 
         j0, q = self.cell_structure(level) or (0, stop)  # else each j < stop is a slot
         listed = self.prefix_indices(j0)
@@ -625,8 +624,8 @@ class DerivedTree(SigmaTree):
     stage-monotone by construction.
 
     Cells are counted on integers: at level L the term num/den has the key
-    2·whole + (rem != 0), where whole, rem = divmod(num << L, den), and the
-    closed cell with index a holds exactly the keys 2a, 2a + 1 and 2a + 2.
+    ``core.cell_key(num, den, L)``, and the closed cell with index a holds
+    exactly the keys 2a, 2a + 1 and 2a + 2.
     The terms j <= s form a weighted multiset.  At level L the source's
     ``cell_structure(L)`` = (j0, q) says term j + q keys as term j does for
     j >= j0, so only the terms j < min(j0 + q, s + 1) are evaluated, window
@@ -675,8 +674,7 @@ class DerivedTree(SigmaTree):
         if keys is None:
             keys = {}
             for (num, den), w in self._weighted_terms(stage, level):
-                whole, rem = divmod(num << level, den)
-                key = 2 * whole + (rem != 0)
+                key = cell_key(num, den, level)
                 keys[key] = keys.get(key, 0) + w
             self._keys[stage, level] = keys
         return keys.get(2 * a, 0) + keys.get(2 * a + 1, 0) + keys.get(2 * a + 2, 0)

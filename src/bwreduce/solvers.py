@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice
 from operator import itemgetter, methodcaller
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .certificates import (
     AccumulationResult,
@@ -37,7 +37,7 @@ from .certificates import (
     Selector,
     SeparatorSet,
 )
-from .core import Bits, CantorPoint, DyadicInterval, leftmost_descent, window_slots
+from .core import DyadicInterval, cell_key, leftmost_descent, window_slots
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
@@ -145,9 +145,7 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
         # the leftmost closed depth-level cell holding approx (a boundary
         # point takes the cell on its left); the leading bits of its index
         # name the leftmost cells of the levels above
-        index, rem = divmod(approx.numerator << budget.depth, approx.denominator)
-        if rem == 0 and index:
-            index -= 1
+        index = max(0, (cell_key(approx.numerator, approx.denominator, budget.depth) - 1) >> 1)
         best = tuple(index >> (budget.depth - 1 - d) & 1 for d in range(budget.depth))
         count = cells.witness_count(best, stage)
         if count < budget.threshold:
@@ -172,26 +170,6 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
     if struct is None:
         return AccumulationResult(chain, chain[-1].lower, False)
     return AccumulationResult(chain, approx, True)
-
-
-def find_accumulation_cantor(h: Callable[[int], CantorPoint], budget: Budget) -> Bits:
-    """Lexicographically least depth-level bit prefix shared by at least
-    ``threshold`` of the points h(0), ..., h(horizon - 1) — accumulation
-    realized directly in Cantor space, no ternary decoding involved."""
-    if budget.depth < 1:
-        raise ValueError("accumulation search needs depth >= 1")
-    pts = sorted(h(k).bits(budget.depth) for k in range(budget.horizon))
-
-    def count(prefix: Bits) -> int:
-        return bisect_left(pts, prefix + (2,)) - bisect_left(pts, prefix)
-
-    best = leftmost_descent(budget.depth, lambda bits: count(bits) >= budget.threshold)
-    if best is None:
-        raise BudgetExhaustedError(
-            f"no depth-{budget.depth} bit prefix reaches threshold "
-            f"{budget.threshold} among the first {budget.horizon} points"
-        )
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +360,7 @@ def thin_to_fast(
                 f"rate 2^-{n}"
             )
         positions.append(p)
-    values = tuple(f.value(p) for p in positions)
+    values = tuple(f.values[p] for p in positions)
     moduli = tuple((n, n) for n in range(budget.depth + 1))
     return CauchyCertificate(Selector(values), moduli, "fast")
 

@@ -65,13 +65,18 @@ value, read at the value itself and keyed to its last position; the
 cohesion verdict of one sweep over the selected values, named on failure
 by asking ``member``; the embedded term
 read at its own index; the sorted list of every term j <= stage bisected
-at the cell's ``Fraction`` endpoints; the tree's cell key of a term as a
-``Fraction`` product; the walk term as a ``Fraction``
+at the cell's ``Fraction`` endpoints; ``core.cell_key``, the one closed-cell
+key of ``DerivedTree``, ``first_in_cell``, ``find_accumulation_real`` and
+``DyadicInterval.contains``, as a ``Fraction`` product, and closed cell
+membership as lower <= q <= upper in ``Fraction``s (``contains_closed``),
+which this module's back map and accumulation verifier test; the walk term as a ``Fraction``
 product; a rule predicate's overrides scanned in full for each lookup and
 its rule menu, one case per rule, and its first failure found by a scan
 of every x up to one past its last pin and bound; the stabilization bound
 whose code is built in full before it meets the code budget; the window finder over the h-points
-k* .. k* + window - 1 that the ``separation-bw`` separator replaced; the
+k* .. k* + window - 1 that the ``separation-bw`` separator replaced, with
+the Cantor accumulation finder ``find_accumulation_cantor`` that it runs,
+one ``core.leftmost_descent`` over the sorted prefixes of the points; the
 separator asked at every string code below 2^depth - 1; the branch search
 that asks ``has_extension`` from the root and again at every level;
 ``has_extension`` with one body per tree form; the self-calling leftmost
@@ -104,7 +109,7 @@ from itertools import islice, repeat
 from math import lcm
 from operator import itemgetter, mod
 
-from bwreduce import solvers
+from bwreduce import core, solvers
 from bwreduce.certificates import (
     AccumulationResult,
     BranchPrefix,
@@ -353,7 +358,7 @@ def thin_to_fast(
                 f"rate 2^-{n}"
             )
         positions.append(p)
-    values = tuple(f.value(p) for p in positions)
+    values = tuple(f.values[p] for p in positions)
     moduli = tuple((n, n) for n in range(budget.depth + 1))
     return CauchyCertificate(Selector(values), moduli, "fast")
 
@@ -598,14 +603,34 @@ def stabilization_bound(p: SeparationInstance, n: int, code_budget: int = 10**6)
     return kstar
 
 
-def stable_separator(
-    p: SeparationInstance, x: RationalSequence, budget: Budget, notes: list[str]
-) -> SeparatorSet:
+def find_accumulation_cantor(h, budget: Budget) -> Bits:
+    """Lexicographically least depth-level bit prefix shared by at least
+    ``threshold`` of the points h(0), ..., h(horizon - 1) — accumulation
+    realized directly in Cantor space, no ternary decoding involved — by
+    one ``core.leftmost_descent`` over the sorted prefixes."""
+    if budget.depth < 1:
+        raise ValueError("accumulation search needs depth >= 1")
+    pts = sorted(h(k).bits(budget.depth) for k in range(budget.horizon))
+
+    def count(prefix: Bits) -> int:
+        return bisect_left(pts, prefix + (2,)) - bisect_left(pts, prefix)
+
+    best = core.leftmost_descent(budget.depth, lambda bits: count(bits) >= budget.threshold)
+    if best is None:
+        raise BudgetExhaustedError(
+            f"no depth-{budget.depth} bit prefix reaches threshold "
+            f"{budget.threshold} among the first {budget.horizon} points"
+        )
+    return best
+
+
+def stable_separator(x: RationalSequence, budget: Budget, notes: list[str]) -> SeparatorSet:
     """The separator of ``separation-bw`` as the window finder read it: the
     leftmost depth-bit prefix that all ``threshold`` points h(k*), ...,
     h(k* + window - 1) share, found by the Cantor accumulation finder, with
-    the stabilization check taken over every n below the depth."""
-    rng = budget.depth
+    the stabilization check taken over every n below the depth.  The
+    separation p is x's ``provenance.source``."""
+    p, rng = x.provenance.source, budget.depth
     if rng < 1:
         raise ValueError("separator search needs depth >= 1")
     kstar = max(
@@ -619,9 +644,7 @@ def stable_separator(
             f"exceeds code budget {budget.code_budget}"
         )
     finder_budget = replace(budget, horizon=window, threshold=window)
-    bits = solvers.find_accumulation_cantor(
-        lambda k: x.point(kstar + k), finder_budget
-    )
+    bits = find_accumulation_cantor(lambda k: x.point(kstar + k), finder_budget)
     if tuple(x.point(kstar).bits(rng)) != tuple(x.point(kstar + window).bits(rng)):
         notes.append("stabilization check failed")
     return SeparatorSet(tuple(bits))
@@ -751,7 +774,7 @@ def verify_accumulation(
         last = cell
     if last.level == 0:
         return AccumulationViolation(1, "chain")
-    if not last.contains(result.approx):
+    if not contains_closed(last, result.approx):
         return AccumulationViolation(last.level, "approx")
     if result.exact:
         struct = x.periodic_structure()
@@ -759,7 +782,7 @@ def verify_accumulation(
         if all(x.term(j) != result.approx for j in window):
             return AccumulationViolation(last.level, "exact")
         return None
-    inside = (j for j in range(budget.horizon) if last.contains(x.term(j)))
+    inside = (j for j in range(budget.horizon) if contains_closed(last, x.term(j)))
     if sum(1 for _ in islice(inside, budget.threshold)) < budget.threshold:
         return AccumulationViolation(last.level, "count")
     return None
@@ -778,7 +801,7 @@ def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
     for t in range(len(bits) - 1):
         cell = DyadicInterval.from_bits(bits[: t + 1])
         j += 1
-        while j <= stage and not cell.contains(x.term(j)):
+        while j <= stage and not contains_closed(cell, x.term(j)):
             j += 1
         if j > stage:
             raise WitnessExhaustedError(
@@ -841,6 +864,11 @@ def limit_heights(tree: StageListTree, bits: Bits) -> tuple[int, int]:
 def format_bits(bits: Bits) -> str:
     """One str per bit, joined."""
     return "".join(str(b) for b in bits)
+
+
+def contains_closed(cell: DyadicInterval, q: Fraction) -> bool:
+    """Closed cell membership: lower <= q <= upper, in ``Fraction``s."""
+    return cell.lower <= q <= cell.upper
 
 
 def contains_halfopen(cell: DyadicInterval, q: Fraction) -> bool:

@@ -205,7 +205,7 @@ def _separation_roundtrips() -> dict[str, bytes]:
             x.point(kstar + LEVELS).bits(LEVELS)
         )
         assert stable, f"{name}: points not settled past k*={kstar}"
-        bits = solvers.find_accumulation_cantor(
+        bits = kernel_oracle.find_accumulation_cantor(
             lambda k: x.point(kstar + k), budget
         )
         sep = SeparatorSet(tuple(bits))

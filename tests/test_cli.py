@@ -1316,6 +1316,58 @@ def _load_sweep():
     return module
 
 
+SWEEP_REPORTS = Path(__file__).parent / "data" / "sweep_reports.txt"
+
+
+def _sweep_rows(sweep):
+    """The (pair, instance, instance object, convention) rows of the two
+    sweeps that CI runs: every pair in the corrected convention, then
+    ``bwweak-stcoh`` in paper-literal (criterion 7's fixture)."""
+    for convention, pairs in (("corrected", sorted(EDGES)), ("paper-literal", ["bwweak-stcoh"])):
+        for pair, name, obj in sweep.sweep_instances(pairs, convention):
+            yield pair, name, obj, convention
+
+
+def _sweep_report_lines(tmp_path):
+    """One line per sweep row: pair, instance, convention, exit code and the
+    first 16 hex digits of the SHA-256 of its ``--report`` file."""
+    sink = io.StringIO()
+    for pair, name, obj, convention in _sweep_rows(_load_sweep()):
+        src = _write(tmp_path, "src.json", obj)
+        report = tmp_path / "report.json"
+        report.unlink(missing_ok=True)
+        argv = ["roundtrip", "--pair", pair, "-i", src, "--report", str(report),
+                "--convention", convention]
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()[:16]
+        yield f"{pair} {name} {convention} {code} {digest}"
+
+
+def test_every_sweep_report_is_frozen(tmp_path):
+    """Every report of the sweep, corrected and paper-literal, against the
+    listing in ``tests/data/sweep_reports.txt``; a mismatch names its row."""
+    expected = SWEEP_REPORTS.read_text().splitlines()
+    got = list(_sweep_report_lines(tmp_path))
+    assert len(got) == len(expected) == 130
+    for line, want in zip(got, expected):
+        assert line == want
+
+
+def test_every_sweep_target_records_its_source():
+    """Edge steps take only the target and read the source off its
+    provenance: on every sweep row, the target that ``forward`` returns
+    records that very source object, and the target read back from its file
+    records a source with the source's bytes."""
+    for pair, name, source, convention in _sweep_rows(_load_sweep()):
+        edge = EDGES[pair]
+        params = {"code_budget": Budget().code_budget, "convention": convention}
+        target = edge.forward(source, **{k: params[k] for k in edge.params})
+        assert target.provenance.source is source, (pair, name, convention)
+        read = parse_instance(serialize_instance(target))
+        assert serialize_instance(read.provenance.source) == serialize_instance(source), name
+
+
 def test_sweep_covers_every_edge(monkeypatch, capsys):
     sweep = _load_sweep()
     assert set(sweep.PAIR_CATALOGS) == set(EDGES)

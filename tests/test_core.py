@@ -24,6 +24,7 @@ from bwreduce.core import (
     CantorPoint,
     DyadicInterval,
     cantor_dist_exact,
+    cell_key,
     embed_point_exact,
     fold_last,
     format_bits,
@@ -199,6 +200,32 @@ def test_dyadic_interval_membership_is_closed():
     assert cell.contains(Fraction(3, 4))
     assert not kernel_oracle.contains_halfopen(cell, Fraction(3, 4))
     assert cell.width == Fraction(1, 4)
+
+
+@st.composite
+def _cell_cases(draw):
+    """(level, index, q): a level up to 300, an index below 2^level or past
+    it (a parsed certificate can hold one), and q an endpoint of a cell at
+    or next to the index, such a point nudged by a little, or any rational
+    in [-3, 3], so negative and above 1."""
+    level = draw(st.integers(0, 300), label="level")
+    index = draw(st.one_of(st.integers(0, 2**level - 1), st.integers(2**level, 2 ** (level + 2))))
+    endpoint = Fraction(index + draw(st.integers(-1, 2)), 2**level)
+    nudge = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2 ** (level + 4))))
+    q = draw(st.sampled_from([endpoint, endpoint + nudge]) | st.fractions(-3, 3), label="q")
+    return level, index, q
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cell_cases(), st.integers(1, 50))
+def test_cell_key_and_closed_membership_match_the_fraction_oracle(case, scale):
+    """``core.cell_key`` of num/den, reduced or not, is the oracle's key of
+    the ``Fraction``, and ``DyadicInterval.contains`` is lower <= q <= upper."""
+    level, index, q = case
+    num, den = q.numerator * scale, q.denominator * scale
+    assert cell_key(num, den, level) == kernel_oracle.cell_key(q, level)
+    cell = DyadicInterval(level, index)
+    assert cell.contains(q) == kernel_oracle.contains_closed(cell, q)
 
 
 def test_dyadic_interval_from_bits():

@@ -50,7 +50,7 @@ def test_roundtrip_checks_the_target_solution():
     wrong = CohesiveWitness(Selector((0, 1, 2)), settle)
     # the back step turns any selector of a constant sequence into a passing
     # Cauchy certificate, so only the target check can catch the wrong sides
-    broken = replace(edge, solve=lambda x, family, budget, notes: wrong)
+    broken = replace(edge, solve=lambda family, budget, notes: wrong)
     stages, bad = roundtrip(broken, x, Budget(), [], "corrected")
     assert bad == CohesiveViolation(0, 0)
     assert [step for step, _ in stages] == ["reduce", "solve", "back"]
@@ -102,7 +102,7 @@ def test_full_row_note_reads_listed_columns_as_the_whole_window(entries, default
     family = edge.forward(x, convention)
     notes: list[str] = []
     try:
-        edge.solve(x, family, Budget(depth=depth), notes)
+        edge.solve(family, Budget(depth=depth), notes)
     except BwreduceError:
         pass  # the note is written before the witness is searched for
     want = kernel_oracle.full_row_note(family, depth)
@@ -135,7 +135,7 @@ def test_bwweak_stcoh_solve_evaluates_each_window_term_once():
         for convention in DerivedFamily.conventions:
             counting = _CountingSource(x)
             family = edge.forward(counting, convention)
-            edge.solve(counting, family, budget, [])
+            edge.solve(family, budget, [])
             j0, q = x.periodic_structure()
             assert sorted(counting.calls) == list(range(j0 + q)), (name, convention)
 
@@ -150,7 +150,7 @@ def test_bwweak_stcoh_round_trips_every_catalog_sequence():
     assert len(catalog.SEQUENCES) == 20
     for name, x in sorted(catalog.SEQUENCES.items()):
         family = edge.forward(x, "corrected")
-        witness = edge.solve(x, family, budget, [])
+        witness = edge.solve(family, budget, [])
         assert [i for i, _, _ in witness.settle] == list(range(budget.depth + 2)), name
         assert roundtrip(edge, x, budget, [], "corrected")[1] is None, name
 
@@ -248,7 +248,7 @@ def test_bwweak_stcoh_back_map_takes_every_infinite_pattern(x, depth, data):
     picked = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True), label="picked")
     witness = solvers.witness_from_selector(Selector(tuple(sorted(picked))), family, depth + 2)
     assert solvers.verify_cohesive(witness, family, strong_levels=depth) is None
-    cert = edge.back(x, family, witness, budget)
+    cert = edge.back(family, witness, budget)
     assert cert.selector is witness.selector
     assert solvers.verify_cauchy(cert, x) is None
 
@@ -294,7 +294,7 @@ def _separator_outcome(solve, p: SeparationInstance, budget: Budget):
     x = reductions.separation_to_bw(p, budget.code_budget)
     notes: list[str] = []
     try:
-        return serialize_instance(solve(p, x, budget, notes)), notes
+        return serialize_instance(solve(x, budget, notes)), notes
     except BwreduceError as e:
         return type(e), str(e), notes
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -643,6 +644,24 @@ def test_selector_reader_errors_are_pinned(values, step, want):
         kind, reason, value, where = want
         want = kind, f"{_AT}{where}: {reason}{value}", _AT + where
     assert got == want
+
+
+@pytest.mark.parametrize("build", ["direct", "from_repr"])
+def test_selector_checks_copy_no_values(build):
+    """The order check pairs each value with the next through an iterator,
+    so building a 10^6-value selector, from a tuple or from the JSON list
+    of a certificate, peaks less than 1 MiB above the tuple it keeps (a
+    sliced copy of the values is 7.6 MiB)."""
+    values = tuple(range(10**6)) if build == "direct" else list(range(10**6))
+    make = Selector if build == "direct" else lambda v: Selector.from_repr({"values": v})
+    tracemalloc.start()
+    try:
+        selector = make(values)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(selector) == 10**6
+    assert peak - kept < 2**20
 
 
 def test_stcoh_to_bwweak_embeds_membership_columns():

