@@ -20,7 +20,7 @@ from operator import lt
 from typing import Any, Iterator, Mapping
 
 from .core import Bits, DyadicInterval, format_bits, format_rational, parse_bits, parse_rational
-from .errors import NonMonotoneSelectorError, SchemaViolationError
+from .errors import NonMonotoneSelectorError, SchemaViolationError, SeparatorUndefinedError
 
 
 def _expect_nat(value: Any, path: str) -> int:
@@ -59,8 +59,9 @@ class Budget:
     horizon: how many sequence terms / set elements are inspected;
     depth: target bit/interval depth; stage: enumeration stage for trees;
     code_budget: largest cutoff k that f_code (and so g_len, h_bit and the
-    h-stream) accepts; threshold: how many witnesses a cell needs before a
-    heuristic search trusts it.
+    h-stream) accepts; threshold: sizes only the ``separation-bw``
+    check window, which compares the h-stream at k* and at
+    k* + max(threshold, 1).
     """
 
     horizon: int = 4096
@@ -250,8 +251,6 @@ class SeparatorSet:
             raise ValueError(f"extension must be all|none, got {self.extension!r}")
 
     def member(self, n: int) -> bool:
-        from .errors import SeparatorUndefinedError
-
         if n < 0:
             raise ValueError("set elements are naturals")
         if n < len(self.bits):

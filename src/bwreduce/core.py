@@ -18,6 +18,8 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter, mod
 from typing import Callable, Iterable, Sequence
 
+from .errors import BudgetExceededError, ExactValueUnavailableError, SchemaViolationError
+
 #: A finite binary string; () is the root/empty string.
 Bits = tuple[int, ...]
 
@@ -26,8 +28,6 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 def parse_rational(text: str, *, location: str = "$") -> Fraction:
     """Parse the canonical ``p/q`` spelling into an always-reduced rational."""
-    from .errors import SchemaViolationError
-
     if not isinstance(text, str):
         raise SchemaViolationError(f"expected rational string, got {text!r}", location)
     m = _RATIONAL_RE.match(text)
@@ -49,8 +49,6 @@ def format_rational(q: Fraction) -> str:
 
 def parse_bits(text: str, *, location: str = "$") -> Bits:
     """Parse a string of 0s and 1s ("" denotes the empty string)."""
-    from .errors import SchemaViolationError
-
     if not isinstance(text, str) or any(c not in "01" for c in text):
         raise SchemaViolationError(f"not a bit string: {text!r}", location)
     return tuple(int(c) for c in text)
@@ -254,8 +252,6 @@ MAX_WINDOW = 1 << 16
 def window_slots(window: tuple[int, int]) -> range:
     """The slots j0, ..., j0 + q - 1 of a (j0, q) window, for a reader of
     each one; past ``MAX_WINDOW`` slots, an exceeded budget."""
-    from .errors import BudgetExceededError
-
     j0, q = window
     if q > MAX_WINDOW:
         raise BudgetExceededError(f"a window of {q} period slots is past the limit of {MAX_WINDOW}")
@@ -282,8 +278,6 @@ def fold_last(values: Sequence[int], window: tuple[int, int] | None) -> dict[int
 
 def cantor_dist_exact(x: CantorPoint, y: CantorPoint) -> Fraction:
     """Exact distance of two eventually periodic points (no budget needed)."""
-    from .errors import ExactValueUnavailableError
-
     if not (x.is_periodic and y.is_periodic):
         raise ExactValueUnavailableError(
             "exact Cantor distance needs eventually periodic points"
@@ -314,8 +308,6 @@ def embed_point_exact(x: CantorPoint) -> Fraction:
     With the prefix (length p) and the period (length q) read as base-3
     integers H and C of digits 2·b, h(x) = (H·(3^q − 1) + C) / (3^p·(3^q − 1)).
     """
-    from .errors import ExactValueUnavailableError
-
     if not x.is_periodic:
         raise ExactValueUnavailableError("exact embedding needs a periodic point")
     assert x.prefix is not None and x.period is not None

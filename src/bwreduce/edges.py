@@ -203,9 +203,9 @@ EDGES: dict[str, Edge] = {
 def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = None):
     """Run the verifier of ``cert``'s kind against ``instance``: None on pass,
     the least violation on fail.  Separators are checked below
-    ``budget.depth``, accumulation points against ``budget.horizon`` and
-    ``budget.threshold``; ``strong_levels`` asks a cohesive witness to settle
-    every row below it (the strong form)."""
+    ``budget.depth``, and accumulation points against the cell window of
+    their last cell's level; ``strong_levels`` asks a cohesive witness to
+    settle every row below it (the strong form)."""
     if isinstance(cert, CauchyCertificate) and isinstance(instance, RationalSequence):
         return solvers.verify_cauchy(cert, instance)
     if isinstance(cert, CohesiveWitness) and isinstance(instance, SetFamily):
@@ -215,7 +215,7 @@ def check(cert: Any, instance: Any, budget: Budget, strong_levels: int | None = 
     if isinstance(cert, BranchPrefix) and isinstance(instance, SigmaTree):
         return solvers.verify_branch(cert, instance)
     if isinstance(cert, AccumulationResult) and isinstance(instance, RationalSequence):
-        return solvers.verify_accumulation(cert, instance, budget)
+        return solvers.verify_accumulation(cert, instance)
     raise SchemaViolationError(
         f"certificate kind {type(cert).__name__} does not verify against "
         f"instance kind {type(instance).__name__}"

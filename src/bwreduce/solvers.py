@@ -12,8 +12,10 @@ ascending selector: ``RationalSequence.last_positions`` (each distinct term
 and its last position) and ``SetFamily.patterns`` (each distinct pattern and
 its last position).  Both fold the values past the source's (j0, q) window
 onto its slots by one shared fold, ``core.fold_last``, so each distinct slot
-is read once however long the selector; ``RationalSequence.first_in_cell``
-reads the same window for the accumulation count.
+is read once however long the selector.  The accumulation finder and its
+verifier read the source's cell window (``_cell_window``), past which a
+cell holding a slot's term holds infinitely many terms; a source with no
+window has no decidable answer, and both refuse it.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -48,7 +50,6 @@ from .errors import (
     NotGroundTruthError,
 )
 from .instances import (
-    DerivedTree,
     RationalSequence,
     SeparationInstance,
     SetFamily,
@@ -92,8 +93,8 @@ class AccumulationViolation:
     """The first failed check of an accumulation result, at the chain cell
     of ``level``: ``check`` is "chain" (cell not at its level or not nested
     in the one above), "approx" (approximant outside the last cell), "exact"
-    (approximant not a period value) or "count" (too few terms in the last
-    cell)."""
+    (approximant not a period value) or "window" (no term of the cell window
+    of its level in the last cell)."""
 
     level: int
     check: str
@@ -115,21 +116,30 @@ class BranchViolation:
 # a certificate writes each chain cell's index in full, and an index at depth
 # d has up to d·log10(2) + 1 digits; past this depth it would pass the
 # 4,300-digit limit of int-to-str conversion, so a deeper request is refused
-# before any search
+# before any term is read
 MAX_ACCUMULATION_DEPTH = 14_284
+
+
+def _cell_window(x: RationalSequence, level: int) -> range:
+    """The slots of a (j0, q) window past which term j + q lies in the closed
+    level cells of term j: the period of an eventually periodic x, else its
+    ``cell_structure``, so a cell holding a slot's term holds infinitely many
+    terms.  A sequence with no such window is refused."""
+    window = x.periodic_structure() or x.cell_structure(level)
+    if window is None:
+        raise NotGroundTruthError(f"the sequence has no cell window at level {level}")
+    return window_slots(window)
 
 
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
     """Nested dyadic chain plus approximant for an accumulation point of x.
 
-    Eventually periodic sequences get the exact answer: the least term value
-    occurring infinitely often, with the (leftmost) chain of cells around it.
-    Other sequences get a horizon-relative heuristic: the lexicographically
-    least depth-level cell holding at least ``threshold`` of the first
-    ``horizon`` terms, approximated by its left endpoint.  The terms j < horizon
-    in a cell are counted as its witnesses in ``DerivedTree(x)`` at stage horizon - 1.
-    A depth past ``MAX_ACCUMULATION_DEPTH`` or a period past ``core.MAX_WINDOW``
-    terms is an exceeded budget.
+    The last cell is the leftmost closed depth-level cell holding the least
+    term of the depth-level cell window, so it holds infinitely many terms;
+    the cells above are its index shifted right.  A periodic x's least
+    period value recurs itself and is the exact answer; any other x gets
+    the last cell's left end.  A depth past ``MAX_ACCUMULATION_DEPTH`` or a
+    window past ``core.MAX_WINDOW`` slots is an exceeded budget.
     """
     if budget.depth < 1:
         raise ValueError("accumulation search needs depth >= 1")
@@ -138,38 +148,15 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
             f"accumulation chain of depth {budget.depth} has cell indices past "
             f"4300 digits; the limit is depth {MAX_ACCUMULATION_DEPTH}"
         )
-    cells, stage = DerivedTree(x), budget.horizon - 1
-    struct = x.periodic_structure()
-    if struct is not None:
-        approx = min(x.term(j) for j in window_slots(struct))
-        # the leftmost closed depth-level cell holding approx (a boundary
-        # point takes the cell on its left); the leading bits of its index
-        # name the leftmost cells of the levels above
-        index = max(0, (cell_key(approx.numerator, approx.denominator, budget.depth) - 1) >> 1)
-        best = tuple(index >> (budget.depth - 1 - d) & 1 for d in range(budget.depth))
-        count = cells.witness_count(best, stage)
-        if count < budget.threshold:
-            raise BudgetExhaustedError(
-                f"exact accumulation cell at depth {budget.depth} holds only "
-                f"{count} of the first {budget.horizon} terms "
-                f"(threshold {budget.threshold})"
-            )
-    else:
-        best = leftmost_descent(
-            budget.depth, lambda bits: cells.witness_count(bits, stage) >= budget.threshold
-        )
-        if best is None:
-            raise BudgetExhaustedError(
-                f"no depth-{budget.depth} cell reaches threshold {budget.threshold} "
-                f"below horizon {budget.horizon}"
-            )
-        index = DyadicInterval.from_bits(best).index
+    least = min(map(x.term, _cell_window(x, budget.depth)))
+    # the leftmost closed cell holding it (a boundary point takes the cell on
+    # its left); the leading bits of its index name the cells above
+    index = max(0, (cell_key(least.numerator, least.denominator, budget.depth) - 1) >> 1)
     chain = tuple(
         DyadicInterval(d + 1, index >> (budget.depth - 1 - d)) for d in range(budget.depth)
     )
-    if struct is None:
-        return AccumulationResult(chain, chain[-1].lower, False)
-    return AccumulationResult(chain, approx, True)
+    exact = x.periodic_structure() is not None
+    return AccumulationResult(chain, least if exact else chain[-1].lower, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +470,14 @@ def verify_separator(
 
 
 def verify_accumulation(
-    result: AccumulationResult, x: RationalSequence, budget: Budget
+    result: AccumulationResult, x: RationalSequence
 ) -> AccumulationViolation | None:
     """Cell d of the chain must sit at level d + 1 inside cell d - 1 (cell 0
     inside [0, 1]) and ``approx`` in the last cell.  An exact result needs a
-    periodic x with ``approx`` equal to a term j0 <= j < j0 + q (a q past
-    ``core.MAX_WINDOW`` is an exceeded budget); any other needs ``threshold``
-    of the terms j < ``horizon`` in the last cell, each found by one
-    ``first_in_cell`` call."""
+    periodic x with ``approx`` equal to a term j0 <= j < j0 + q; any other
+    needs the last cell to hold a term of the cell window of its own level,
+    and so infinitely many terms.  A window past ``core.MAX_WINDOW`` slots
+    is an exceeded budget."""
     last = DyadicInterval(0, 0)
     for cell in result.chain:
         if cell.level != last.level + 1 or cell.index >> 1 != last.index:
@@ -505,11 +492,8 @@ def verify_accumulation(
         if struct is None or result.approx not in map(x.term, window_slots(struct)):
             return AccumulationViolation(last.level, "exact")
         return None
-    j = -1
-    for _ in range(budget.threshold):
-        j = x.first_in_cell(last.level, last.index, j + 1, budget.horizon)
-        if j is None:
-            return AccumulationViolation(last.level, "count")
+    if not any(map(last.contains, map(x.term, _cell_window(x, last.level)))):
+        return AccumulationViolation(last.level, "window")
     return None
 
 

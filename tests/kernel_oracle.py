@@ -25,8 +25,7 @@ counts integer cell keys over a weighted window of terms, evaluating only
 a table's listed terms below the window, or, for the harmonic sequence,
 reads the cell's run of indices off ``cell_run``; and
 ``RationalSequence.first_in_cell``, through which ``reductions.branch_to_point``
-picks each index and ``solvers.verify_accumulation`` counts the last cell,
-reads the same run, or the listed terms and the (j0, q) slots, on integer
+picks each index, reads the same run, or the listed terms and the (j0, q) slots, on integer
 keys.  ``BinaryWalkSequence.term`` shifts the target's numerator.
 ``RulePredicate.evaluate`` and ``minimal_witness`` look overrides up in two
 dicts built once per predicate, ``evaluate`` reads the rule's one
@@ -41,7 +40,9 @@ every tree form, and ``core.leftmost_descent`` keeps its own stack.
 ``StageListTree.member_at_stage`` bisects the stages and a sorted snapshot,
 ``StageListTree.limit_heights`` bisects the last one for the run under each
 child, ``solvers.find_accumulation_real`` reads its chain off one integer
-cell index, shifted right once per level, the ``R_i = N`` note of
+cell index of the least term of a cell window, shifted right once per
+level, and ``solvers.verify_accumulation`` asks the last cell for a window
+term, the ``R_i = N`` note of
 ``bwweak-stcoh`` reads a table's listed columns and its period column, and ``core.format_bits``
 writes a bit string as bytes in one step.
 This module keeps the direct forms they must agree with: the dyadic-cell
@@ -50,7 +51,8 @@ j itself, unfolded and unmemoized; each listed row looked up and read at j;
 the terms, (j0, q) window and listed indices of the four listed sequence
 forms, and the rows and columns of the two listed family forms, each read
 off the form's ``to_repr`` by that form's own rule, never off the one
-shared body's attributes;
+shared body's attributes, and the limit points of every catalog sequence
+form read off its file form alone (``limit_points``);
 the fold that keys every value past j0 in one pass, where ``core.fold_last``
 reads the last q values first and the rest only if a slot is not among them;
 the cohesion verifier and back-translation that ask ``member`` once per row
@@ -84,11 +86,14 @@ descent; the stage-list membership that
 walks every stage and tests every node of the snapshot; the limit heights
 that test every node of the last snapshot with ``is_prefix``; the leftmost
 closed cell of the accumulation value computed in ``Fraction``s at every
-level, and the heuristic chain cut from the descent's bits level by level;
+level, and for other sources the chain cut level by level from the bits
+of a descent that counts terms below the horizon (the finder that the
+window read replaced, correct wherever its last cell holds a limit point);
 the tree window that evaluates and weighs every index below j0; the
 back map that scans the terms from each last pick on with a
-``DyadicInterval`` per cell, and the accumulation verifier that counts the
-last cell by one ``Fraction`` comparison per term from j = 0; the
+``DyadicInterval`` per cell, and the accumulation verifier that counted the
+last cell by one ``Fraction`` comparison per term from j = 0 (its chain,
+approximant and exact checks are still the reference); the
 full-row note read off every column of the (j0, q) window; and
 the bit string joined from one str per bit.  It also keeps
 five helpers that only tests use: half-open cell membership, the
@@ -214,6 +219,22 @@ def listed_structure(x: RationalSequence) -> tuple[int, int]:
     if r["form"] == "table":
         return max((e["index"] + 1 for e in r["entries"]), default=0), 1
     return 0, 1 if r["form"] == "constant" else 2
+
+
+def limit_points(x: RationalSequence) -> set[Fraction]:
+    """Every accumulation point of a catalog sequence form, read off its
+    file form: the period values of a listed form (each recurs), the target
+    v of a binary walk (its terms tend to v) and 0 for the harmonic
+    sequence.  A closed cell holds infinitely many terms of these forms iff
+    it holds one of these points: a non-dyadic v and the harmonic terms past
+    2^level lie strictly inside one cell of each level."""
+    r = x.to_repr()
+    if r["form"] == "binary_walk":
+        return {Fraction(r["value"])}
+    if r["form"] == "harmonic":
+        return {Fraction(0)}
+    j0, q = listed_structure(x)
+    return {listed_term(x, j) for j in range(j0, j0 + q)}
 
 
 def listed_prefix_indices(x: RationalSequence, j0: int) -> list[int]:
@@ -731,11 +752,15 @@ def _leftmost_cell_at(value: Fraction, level: int) -> DyadicInterval:
 
 
 def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationResult:
-    """``solvers.find_accumulation_real`` with each cell of its chain found
-    on its own.  An eventually periodic sequence gets the least period value,
-    with the leftmost closed cell containing it computed in ``Fraction``s at
-    every level; any other sequence the cell of the self-calling descent over
-    the sorted-terms count, with the cell of each level cut from its bits."""
+    """The accumulation finder that counted terms below the horizon, with
+    each cell of its chain found on its own.  An eventually periodic
+    sequence gets the least period value, with the leftmost closed cell
+    containing it computed in ``Fraction``s at every level, and fails when
+    that cell holds fewer than ``threshold`` of the first ``horizon`` terms;
+    any other sequence gets the cell of the self-calling descent over the
+    sorted-terms count, with the cell of each level cut from its bits.
+    Where its last cell holds a limit point, ``solvers.find_accumulation_real``
+    must give the same chain."""
     stage = budget.horizon - 1
     if x.periodic_structure() is None:
         best = leftmost_descent(
@@ -765,8 +790,10 @@ def find_accumulation_real(x: RationalSequence, budget: Budget) -> AccumulationR
 def verify_accumulation(
     result: AccumulationResult, x: RationalSequence, budget: Budget
 ) -> AccumulationViolation | None:
-    """``solvers.verify_accumulation`` with the last cell counted by one
-    ``Fraction`` comparison per term from j = 0, stopped at the threshold."""
+    """The accumulation verifier that counted ``threshold`` of the terms
+    j < ``horizon`` in the last cell, by one ``Fraction`` comparison per
+    term from j = 0; with a threshold of 0 it makes the chain, approximant
+    and exact checks of ``solvers.verify_accumulation`` alone."""
     last = DyadicInterval(0, 0)
     for cell in result.chain:
         if cell.level != last.level + 1 or cell.index >> 1 != last.index:

@@ -186,12 +186,65 @@ def test_mixed_table_file_is_the_catalog_family():
 
 
 def test_solve_accumulation_past_the_recursion_limit(capsys):
-    """A 1100-level descent: the search keeps its own stack, so a depth past
-    the interpreter's recursion limit is no internal error."""
+    """An 1100-level chain, a depth past the interpreter's recursion limit,
+    names the cell of walk-third's limit 1/3, whatever the horizon and
+    threshold: its approximant is that cell's left end."""
     argv = ["solve", "--problem", "accumulation", "-i", WALK_THIRD,
             "--depth", "1100", "--horizon", "4", "--threshold", "2"]
     assert main(argv) == 0
+    cell = Fraction(2**1100 // 3, 2**1100)
+    assert capsys.readouterr().out == f"approx {cell.numerator}/{cell.denominator}\n"
+
+
+WALK_501 = str(Path(__file__).parent / "data" / "walk_501.json")
+WALK_501_CELL_127 = str(Path(__file__).parent / "data" / "walk_501_cell_127.json")
+
+
+def test_walk_501_files_are_the_walk_and_its_cell_below_the_limit():
+    """The certificate names [127/256, 1/2], which holds only the terms
+    equal to 1/2 (j = 1 to 9), below the limit 501/1000.  A count of eight
+    early terms passed it."""
+    assert parse_instance(Path(WALK_501).read_bytes()).value == Fraction(501, 1000)
+    cert = parse_instance(Path(WALK_501_CELL_127).read_bytes())
+    assert cert.chain == tuple(DyadicInterval(d, 2 ** (d - 1) - 1) for d in range(1, 9))
+    assert (cert.approx, cert.exact) == (Fraction(127, 256), False)
+
+
+def test_accumulation_cells_below_the_limit_fail_the_window_check(tmp_path, capsys):
+    """Walk 501/1000 certifies cell 128 at level 8, the cell of its limit,
+    and the cell 127 below it fails; so does harmonic cell 1 of level 12,
+    whose terms past 2^12 all lie in cell 0."""
+    cert = str(tmp_path / "acc.json")
+    assert main(["solve", "--problem", "accumulation", "-i", WALK_501, "-o", cert]) == 0
+    assert capsys.readouterr().out == "approx 1/2\n"
+    assert parse_instance(Path(cert).read_bytes()).chain[-1] == DyadicInterval(8, 128)
+    assert main(["verify", "-i", WALK_501, "--certificate", WALK_501_CELL_127]) == 1
+    assert capsys.readouterr().err == "counterexample (level=8,check=window)\n"
+    harmonic = _write(tmp_path, "harmonic.json", catalog.SEQUENCES["harmonic"])
+    assert main(["solve", "--problem", "accumulation", "-i", harmonic, "--depth", "12"]) == 0
     assert capsys.readouterr().out == "approx 0/1\n"
+    below = AccumulationResult(
+        tuple(DyadicInterval(d, 1 >> (12 - d)) for d in range(1, 13)), Fraction(1, 4096), False
+    )
+    bad = _write(tmp_path, "below.json", below)
+    assert main(["verify", "-i", harmonic, "--certificate", bad, "--depth", "12"]) == 1
+    assert capsys.readouterr().err == "counterexample (level=12,check=window)\n"
+
+
+def test_accumulation_on_a_source_with_no_cell_window_is_refused(tmp_path, capsys):
+    """walk-third's family read back as columns has no cell window, so no
+    finite prefix shows a cell to hold infinitely many terms: the finder
+    and the verifier of a non-exact chain both exit 4, at once."""
+    family, columns = str(tmp_path / "family.json"), str(tmp_path / "columns.json")
+    assert main(["reduce", "--from", "bwweak", "--to", "stcoh", "-i", WALK_THIRD, "-o", family]) == 0
+    assert main(["reduce", "--from", "stcoh", "--to", "bwweak", "-i", family, "-o", columns]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--problem", "accumulation", "-i", columns]) == 4
+    assert capsys.readouterr().err == "error: the sequence has no cell window at level 8\n"
+    cert = _write(tmp_path, "acc.json", AccumulationResult(
+        tuple(DyadicInterval(d, 0) for d in range(1, 9)), Fraction(0), False))
+    assert main(["verify", "-i", columns, "--certificate", cert]) == 4
+    assert capsys.readouterr().err == "error: the sequence has no cell window at level 8\n"
 
 
 def test_solve_branch(tmp_path, capsys):
@@ -237,27 +290,17 @@ def test_solve_prints_and_writes_the_selector_once_rendered(tmp_path, capsys, ho
         assert not cert.exists()
 
 
-def test_solve_budget_exhaustion_is_exit_2_with_json(harmonic_file, capsys):
-    code = main(
-        [
-            "solve",
-            "--problem",
-            "accumulation",
-            "-i",
-            harmonic_file,
-            "--horizon",
-            "4",
-            "--threshold",
-            "8",
-            "--depth",
-            "2",
-        ]
-    )
-    assert code == 2
+def test_solve_budget_exhaustion_is_exit_2_with_json(tmp_path, capsys):
+    """stage-ladder has only the node 0000 by stage 1, so no member reaches
+    depth 8: the branch search is exhausted, exit 2 with its JSON reason."""
+    src = _write(tmp_path, "ladder.json", catalog.TREES["stage-ladder"])
+    assert main(["solve", "--problem", "branch", "-i", src, "--stage", "1"]) == 2
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "budget"
-    assert payload["kind"] == "BudgetExhaustedError"
-    assert "threshold" in payload["reason"]
+    assert payload == {
+        "error": "budget",
+        "kind": "BudgetExhaustedError",
+        "reason": "no member reaches depth 8 by stage 1",
+    }
 
 
 @pytest.mark.parametrize("name", ["harmonic", "walk-third"])
@@ -391,13 +434,13 @@ def test_verify_accepts_every_solved_accumulation_point(tmp_path, capsys, name):
     [
         # the last cell shifted two places leaves its parent; shifted to its
         # sibling it loses the approximant, or (walk-third, whose approximant
-        # is the shared endpoint 85/256) the terms
+        # is the shared endpoint 85/256) the window term 341/1024
         ("harmonic", lambda a: replace(a, chain=a.chain[:-1] + (
             DyadicInterval(8, a.chain[-1].index + 2),)), "(level=8,check=chain)"),
         ("harmonic", lambda a: replace(a, chain=a.chain[:-1] + (
             DyadicInterval(8, a.chain[-1].index ^ 1),)), "(level=8,check=approx)"),
         ("walk-third", lambda a: replace(a, chain=a.chain[:-1] + (
-            DyadicInterval(8, a.chain[-1].index ^ 1),)), "(level=8,check=count)"),
+            DyadicInterval(8, a.chain[-1].index ^ 1),)), "(level=8,check=window)"),
         # the approximant moved past the right end of its cell
         ("harmonic", lambda a: replace(a, approx=a.chain[-1].upper + Fraction(1, 512)),
          "(level=8,check=approx)"),
@@ -408,10 +451,11 @@ def test_verify_accepts_every_solved_accumulation_point(tmp_path, capsys, name):
         ("harmonic", lambda a: replace(a, exact=True), "(level=8,check=exact)"),
         ("period-three", lambda a: replace(a, approx=a.chain[-1].lower),
          "(level=8,check=exact)"),
-        # the cell of 1 at level 8 holds a single harmonic term
+        # the cell of 1 at level 8 holds a single harmonic term, and not
+        # the window term 1/257
         ("harmonic", lambda a: replace(a, chain=tuple(
             DyadicInterval(d, 2**d - 1) for d in range(1, 9)), approx=Fraction(1)),
-         "(level=8,check=count)"),
+         "(level=8,check=window)"),
         ("harmonic", lambda a: replace(a, chain=()), "(level=1,check=chain)"),
     ],
 )
@@ -689,6 +733,12 @@ def test_a_window_below_the_limit_is_read_whole(tmp_path, capsys):
     assert main(["roundtrip", "--pair", "bw-swkl", "-i", _prime_columns(tmp_path)]) == 0
 
 
+_H_STREAM_ERRORS = {
+    "roundtrip": "term 0 of h-stream is rule-backed",
+    "solve": "the sequence has no cell window at level 8",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -700,14 +750,15 @@ def test_a_window_below_the_limit_is_read_whole(tmp_path, capsys):
 def test_far_stage_on_an_h_stream_reads_term_0_first(tmp_path, capsys, argv, far):
     """The h-stream has no window, so the tree reads it as the one window
     (0, stage + 1); term 0 is read, and is rule-backed, before any weight
-    list is sized, at any stage."""
+    list is sized, at any stage.  The accumulation finder reads no term: a
+    source with no cell window is refused, at any horizon."""
     src = tmp_path / "separation.json"
     src.write_bytes(serialize_instance(catalog.SEPARATIONS["odds-vs-evens"]))
     hstream = str(tmp_path / "hstream.json")
     assert main(["reduce", "--from", "separation", "--to", "bw", "-i", str(src), "-o", hstream]) == 0
     capsys.readouterr()
     assert main([*argv, str(far), "-i", hstream]) == 4
-    assert capsys.readouterr().err == "error: term 0 of h-stream is rule-backed\n"
+    assert capsys.readouterr().err == f"error: {_H_STREAM_ERRORS[argv[0]]}\n"
 
 
 FAR_LOW = str(Path(__file__).parent / "data" / "table_far_low.json")

@@ -64,6 +64,8 @@ from bwreduce.reductions import (
     stcoh_to_bwweak,
 )
 from bwreduce.solvers import (
+    MAX_ACCUMULATION_DEPTH,
+    AccumulationViolation,
     BranchViolation,
     CauchyViolation,
     CohesiveViolation,
@@ -144,21 +146,20 @@ def test_budget_fields_must_be_naturals():
                 Budget(**{field: bad})
 
 def test_accumulation_budget_failures():
+    """Only the depth bounds the finder; a horizon or threshold that the
+    last cell's early terms do not meet changes nothing."""
     with pytest.raises(ValueError):
         find_accumulation_real(HarmonicSequence(), Budget(depth=0))
-    with pytest.raises(BudgetExhaustedError):
-        find_accumulation_real(
-            ConstantSequence(Fraction(1, 3)), Budget(horizon=4, threshold=8)
-        )
-    with pytest.raises(BudgetExhaustedError):
-        find_accumulation_real(
-            HarmonicSequence(), Budget(horizon=4, threshold=5, depth=2)
-        )
+    with pytest.raises(BudgetExceededError):
+        find_accumulation_real(HarmonicSequence(), Budget(depth=MAX_ACCUMULATION_DEPTH + 1))
+    for x, depth in ((ConstantSequence(Fraction(1, 3)), 8), (HarmonicSequence(), 2)):
+        starved = Budget(horizon=4, threshold=8, depth=depth)
+        assert find_accumulation_real(x, starved) == find_accumulation_real(x, Budget(depth=depth))
 
 
 class _HiddenStructure(RationalSequence):
-    """Wrapper that withholds the periodicity of its base sequence, forcing
-    the horizon-counting path."""
+    """Wrapper that withholds the periodicity of its base sequence, and so
+    every cell window."""
 
     form = "hidden"
 
@@ -170,6 +171,29 @@ class _HiddenStructure(RationalSequence):
         return self._base.term(i)
 
 
+class _WindowOnly(_HiddenStructure):
+    """Wrapper that withholds the periodicity of its base sequence but
+    names its period as the cell window of every level."""
+
+    def cell_structure(self, level: int) -> tuple[int, int]:
+        return self._base.periodic_structure()
+
+
+def test_accumulation_refuses_a_source_with_no_cell_window():
+    """No finite prefix shows a cell to hold infinitely many terms, so with
+    no cell window the finder and the verifier of a non-exact chain refuse,
+    while an exact claim still fails as not a period value."""
+    x = _HiddenStructure(ConstantSequence(Fraction(1, 3)))
+    with pytest.raises(NotGroundTruthError, match="no cell window at level 8"):
+        find_accumulation_real(x, Budget())
+    chain = tuple(DyadicInterval(d, 0) for d in range(1, 9))
+    with pytest.raises(NotGroundTruthError, match="no cell window at level 8"):
+        verify_accumulation(AccumulationResult(chain, Fraction(0), False), x)
+    assert verify_accumulation(AccumulationResult(chain, Fraction(0), True), x) == (
+        AccumulationViolation(8, "exact")
+    )
+
+
 @settings(max_examples=80)
 @given(
     st.lists(
@@ -177,24 +201,22 @@ class _HiddenStructure(RationalSequence):
     ),
     periods,
     st.integers(1, 5),
+    st.integers(0, 40),
+    st.integers(0, 10),
 )
-def test_accumulation_exact_and_heuristic_chains_agree(prefix, period, depth):
-    """With enough horizon the two search paths return the same cell chain.
-
-    Values occurring only in the finite prefix appear at most len(prefix)
-    times, so a threshold of len(prefix)+1 starves every cell left of the
-    true least-recurring value and horizon counting must land on it.
-    """
+def test_accumulation_exact_and_window_chains_agree(prefix, period, depth, horizon, threshold):
+    """A periodic sequence read through its period as a cell window alone
+    gives the exact answer's chain, not exact and approximated by the last
+    cell's left end, whatever the horizon and threshold."""
     x = PeriodicSequence(prefix, period)
-    threshold = len(prefix) + 1
-    horizon = len(prefix) + len(period) * (threshold + 1)
     budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
     exact = find_accumulation_real(x, budget)
-    heuristic = find_accumulation_real(_HiddenStructure(x), budget)
-    assert exact.exact and not heuristic.exact
+    window = find_accumulation_real(_WindowOnly(x), budget)
+    assert exact.exact and not window.exact
     assert exact.approx == min(period)
-    assert heuristic.chain == exact.chain
-    assert heuristic.chain[-1].contains(exact.approx)
+    assert window.chain == exact.chain
+    assert window.approx == window.chain[-1].lower
+    assert verify_accumulation(window, _WindowOnly(x)) is None
 
 
 _boundary_values = st.one_of(
@@ -202,6 +224,10 @@ _boundary_values = st.one_of(
     st.builds(lambda m, k: Fraction(k % (2**m + 1), 2**m), st.integers(0, 14), st.integers(0, 2**14)),
     st.fractions(min_value=0, max_value=1, max_denominator=64),
 )
+
+
+def _holds_a_limit_point(cell: DyadicInterval, x: RationalSequence) -> bool:
+    return any(kernel_oracle.contains_closed(cell, p) for p in kernel_oracle.limit_points(x))
 
 
 @settings(max_examples=400)
@@ -219,16 +245,24 @@ _boundary_values = st.one_of(
     st.integers(0, 10),
 )
 def test_accumulation_exact_chain_matches_the_per_level_cells(x, depth, horizon, threshold):
-    """The chain read off one integer cell index is the chain of cells
-    found level by level: on periodic sequences whose values sit at dyadic
-    boundaries, 0 and 1 included, the leftmost closed cell computed in
-    Fractions; on a binary walk, whose non-dyadic target takes the heuristic
-    branch, the cells cut from the descent's bits.  A starved cell fails
-    alike."""
-    budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
-    assert _outcome(find_accumulation_real, x, budget) == _outcome(
-        kernel_oracle.find_accumulation_real, x, budget
+    """The last cell always holds a limit point, and the chain is the one
+    that the oracle finder builds level by level (``Fraction`` cells for a
+    periodic sequence, a descent that counts terms below the horizon for a
+    non-dyadic walk) wherever the oracle's last cell holds a limit point.
+    On periodic sequences, with values at dyadic boundaries, 0 and 1
+    included, it is the oracle's chain at threshold 0, which starves no
+    cell."""
+    found = find_accumulation_real(x, Budget(horizon=horizon, depth=depth, threshold=threshold))
+    assert _holds_a_limit_point(found.chain[-1], x)
+    old = _outcome(
+        kernel_oracle.find_accumulation_real,
+        x,
+        Budget(horizon=horizon, depth=depth, threshold=threshold),
     )
+    if isinstance(old, AccumulationResult) and _holds_a_limit_point(old.chain[-1], x):
+        assert found == old
+    if x.periodic_structure() is not None:
+        assert found == kernel_oracle.find_accumulation_real(x, Budget(depth=depth, threshold=0))
 
 
 _accumulation_sources = st.one_of(
@@ -252,20 +286,18 @@ _accumulation_sources = st.one_of(
     _accumulation_sources,
     st.booleans(),
     st.integers(1, 10),
-    st.integers(1, 300),
-    st.integers(0, 12),
     st.data(),
 )
-def test_verify_accumulation_matches_the_fraction_count(x, hide, depth, horizon, threshold, data):
-    """The last cell counted through ``first_in_cell`` gives the verdict and
-    the violation that one Fraction comparison per term from j = 0 gives,
-    on found results, on random chains (some broken at one cell) with
-    approximants at the cell's ends or at a term, claimed exact or not, and
-    on sources with their window hidden."""
-    if hide:
-        x = _HiddenStructure(x)
-    budget = Budget(horizon=horizon, depth=depth, threshold=threshold)
-    found = _outcome(find_accumulation_real, x, budget)
+def test_verify_accumulation_matches_the_fraction_window(x, hide, depth, data):
+    """The chain, approximant and exact checks give the verdict of the
+    ``Fraction`` verifier that counts the last cell (with no count asked),
+    and a non-exact chain that passes them fails its window check iff its
+    last cell holds no limit point of the form; with the window hidden it is
+    refused.  On found results and on random chains (some broken at one
+    cell) with approximants at the cell's ends or at a term, claimed exact
+    or not."""
+    source = _HiddenStructure(x) if hide else x
+    found = _outcome(find_accumulation_real, source, Budget(depth=depth))
     if isinstance(found, AccumulationResult) and data.draw(st.booleans(), "found"):
         result = found
     else:
@@ -280,9 +312,30 @@ def test_verify_accumulation_matches_the_fraction_count(x, hide, depth, horizon,
             "approx",
         )
         result = AccumulationResult(tuple(chain), approx, data.draw(st.booleans(), "exact"))
-    assert verify_accumulation(result, x, budget) == kernel_oracle.verify_accumulation(
-        result, x, budget
-    )
+    want = kernel_oracle.verify_accumulation(result, source, Budget(threshold=0))
+    if want is None and not result.exact:
+        level = result.chain[-1].level
+        if hide:
+            want = (NotGroundTruthError, f"the sequence has no cell window at level {level}")
+        elif not _holds_a_limit_point(result.chain[-1], x):
+            want = AccumulationViolation(level, "window")
+    assert _outcome(verify_accumulation, result, source) == want
+
+
+_CATALOG_SEQUENCES = {**catalog.SEQUENCES, **catalog.PERIODIC_SEQUENCES}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_SEQUENCES))
+def test_every_catalog_accumulation_cell_holds_a_limit_point(name):
+    """Over depths 1 to 16 and horizons 256 and 4096, the last cell of each
+    accumulation certificate holds a limit point of the form, read off its
+    file form alone, and the certificate verifies."""
+    x = _CATALOG_SEQUENCES[name]
+    for depth in range(1, 17):
+        for horizon in (256, 4096):
+            result = find_accumulation_real(x, Budget(depth=depth, horizon=horizon))
+            assert _holds_a_limit_point(result.chain[-1], x), (depth, horizon)
+            assert verify_accumulation(result, x) is None
 
 
 def test_accumulation_cantor_prefix():
