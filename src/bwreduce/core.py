@@ -244,6 +244,12 @@ def joint_window(points: Sequence[CantorPoint]) -> tuple[int, int]:
     return prefix, lcm(*(len(pt.period) for pt in points))
 
 
+# a cell index at level d has up to d·log10(2) + 1 digits, and the harmonic cell
+# window of level d starts at 2^d; past this level either passes the 4,300-digit
+# limit of int-to-str conversion, so a deeper chain or derived window is refused
+MAX_ACCUMULATION_DEPTH = 14_284
+
+
 # a whole-window reader reads all q slots of (j0, q), and an lcm of periods soon
 # passes any count of reads; reads below j0 stop at a horizon, stage or listing
 MAX_WINDOW = 1 << 16

@@ -137,7 +137,7 @@ def _strongly_cohesive(family: SetFamily, budget: Budget, notes):
     (n, 0) for every n <= depth that ``back`` claims."""
     x, levels = family.provenance.source, budget.depth
     full = []
-    struct = family.periodic_structure(levels)
+    struct = family.column_structure()
     if struct is not None:
         # a 1 digit marks a column outside that row (see SetFamily.pattern);
         # rows < levels are read off the witness's own memoized patterns.  A

@@ -101,12 +101,8 @@ class EmptyTreeAtStageError(BudgetError):
     """No length-1 node is enumerated by the given stage."""
 
 
-class EmptyCellsError(BudgetError):
-    """Heuristic cell search saw no members below the horizon."""
-
-
 class HorizonTooSmallError(BudgetError):
-    """No settle point below the horizon for some required precision level."""
+    """No member, or no settle point, below the horizon for a required level."""
 
 
 class InvalidCertificateError(BwreduceError):

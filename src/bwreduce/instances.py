@@ -52,6 +52,7 @@ from .certificates import (
     _expect_records,
 )
 from .core import (
+    MAX_ACCUMULATION_DEPTH,
     Bits,
     CantorPoint,
     _prime,
@@ -325,7 +326,7 @@ class BinaryWalkSequence(RationalSequence):
         boundary of its cell up to the first 1 digit of value past position
         ``level``, at level + k, and strictly inside from there on."""
         v = self.value
-        r, den = (v.numerator << level) % v.denominator, v.denominator
+        r, den = v.numerator * pow(2, level, v.denominator) % v.denominator, v.denominator
         if r == 0:  # value·2^level is whole: a dyadic walk, constant from log2(den)
             return self.periodic_structure()
         k = den.bit_length() - r.bit_length()
@@ -1099,10 +1100,10 @@ class SetFamily:
             out = out << 1 | (not self.member(i, j))
         return out
 
-    def periodic_structure(self, levels: int) -> tuple[int, int] | None:
-        """(J0, Q) such that, jointly for rows n < levels, membership of j is
-        periodic in j with period Q beyond J0: the column window, which holds
-        for any rows, unless a form knows a tighter one; None when unknown."""
+    def periodic_structure(self, rows: Sequence[int]) -> tuple[int, int] | None:
+        """(J0, Q) such that, jointly for the ascending ``rows``, membership of
+        j is periodic in j with period Q beyond J0: the column window, unless
+        a form knows a tighter one; None when unknown."""
         return self.column_structure()
 
     def column_point(self, i: int) -> CantorPoint:
@@ -1137,8 +1138,8 @@ class _ListedRowsFamily(SetFamily):
     def member(self, n: int, j: int) -> bool:
         return self.row(n).bit(j) == 1
 
-    def periodic_structure(self, levels: int) -> tuple[int, int]:
-        return joint_window([self.row(n) for n in range(levels)])
+    def periodic_structure(self, rows: Sequence[int]) -> tuple[int, int]:
+        return joint_window([self.row(n) for n in rows])
 
     def column_structure(self) -> tuple[int, int]:
         return self._window
@@ -1313,6 +1314,22 @@ class DerivedFamily(SetFamily):
                 bits &= -1 << (b - max(a, e) + 1)
             out = out << c | bits
         return out
+
+    def periodic_structure(self, rows: Sequence[int]) -> tuple[int, int] | None:
+        """The source's ``cell_structure(L)``, L = rows[-1]: rows up to L read
+        only the closed-cell key k_L (``core.cell_key``) of t = term(j) at L.
+        For i <= L, floor(t·2^i) = floor(t·2^L) >> (L - i), whole iff t·2^L
+        is and those low bits are 0, so k_L fixes k_i.  Corrected row i holds
+        j iff k_(i-1) >> 1 is even (row 0 every j), paper-literal row i iff
+        k_i or k_i >> 1 is even.  A source with no period is refused past
+        level ``core.MAX_ACCUMULATION_DEPTH``: its window may start at 2^L."""
+        level = rows[-1]
+        if level > MAX_ACCUMULATION_DEPTH and self.source.periodic_structure() is None:
+            raise BudgetExceededError(
+                f"the cell window of level {level} may start past 4300 digits; "
+                f"the limit is level {MAX_ACCUMULATION_DEPTH}"
+            )
+        return self.source.cell_structure(level)
 
     def column_structure(self) -> tuple[int, int] | None:
         return self.source.periodic_structure()

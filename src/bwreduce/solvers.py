@@ -1,21 +1,20 @@
 """Budgeted, desk-scale witness finders and independent certificate verifiers.
 
 Finders play the oracle role of each principle (accumulation point, infinite
-branch, strongly cohesive set, Cauchy thinning) under an explicit Budget;
-when a search space is exhausted they raise a budget error rather than
-guessing.  Verifiers re-check finished certificates exhaustively with exact
-arithmetic; a verifier returns None on pass and a small violation record on
-fail, and shares nothing with the finders beyond the numeric kernel, of
-which ``SetFamily.pattern`` (the membership of one j in many rows as one
-integer) is part, and so are the two distinct-value kernels over a long
-ascending selector: ``RationalSequence.last_positions`` (each distinct term
-and its last position) and ``SetFamily.patterns`` (each distinct pattern and
-its last position).  Both fold the values past the source's (j0, q) window
-onto its slots by one shared fold, ``core.fold_last``, so each distinct slot
-is read once however long the selector.  The accumulation finder and its
-verifier read the source's cell window (``_cell_window``), past which a
-cell holding a slot's term holds infinitely many terms; a source with no
-window has no decidable answer, and both refuse it.
+branch, strongly cohesive set, Cauchy thinning) under an explicit Budget and
+raise a budget error rather than guess.  Verifiers re-check finished
+certificates exhaustively with exact arithmetic, returning None on pass and
+a small violation record on fail.  They share with the finders only the
+numeric kernel: ``SetFamily.pattern`` (the membership of one j in many rows
+as one integer) and the distinct-value kernels over a long ascending
+selector, ``RationalSequence.last_positions`` and ``SetFamily.patterns``,
+which fold its values onto the source's (j0, q) window by
+``core.fold_last`` and so read each slot once.  The accumulation pair reads
+the source's cell window (``_cell_window``), past which a cell holding a
+slot's term holds infinitely many terms, and the cohesion pair the rows'
+window (``SetFamily.periodic_structure``), whose period slots hold the
+recurring patterns; with no window there is no decidable answer, and all
+four refuse.
 
 Tie-breaking is leftmost-first everywhere so identical budgets and instances
 give byte-identical results.
@@ -24,7 +23,6 @@ give byte-identical results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice
 from operator import itemgetter, methodcaller
@@ -39,11 +37,10 @@ from .certificates import (
     Selector,
     SeparatorSet,
 )
-from .core import DyadicInterval, cell_key, leftmost_descent, window_slots
+from .core import MAX_ACCUMULATION_DEPTH, DyadicInterval, cell_key, leftmost_descent, window_slots
 from .errors import (
     BudgetExceededError,
     BudgetExhaustedError,
-    EmptyCellsError,
     EmptyTreeAtStageError,
     HorizonTooSmallError,
     InvalidCertificateError,
@@ -75,7 +72,7 @@ class CauchyViolation:
 
 @dataclass(frozen=True)
 class CohesiveViolation:
-    """Selector value j >= s on the wrong side of row i."""
+    """Selector value j >= s, or window slot j, on the wrong side of row i."""
 
     i: int
     j: int
@@ -111,13 +108,6 @@ class BranchViolation:
 # ---------------------------------------------------------------------------
 # accumulation-point search
 # ---------------------------------------------------------------------------
-
-
-# a certificate writes each chain cell's index in full, and an index at depth
-# d has up to d·log10(2) + 1 digits; past this depth it would pass the
-# 4,300-digit limit of int-to-str conversion, so a deeper request is refused
-# before any term is read
-MAX_ACCUMULATION_DEPTH = 14_284
 
 
 def _cell_window(x: RationalSequence, level: int) -> range:
@@ -188,42 +178,38 @@ def find_branch(tree: SigmaTree, budget: Budget) -> BranchPrefix:
 def build_strongly_cohesive(
     family: SetFamily, levels: int, budget: Budget
 ) -> CohesiveWitness:
-    """Witness for strong cohesion: pick the cell pattern over rows < levels
-    whose member set is infinite and enumerate its members below the horizon.
-    The settle points are all 0 — members of one cell never leave it.
+    """Witness for strong cohesion: the least cell pattern y over rows <
+    levels that infinitely many columns hold, and its members below the
+    horizon.  The settle points are all 0 — members of one cell never leave
+    it.
 
-    Jointly eventually periodic rows (prefix j0, period q) are decided by the
-    patterns of one lcm window: y is the least pattern of the q period slots
-    j0 + r, the prefix slots j < min(j0, horizon) whose pattern is y come
-    first, and the j < horizon past them whose slot has pattern y follow, by
-    a mask cycled over the period (one slot alone is one ``range``), so the
-    search reads min(j0, horizon) + q patterns whatever the horizon (a q past
-    ``core.MAX_WINDOW`` is an exceeded budget) and sorts nothing.  Otherwise
-    y is the most populated pattern below the horizon."""
+    The rows' window (j0, q; ``SetFamily.periodic_structure``) decides:
+    the recurring patterns are those of its period slots.  The prefix slots
+    j < min(j0, horizon) of pattern y come first, and the j < horizon past
+    them whose slot has pattern y follow, by a mask cycled over the period
+    (one slot alone is one ``range``), so the search reads min(j0, horizon)
+    + q patterns whatever the horizon (a q past ``core.MAX_WINDOW`` is an
+    exceeded budget) and sorts nothing.  A family with no window is
+    refused, and no member below the horizon is a horizon too small."""
     if levels < 1:
         raise ValueError("cohesion needs at least one row")
     rows = range(levels)
-    struct = family.periodic_structure(levels)
-    if struct is not None:
-        j0, q = struct
-        period = [family.pattern(j, rows) for j in window_slots(struct)]
-        y = min(period)
-        head = [j for j in range(min(j0, budget.horizon)) if family.pattern(j, rows) == y]
-        slots = [pat == y for pat in period]
-        if head or slots.count(True) > 1:
-            members = tuple(chain(head, compress(range(j0, budget.horizon), cycle(slots))))
-        else:
-            members = tuple(range(j0 + slots.index(True), budget.horizon, q))
+    struct = family.periodic_structure(rows)
+    if struct is None:
+        raise NotGroundTruthError(f"the family has no window over rows < {levels}")
+    j0, q = struct
+    period = [family.pattern(j, rows) for j in window_slots(struct)]
+    y = min(period)
+    head = [j for j in range(min(j0, budget.horizon)) if family.pattern(j, rows) == y]
+    slots = [pat == y for pat in period]
+    if head or slots.count(True) > 1:
+        members = tuple(chain(head, compress(range(j0, budget.horizon), cycle(slots))))
     else:
-        patterns = [family.pattern(j, rows) for j in range(budget.horizon)]
-        counts = Counter(patterns)
-        if not counts:
-            raise EmptyCellsError(
-                f"every cell pattern is empty below horizon {budget.horizon}"
-            )
-        best = max(counts.values())
-        y = min(pat for pat, c in counts.items() if c == best)
-        members = tuple(j for j, pat in enumerate(patterns) if pat == y)
+        members = tuple(range(j0 + slots.index(True), budget.horizon, q))
+    if not members:
+        raise HorizonTooSmallError(
+            f"no column below horizon {budget.horizon} holds the least recurring pattern"
+        )
     settle = tuple(
         (i, 0, "out" if y >> (levels - 1 - i) & 1 else "in") for i in rows
     )
@@ -366,7 +352,11 @@ def verify_cauchy(
     A modulus (n, s) passes iff the diameter of the terms from position s
     on is below 2^-n, read off the step function of ``_suffix_extrema`` by
     bisecting its last positions; it reads each distinct term once
-    (``RationalSequence.last_positions``)."""
+    (``RationalSequence.last_positions``).
+
+    That the selector extends to an infinite one meeting the moduli is not
+    re-checked: it needs the source's limit points, and a cell window at one
+    level, a sufficient test only, would reject valid certificates."""
     values = certificate.selector.values
     steps = _suffix_extrema(x.last_positions(values))
     return _cauchy_violation(certificate.moduli, values, x, steps)
@@ -413,26 +403,28 @@ def verify_cohesive(
     family: SetFamily,
     strong_levels: int | None = None,
 ) -> CohesiveViolation | None:
-    """Check every settle triple over the selector's values; with
-    ``strong_levels`` additionally require that rows 0..strong_levels-1 are
-    all covered (the strong form of cohesion).
+    """Check every settle triple over the selector's values and that the
+    settled pattern recurs; with ``strong_levels`` also require that rows
+    0..strong_levels-1 are all covered (the strong form of cohesion).
 
-    The distinct settle points cut the selector into segments, each found
-    by bisection and read once by ``SetFamily.patterns``, so a periodic
-    family costs at most one column read per window slot however long the
-    selector.  One pass from the last point back gives the distinct
-    patterns of the values from each point on; the first triple that one
-    of them contradicts is the least violation, and its first wrong value
-    is found by one ``pattern`` scan of that tail."""
-    if strong_levels is not None:
-        covered = {i for i, _, _ in witness.settle}
-        for i in range(strong_levels):
-            if i not in covered:
-                raise InvalidCertificateError(f"no settle entry for row {i}")
+    The distinct settle points cut the selector into segments, each bisected
+    and read once by ``SetFamily.patterns`` (at most one column read per
+    window slot); one pass from the last point back gives the patterns of
+    each point's tail, the first triple one contradicts is the least
+    violation, and one ``pattern`` scan of that tail names its value.
+
+    The pattern recurs iff a period slot of the rows' window holds it.  A
+    last value at or past j0 and every settle point holds it, and so does
+    its slot: a pass with no read.  Else the slots are scanned, and a
+    failure names the one agreeing on the most leading rows, at its first
+    wrong row."""
     rows: Sequence[int] = sorted({i for i, _, _ in witness.settle})
     if rows and rows[-1] - rows[0] == len(rows) - 1:
         rows = range(rows[0], rows[-1] + 1)  # the memo key the finders read too
     place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
+    for i in range(strong_levels or 0):
+        if i not in place:
+            raise InvalidCertificateError(f"no settle entry for row {i}")
     values = witness.selector.values
     tails: dict[int, frozenset[int]] = {}
     end, tail = len(values), frozenset()
@@ -440,13 +432,25 @@ def verify_cohesive(
         start = bisect_left(values, s)
         tail = tails[s] = tail.union(family.patterns(values[start:end], rows))
         end = start
+    need = {"in": 0, "out": 0}  # the rows each side is claimed for
     for i, s, side in witness.settle:  # sorted: the least violation first
         bit, want = place[i], side == "out"
+        need[side] |= bit
         if any(bool(pat & bit) != want for pat in tails[s]):
             for j in values[bisect_left(values, s):]:
                 if bool(family.pattern(j, rows) & bit) != want:
                     return CohesiveViolation(i, j)
-    return None
+    if not rows:
+        return None
+    window = family.periodic_structure(rows)
+    if window is None:
+        raise NotGroundTruthError("the family has no window over the settled rows")
+    if values and values[-1] >= max(window[0], *tails):  # tails: one key per settle point
+        return None
+    # each slot's len(rows) - k for its first wrong row k (0 if none), least first
+    slots = ((family.pattern(j, rows), j) for j in window_slots(window))
+    depth, j = min(((pat & need["in"] | ~pat & need["out"]).bit_length(), j) for pat, j in slots)
+    return None if depth == 0 else CohesiveViolation(rows[len(rows) - depth], j)
 
 
 def verify_separator(

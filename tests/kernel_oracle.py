@@ -52,13 +52,16 @@ the terms, (j0, q) window and listed indices of the four listed sequence
 forms, and the rows and columns of the two listed family forms, each read
 off the form's ``to_repr`` by that form's own rule, never off the one
 shared body's attributes, and the limit points of every catalog sequence
-form read off its file form alone (``limit_points``);
+form read off its file form alone (``limit_points``), with the cohesion
+patterns they give (``limit_patterns``);
 the fold that keys every value past j0 in one pass, where ``core.fold_last``
 reads the last q values first and the rest only if a slot is not among them;
 the cohesion verifier and back-translation that ask ``member`` once per row
-and selected value; the geometric series summed term by term; the
-enumeration that evaluates the membership pattern of every j below the
-horizon; one term per selected value, read at the value itself and keyed
+and selected value, the verifier's window check asking it once per settle
+triple and window slot (``window_violation``); the geometric series summed
+term by term; the enumeration that evaluates the membership pattern of
+every j below the horizon, with the count that the window read replaced
+(``most_populated_witness``, correct wherever its pattern recurs); one term per selected value, read at the value itself and keyed
 to its last position; suffix extrema taken by ``max``/``min`` over
 ``Fraction``s, and
 the Cauchy verifier and thinning that read one entry of them per position,
@@ -108,6 +111,7 @@ side's minimal witnesses below a count.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, repeat
@@ -237,6 +241,33 @@ def limit_points(x: RationalSequence) -> set[Fraction]:
     return {listed_term(x, j) for j in range(j0, j0 + q)}
 
 
+def limit_patterns(x: RationalSequence, rows) -> set[int]:
+    """The corrected-convention pattern over ``rows`` (as ``SetFamily.pattern``
+    orders it, a 1 digit outside the row) of every limit of a catalog
+    sequence form, read off its file form: each period value of a listed
+    form (each recurs); the target v of a binary walk as its terms approach
+    it from below, which is v's own pattern (a dyadic walk reaches v, and a
+    non-dyadic v·2^n is never whole, so nearby terms below v share its cell
+    at every level); and for the harmonic sequence the all-in pattern 0 of
+    0⁺, since floor(t·2^(n-1)) = 0 once t < 2^-(n-1).  A pattern over the
+    rows is held by infinitely many columns iff it is one of these."""
+    r = x.to_repr()
+    if r["form"] == "harmonic":
+        return {0}
+    if r["form"] == "binary_walk":
+        values = {Fraction(r["value"])}
+    else:
+        j0, q = listed_structure(x)
+        values = {listed_term(x, j) for j in range(j0, j0 + q)}
+    out = set()
+    for v in values:
+        pat = 0
+        for n in rows:
+            pat = pat << 1 | (not member(v, n, "corrected"))
+        out.add(pat)
+    return out
+
+
 def listed_prefix_indices(x: RationalSequence, j0: int) -> list[int]:
     """Every index below j0, or for a table its listed indices below j0."""
     r = x.to_repr()
@@ -292,13 +323,36 @@ def row_is_full(family: DerivedFamily, n: int) -> bool:
 
 
 def verify_cohesive(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
-    """Every settle triple checked by one ``member`` query per selected value."""
+    """Every settle triple checked by one ``member`` query per selected value,
+    then ``window_violation``."""
     for i, s, side in witness.settle:
         want = side == "in"
         for j in witness.selector.values:
             if j >= s and family.member(i, j) != want:
                 return CohesiveViolation(i, j)
-    return None
+    return window_violation(witness, family)
+
+
+def window_violation(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
+    """Does a period slot of the settled rows' window hold the settled
+    pattern?  Each slot is asked ``member`` once per settle triple; if none
+    holds it, the violation is the slot whose first wrong row is last (the
+    leftmost such slot) at that row.  No settle triple, no pattern to hold."""
+    rows = sorted({i for i, _, _ in witness.settle})
+    if not rows:
+        return None
+    window = family.periodic_structure(rows)
+    if window is None:
+        raise NotGroundTruthError("the family has no window over the settled rows")
+    j0, q = window
+    best = None
+    for j in range(j0, j0 + q):
+        wrong = [i for i, _, side in witness.settle if family.member(i, j) != (side == "in")]
+        if not wrong:
+            return None
+        if best is None or min(wrong) > best.i:
+            best = CohesiveViolation(min(wrong), j)
+    return best
 
 
 def witness_from_selector(selector: Selector, family: SetFamily, levels: int) -> CohesiveWitness:
@@ -427,7 +481,8 @@ def patterns(family: SetFamily, values, rows) -> dict[int, int]:
 def cohesive_sweep(witness: CohesiveWitness, family: SetFamily) -> CohesiveViolation | None:
     """The cohesion verdict from one sweep over the selected values, each
     value's pattern read by ``patterns`` once it passes the least settle
-    point; a failure is named by ``verify_cohesive``."""
+    point; a failure is named by ``verify_cohesive``, and a sweep that
+    passes ends in ``window_violation``."""
     rows = sorted({i for i, _, _ in witness.settle})
     place = {i: 1 << (len(rows) - 1 - k) for k, i in enumerate(rows)}
     pending = sorted(witness.settle, key=lambda t: t[1], reverse=True)
@@ -443,7 +498,7 @@ def cohesive_sweep(witness: CohesiveWitness, family: SetFamily) -> CohesiveViola
             (pat,) = patterns(family, (j,), rows)
             if need_out & ~pat | need_in & pat:
                 return verify_cohesive(witness, family)
-    return None
+    return window_violation(witness, family)
 
 
 def embedded_term(x: EmbeddedSequence, i: int) -> Fraction:
@@ -473,17 +528,32 @@ def _pattern(family: SetFamily, j: int, levels: int) -> tuple[int, ...]:
 def build_strongly_cohesive(
     family: SetFamily, levels: int, budget: Budget
 ) -> CohesiveWitness:
-    """The horizon scan of a jointly periodic family: the least pattern of the
-    lcm window, then every j below the horizon whose own membership pattern
-    equals it.  (Families without periodic structure take a path that was
-    not rewritten, so the oracle does not cover them.)"""
-    struct = family.periodic_structure(levels)
+    """The horizon scan of a family with a window over rows < levels: the
+    least pattern of the window's period slots, then every j below the
+    horizon whose own membership pattern equals it.  An empty member list
+    is where the finder raises ``HorizonTooSmallError``."""
+    struct = family.periodic_structure(range(levels))
     assert struct is not None, "the oracle covers periodic families only"
     j0, q = struct
     y = min(_pattern(family, j, levels) for j in range(j0, j0 + q))
     members = tuple(
         j for j in range(budget.horizon) if _pattern(family, j, levels) == y
     )
+    settle = tuple((i, 0, "in" if y[i] == 0 else "out") for i in range(levels))
+    return CohesiveWitness(Selector(members), settle)
+
+
+def most_populated_witness(family: SetFamily, levels: int, budget: Budget) -> CohesiveWitness:
+    """The retired count below the horizon: the most populated pattern over
+    rows < levels among the j < horizon (the least one on a tie) and its
+    members.  It needs no window, and its pattern need not recur: on the
+    harmonic sequence it settles on cells that only finitely many terms
+    reach."""
+    patterns = [_pattern(family, j, levels) for j in range(budget.horizon)]
+    counts = Counter(patterns)
+    best = max(counts.values())
+    y = min(pat for pat, c in counts.items() if c == best)
+    members = tuple(j for j, pat in enumerate(patterns) if pat == y)
     settle = tuple((i, 0, "in" if y[i] == 0 else "out") for i in range(levels))
     return CohesiveWitness(Selector(members), settle)
 
@@ -841,8 +911,9 @@ def branch_to_point(tree: DerivedTree, bits: Bits, stage: int) -> BranchPoint:
 
 def full_row_note(family: SetFamily, levels: int) -> str | None:
     """The ``R_i = N`` note of ``bwweak-stcoh`` read off the pattern of
-    every column of the family's (j0, q) window, prefix columns included."""
-    struct = family.periodic_structure(levels)
+    every column of the family's (j0, q) column window, which holds for
+    every row, prefix columns included."""
+    struct = family.column_structure()
     if struct is None:
         return None
     outside = 0

@@ -273,9 +273,8 @@ def test_criterion_5_tree_roundtrips():
 
 def _slow_certificate(x) -> tuple[CauchyCertificate, bytes, bytes]:
     family = reductions.bwweak_to_stcoh(x, "corrected")
-    # periodic structure present => the builder takes the exact lcm-window
-    # path rather than counting below the horizon
-    assert family.periodic_structure(LEVELS) is not None
+    # the builder reads the rows' window, and refuses a family without one
+    assert family.periodic_structure(range(LEVELS)) is not None
     witness = solvers.build_strongly_cohesive(family, LEVELS, Budget())
     assert solvers.verify_cohesive(witness, family, strong_levels=LEVELS) is None
     cert = CauchyCertificate(

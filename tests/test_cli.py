@@ -247,6 +247,82 @@ def test_accumulation_on_a_source_with_no_cell_window_is_refused(tmp_path, capsy
     assert capsys.readouterr().err == "error: the sequence has no cell window at level 8\n"
 
 
+HARMONIC_FAMILY = str(Path(__file__).parent / "data" / "harmonic_family.json")
+HARMONIC_COHESIVE_14 = str(Path(__file__).parent / "data" / "harmonic_cohesive_14.json")
+
+
+def test_harmonic_files_are_the_family_and_its_count_witness():
+    """The committed witness is the one that the count below the horizon
+    gave at depth 14: 2048 ... 4095, rows 0-12 in and row 13 out."""
+    family = parse_instance(Path(HARMONIC_FAMILY).read_bytes())
+    assert family.to_repr() == bwweak_to_stcoh(catalog.SEQUENCES["harmonic"]).to_repr()
+    witness = parse_instance(Path(HARMONIC_COHESIVE_14).read_bytes())
+    assert witness.selector.values == tuple(range(2048, 4096))
+    assert witness.settle == tuple((i, 0, "out" if i == 13 else "in") for i in range(14))
+
+
+def test_a_cohesive_witness_of_a_pattern_that_does_not_recur_fails(capsys):
+    """1/(j+1) for j in 2048 ... 4095 is out of row 13, but every column from
+    the one window slot 2^13 on is in it: no later column holds the settled
+    pattern, so the window check names slot 8192 at row 13."""
+    assert main(["verify", "-i", HARMONIC_FAMILY, "--certificate", HARMONIC_COHESIVE_14]) == 1
+    assert capsys.readouterr().err == "counterexample (i=13,j=8192)\n"
+
+
+def test_slow_cauchy_on_harmonic_needs_its_window_below_the_horizon(tmp_path, capsys):
+    """At depth 12 the members over 14 rows start at 2^12: none lies below
+    the default horizon, exit 2, and at horizon 20000 the selector is
+    4096 ... 19999, which verifies."""
+    src = _write(tmp_path, "harmonic.json", catalog.SEQUENCES["harmonic"])
+    assert main(["solve", "--problem", "slow-cauchy", "--depth", "12", "-i", src]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "HorizonTooSmallError"
+    cert = str(tmp_path / "slow.json")
+    argv = ["--depth", "12", "--horizon", "20000", "-i", src]
+    assert main(["solve", "--problem", "slow-cauchy", "-o", cert] + argv) == 0
+    assert capsys.readouterr().out == "selector " + " ".join(map(str, range(4096, 20000))) + "\n"
+    assert main(["verify", "--certificate", cert] + argv) == 0
+    assert capsys.readouterr().out == "pass\n"
+
+
+def test_cohesion_on_a_family_with_no_window_is_refused(tmp_path, capsys):
+    """walk-third's family read back as columns has no cell window, so its
+    derived family has none either: the cohesion finder, the round trip and
+    the verifier exit 4, at once."""
+    family, columns = str(tmp_path / "family.json"), str(tmp_path / "columns.json")
+    assert main(["reduce", "--from", "bwweak", "--to", "stcoh", "-i", WALK_THIRD, "-o", family]) == 0
+    assert main(["reduce", "--from", "stcoh", "--to", "bwweak", "-i", family, "-o", columns]) == 0
+    again = str(tmp_path / "again.json")
+    assert main(["reduce", "--from", "bwweak", "--to", "stcoh", "-i", columns, "-o", again]) == 0
+    capsys.readouterr()
+    refused = "error: the family has no window over rows < 10\n"
+    assert main(["solve", "--problem", "slow-cauchy", "-i", columns]) == 4
+    assert capsys.readouterr().err == refused
+    assert main(["roundtrip", "--pair", "bwweak-stcoh", "-i", columns]) == 4
+    assert capsys.readouterr().err == refused
+    witness = _write(tmp_path, "w.json", CohesiveWitness(Selector((0,)), ((0, 0, "in"),)))
+    assert main(["verify", "-i", again, "--certificate", witness]) == 4
+    assert capsys.readouterr().err == "error: the family has no window over the settled rows\n"
+
+
+@pytest.mark.parametrize("name", ["harmonic", "walk-third"])
+def test_verify_a_cohesive_witness_past_the_row_limit(tmp_path, capsys, name):
+    """A source with no period has its window at row 2^70 only from a cell
+    window of level 2^70, which for the harmonic sequence starts at 2^(2^70):
+    the level is refused before any window is built, exit 2."""
+    fam = bwweak_to_stcoh(catalog.SEQUENCES[name])
+    src = _write(tmp_path, "fam.json", fam)
+    side = "in" if fam.member(2**70, 5) else "out"
+    cert = _write(tmp_path, "w.json", CohesiveWitness(Selector((5,)), ((2**70, 0, side),)))
+    assert main(["verify", "-i", src, "--certificate", cert]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {
+        "error": "budget",
+        "kind": "BudgetExceededError",
+        "reason": f"the cell window of level {2**70} may start past 4300 digits; "
+        f"the limit is level {solvers.MAX_ACCUMULATION_DEPTH}",
+    }
+
+
 def test_solve_branch(tmp_path, capsys):
     src = _write(tmp_path, "full.json", catalog.TREES["full"])
     assert main(["solve", "--problem", "branch", "-i", src]) == 0
@@ -272,12 +348,19 @@ _DENSE_ROWS = {
 def test_solve_prints_and_writes_the_selector_once_rendered(tmp_path, capsys, horizon, write):
     """The summary line and the ``-o`` certificate come from one decimal
     rendering of a selector that holds every index below the horizon: the
-    line is the values joined by spaces, the file is ``json.dumps``'s bytes,
-    and an empty selector prints ``selector `` alone."""
+    line is the values joined by spaces, the file is ``json.dumps``'s bytes.
+    A horizon of 0 holds no member: exit 2, with nothing printed or
+    written."""
     src = tmp_path / "dense.json"
     src.write_text(json.dumps(_DENSE_ROWS))
     cert = tmp_path / "cert.json"
     argv = ["solve", "--problem", "cohesive", "-i", str(src), "--horizon", str(horizon)]
+    if horizon == 0:
+        assert main(argv + ["-o", str(cert)] * write) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not cert.exists()
+        assert json.loads(captured.err)["kind"] == "HorizonTooSmallError"
+        return
     assert main(argv + ["-o", str(cert)] * write) == 0
     values = list(range(horizon))
     assert capsys.readouterr().out == "selector " + " ".join(map(str, values)) + "\n"
@@ -1246,7 +1329,9 @@ def _mutation_corpus() -> tuple[tuple[str, bytes, bytes | None], ...]:
         corpus.append((inst.kind, data, None))
         for cls, find in PROBLEMS.values():
             if isinstance(inst, cls):
-                cert = find(inst, Budget(horizon=256, stage=256))  # quick to build
+                # quick to build; the depth-8 harmonic witness needs columns
+                # from 2^8 on, and its fast thinning nine of them
+                cert = find(inst, Budget(horizon=512, stage=256))
                 corpus.append((cert.kind, serialize_instance(cert), data))
     return tuple(corpus)
 

@@ -241,7 +241,7 @@ def test_bwweak_stcoh_back_map_takes_every_infinite_pattern(x, depth, data):
     budget = Budget(depth=depth)
     family = edge.forward(x, "corrected")
     rows = range(depth + 2)
-    j0, q = family.periodic_structure(depth + 2)
+    j0, q = family.periodic_structure(rows)
     slot = data.draw(st.integers(j0, j0 + q - 1), label="slot")
     pattern = family.pattern(slot, rows)
     members = [j for j in range(j0 + 4 * q) if family.pattern(j, rows) == pattern]

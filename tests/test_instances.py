@@ -861,12 +861,41 @@ def test_periodic_rows_family_structure():
         [RowPattern((1, 1), (0,))],
         [RowPattern((), (1, 0)), RowPattern((0,), (1, 1, 0))],
     )
-    assert fam.periodic_structure(3) == (2, 6)
+    assert fam.periodic_structure(range(3)) == (2, 6)
+    assert fam.periodic_structure((1,)) == (0, 2)  # the window of exactly those rows
+    assert fam.periodic_structure((0, 2)) == (2, 3)
     assert fam.column_structure() == (2, 6)
     pt = fam.column_point(4)
     assert pt.bit(0) == 0  # row 0 pattern (1,1)(0) has left the prefix by j=4
     assert pt.bit(1) == 1  # evens row
     assert pt.bit(2) == 1  # (0)(110) at j=4 -> period position 0 -> 1
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.just(HarmonicSequence()),
+        st.builds(BinaryWalkSequence, st.fractions(0, 1, max_denominator=2**12)),
+        st.builds(
+            PeriodicSequence,
+            st.lists(st.fractions(0, 1, max_denominator=64), max_size=3),
+            st.lists(st.fractions(0, 1, max_denominator=64), min_size=1, max_size=3),
+        ),
+    ),
+    st.sampled_from(DerivedFamily.conventions),
+    st.sets(st.integers(0, 11), min_size=1, max_size=6).map(sorted),
+)
+def test_derived_window_repeats_the_columns_of_its_rows(x, convention, rows):
+    """A derived family's window over rows up to L is its source's cell
+    window of level L: past j0, column j + q has column j's pattern over
+    those rows, each read at the column itself."""
+    fam = DerivedFamily(x, convention)
+    j0, q = fam.periodic_structure(rows)
+    assert (j0, q) == x.cell_structure(rows[-1])
+    for j in range(j0, j0 + 3 * q + 4):
+        slot = j0 + (j - j0) % q
+        got = kernel_oracle.derived_pattern(fam, j, rows)
+        assert got == kernel_oracle.derived_pattern(fam, slot, rows), (j, slot)
 
 
 def test_table_rows_family():
@@ -889,7 +918,7 @@ def test_lcm_window_decides_infinitude():
     """
     for name, fam in sorted(catalog.FAMILIES.items()):
         for levels in (1, 2, 3):
-            struct = fam.periodic_structure(levels)
+            struct = fam.periodic_structure(range(levels))
             assert struct is not None, name
             j0, q = struct
 

@@ -623,12 +623,17 @@ def test_patterns_match_one_read_per_value(k, values, rows):
 def test_verify_cohesive_matches_the_one_sweep(k, selector, levels, extra):
     """Segment by segment between distinct settle points, the verdict and
     least violation are those of one sweep over the values: on the
-    back-translated witness, which passes with a settle point per row, and
-    on it with a few triples added, which may fail."""
+    back-translated witness, which passes its settle triples with a settle
+    point per row and fails only where its pattern recurs in no window slot
+    (never when its last value is past j0), and on it with a few triples
+    added, which may fail."""
     fam = _COHESION_FAMILIES[k]
     passing = kernel_oracle.witness_from_selector(selector, fam, levels)
-    assert verify_cohesive(passing, fam) is None
-    assert kernel_oracle.cohesive_sweep(passing, fam) is None
+    recurs = kernel_oracle.window_violation(passing, fam)
+    if selector.values and selector.values[-1] >= fam.periodic_structure(range(levels))[0]:
+        assert recurs is None
+    assert verify_cohesive(passing, fam) == recurs
+    assert kernel_oracle.cohesive_sweep(passing, fam) == recurs
     tampered = CohesiveWitness(selector, passing.settle + tuple(extra))
     assert verify_cohesive(tampered, fam) == kernel_oracle.cohesive_sweep(tampered, fam)
 
@@ -723,8 +728,12 @@ def _periodic_catalog_families() -> list[tuple[str, SetFamily]]:
     return out + sorted(catalog.FAMILIES.items())
 
 
+_NO_MEMBER = "no column below horizon {} holds the least recurring pattern"
+
+
 def test_periodic_enumeration_matches_the_horizon_scan():
-    """The one-window listing equals the scan of every j below the horizon.
+    """The one-window listing equals the scan of every j below the horizon,
+    and an empty scan is a horizon too small.
 
     The scan costs levels·horizon membership queries, so the two large
     horizons are checked at the shallowest and deepest level only; every
@@ -734,7 +743,7 @@ def test_periodic_enumeration_matches_the_horizon_scan():
     assert len(families) == 92
     for name, fam in families:
         for levels in range(1, 16):
-            j0, q = fam.periodic_structure(levels)
+            j0, q = fam.periodic_structure(range(levels))
             horizons = {0, 1, j0 - 1, j0, j0 + q - 1, j0 + q} - {-1}
             if levels in (1, 15):
                 horizons.add(512)
@@ -742,8 +751,10 @@ def test_periodic_enumeration_matches_the_horizon_scan():
                 horizons.add(4096)
             for horizon in sorted(horizons):
                 budget = Budget(horizon=horizon)
-                got = build_strongly_cohesive(fam, levels, budget)
+                got = _outcome(build_strongly_cohesive, fam, levels, budget)
                 want = kernel_oracle.build_strongly_cohesive(fam, levels, budget)
+                if not want.selector.values:
+                    want = (HorizonTooSmallError, _NO_MEMBER.format(horizon))
                 assert got == want, (name, levels, horizon)
 
 
@@ -756,22 +767,135 @@ class _CountingFamily(SetFamily):
         self.calls += 1
         return self.inner.member(n, j)
 
-    def periodic_structure(self, levels: int) -> tuple[int, int] | None:
-        return self.inner.periodic_structure(levels)
+    def periodic_structure(self, rows) -> tuple[int, int] | None:
+        return self.inner.periodic_structure(rows)
 
 
 def test_periodic_enumeration_work_is_one_window():
     """Exactly levels·(min(j0, horizon) + q) membership queries: the q period
-    slots and the prefix slots below the horizon, whatever the horizon."""
+    slots and the prefix slots below the horizon, whatever the horizon, and
+    as many when no member lies below it."""
     x = catalog.PERIODIC_SEQUENCES["mixed-prefix"]
     families = [DerivedFamily(x, c) for c in DerivedFamily.conventions]
     for fam in families + [catalog.FAMILIES["prefix-noise"]]:
         for levels in (1, 6, 15):
-            j0, q = fam.periodic_structure(levels)
+            j0, q = fam.periodic_structure(range(levels))
             for horizon in (0, 1, 512, 4096):
                 counting = _CountingFamily(fam)
-                build_strongly_cohesive(counting, levels, Budget(horizon=horizon))
+                budget = Budget(horizon=horizon)
+                if kernel_oracle.build_strongly_cohesive(fam, levels, budget).selector.values:
+                    build_strongly_cohesive(counting, levels, budget)
+                else:
+                    with pytest.raises(HorizonTooSmallError):
+                        build_strongly_cohesive(counting, levels, budget)
                 assert counting.calls == levels * (min(j0, horizon) + q)
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_SEQUENCES))
+def test_every_catalog_slow_cauchy_selector_holds_a_limit_pattern(name):
+    """Over depths 1 to 16 and horizons 256 and 4096, each slow Cauchy
+    selector holds one pattern over its depth + 2 rows, the least limit
+    pattern of the form read off its file form alone, and verifies; or the
+    finder exits with a horizon too small, and no column below the horizon
+    holds that pattern.  The harmonic members start at 2^depth, so 14 of
+    its 32 cases exit."""
+    x = _CATALOG_SEQUENCES[name]
+    family = bwweak_to_stcoh(x, "corrected")
+    refused = 0
+    for depth in range(1, 17):
+        rows = range(depth + 2)
+        least = min(kernel_oracle.limit_patterns(x, rows))
+        for horizon in (256, 4096):
+            try:
+                cert = extract_slow_cauchy(x, Budget(depth=depth, horizon=horizon))
+            except HorizonTooSmallError:
+                assert all(family.pattern(j, rows) != least for j in range(horizon))
+                refused += 1
+                continue
+            assert set(family.patterns(cert.selector.values, rows)) == {least}, (depth, horizon)
+            assert verify_cauchy(cert, x) is None
+    assert refused == (14 if name == "harmonic" else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(BinaryWalkSequence, st.fractions(0, 1, max_denominator=300)),
+        st.just(HarmonicSequence()),
+    ),
+    st.integers(1, 10),
+    st.integers(1, 700),
+    st.sampled_from(DerivedFamily.conventions),
+)
+def test_window_witness_is_the_count_wherever_its_pattern_recurs(x, levels, horizon, convention):
+    """On the one-slot windows of walks and the harmonic sequence, the
+    window finder gives the witness of the retired count below the horizon
+    wherever the count's pattern is the slot's; where it is not, that
+    pattern recurs nowhere, and the finder picks the slot's or exits."""
+    family = DerivedFamily(x, convention)
+    rows = range(levels)
+    j0, q = family.periodic_structure(rows)
+    assert q == 1
+    budget = Budget(horizon=horizon)
+    old = kernel_oracle.most_populated_witness(family, levels, budget)
+    got = _outcome(build_strongly_cohesive, family, levels, budget)
+    slot = family.pattern(j0, rows)
+    if family.pattern(old.selector.values[0], rows) == slot:
+        assert got == old
+    elif any(family.pattern(j, rows) == slot for j in range(horizon)):
+        assert set(family.patterns(got.selector.values, rows)) == {slot}
+    else:
+        assert got == (HorizonTooSmallError, _NO_MEMBER.format(horizon))
+
+
+def _walk_third_columns_family() -> DerivedFamily:
+    """walk-third's derived family read back as columns and derived again:
+    the columns have no window, so neither does this family."""
+    columns = stcoh_to_bwweak(bwweak_to_stcoh(BinaryWalkSequence(Fraction(1, 3))))
+    assert columns.periodic_structure() is None
+    return DerivedFamily(columns)
+
+
+def test_verify_cohesive_names_the_slot_that_agrees_longest():
+    """Rows 0 (the evens) and 1 (all) have the window (0, 2): slot 0 is in
+    both, slot 1 only in row 1.  A settled pattern that no slot holds fails
+    at the slot agreeing on the most leading rows, the leftmost on a tie,
+    and at its first wrong row; contradictory triples fail at the row they
+    share.  A family with no window is refused."""
+    fam = _evens_and_all()
+    cases = [
+        (Selector(()), ((0, 0, "in"), (1, 0, "in")), None),
+        (Selector(()), ((0, 0, "in"), (1, 0, "out")), CohesiveViolation(1, 0)),
+        (Selector(()), ((0, 0, "out"), (1, 0, "out")), CohesiveViolation(1, 1)),
+        (Selector((0, 2)), ((0, 0, "in"), (0, 3, "out")), CohesiveViolation(0, 0)),
+        (Selector((4,)), ((1, 9, "out"),), CohesiveViolation(1, 0)),
+        (Selector((4,)), ((0, 4, "in"),), None),
+    ]
+    for selector, settle, want in cases:
+        witness = CohesiveWitness(selector, settle)
+        assert verify_cohesive(witness, fam) == want, settle
+        assert kernel_oracle.verify_cohesive(witness, fam) == want, settle
+    with pytest.raises(NotGroundTruthError):
+        verify_cohesive(CohesiveWitness(Selector((0,)), ((0, 0, "in"),)), _walk_third_columns_family())
+    with pytest.raises(NotGroundTruthError):
+        build_strongly_cohesive(_walk_third_columns_family(), 3, Budget())
+
+
+@pytest.mark.parametrize("source", [HarmonicSequence(), BinaryWalkSequence(Fraction(1, 3))])
+def test_cohesive_window_rows_stop_at_the_level_limit(source):
+    """A source with no period is read up to row
+    ``MAX_ACCUMULATION_DEPTH``, whose harmonic window starts at a number of
+    4,300 digits; one row more is an exceeded budget, before any window is
+    built."""
+    fam = DerivedFamily(source)
+    for level in (MAX_ACCUMULATION_DEPTH, MAX_ACCUMULATION_DEPTH + 1, 2**70):
+        side = "in" if fam.member(level, 5) else "out"
+        witness = CohesiveWitness(Selector((5,)), ((level, 0, side),))
+        if level > MAX_ACCUMULATION_DEPTH:
+            with pytest.raises(BudgetExceededError):
+                verify_cohesive(witness, fam)
+        else:
+            assert verify_cohesive(witness, fam) == kernel_oracle.verify_cohesive(witness, fam)
 
 
 FAR_TABLE_FILE = Path(__file__).parent / "data" / "table_far_entry.json"
@@ -874,7 +998,7 @@ def test_thin_to_fast_on_alternating():
     assert verify_cauchy(fast, x) is None
 
 
-def test_thin_to_fast_on_harmonic_via_heuristic_cohesion():
+def test_thin_to_fast_on_harmonic_via_window_cohesion():
     x = HarmonicSequence()
     slow = extract_slow_cauchy(x, Budget())
     assert verify_cauchy(slow, x) is None
